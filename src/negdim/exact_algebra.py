@@ -388,27 +388,33 @@ def _int_primitive(coeffs: list) -> list:
     return [c // g for c in coeffs]
 
 
-def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Primitive pseudo-remainder sequence (Collins 1967, Brown 1971) for
-    nonconstant polynomials in a single shared symbol.
+def _int_image(p: MultiPoly, sym: str, values: Mapping[str, int]) -> list:
+    """Dense integer coefficients (lowest degree first) of p as a polynomial
+    in sym, every other symbol set to its value in `values`, denominators
+    cleared.  The leading entry is zero exactly when the sym-leading
+    coefficient of p vanishes at that point."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    i = p.symbols.index(sym)
+    others = [(j, values[s]) for j, s in enumerate(p.symbols) if j != i]
+    coeffs = [0] * (p.degree(sym) + 1)
+    for e, c in p.terms.items():
+        k = c.numerator * (den // c.denominator)
+        for j, v in others:
+            if e[j]:
+                k *= v ** e[j]
+        coeffs[e[i]] += k
+    return coeffs
 
-    Both inputs are cleared of denominators and made integer-primitive;
-    every pseudo-remainder is computed over int and divided by its integer
-    content before the next step, so coefficients do not swell as they do
-    in Euclid over Fraction.
-    The result keeps the poly_gcd contract: integer-primitive with positive
-    leading coefficient, and a constant gcd collapses to 1.
+
+def _int_prs(f: list, g: list) -> list:
+    """Primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on two
+    integer-primitive dense coefficient lists with positive leading entries.
+
+    Returns their gcd over Q[x], integer-primitive with a positive leading
+    entry; a constant gcd comes back as [1].  Every pseudo-remainder is
+    computed over int and divided by its integer content before the next
+    step, so coefficients do not swell as they do in Euclid over Fraction.
     """
-    sym = (a.symbols or b.symbols)[0]
-
-    def dense(p: MultiPoly) -> list:
-        den = math.lcm(*(c.denominator for c in p.terms.values()))
-        coeffs = [0] * (p.degree(sym) + 1)
-        for (e,), c in p.terms.items():
-            coeffs[e] = c.numerator * (den // c.denominator)
-        return _int_primitive(coeffs)
-
-    f, g = dense(a), dense(b)
     while len(g) > 1:
         # f := pseudo-remainder of f by g.  Each step scales f by an integer
         # and cancels its leading term, so the result is a rational multiple
@@ -429,13 +435,51 @@ def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if not f:
             break
         f, g = g, _int_primitive(f)
+    return g if len(g) > 1 else [1]
+
+
+def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd of nonconstant polynomials in a single shared symbol, by the
+    integer remainder sequence of _int_prs.  The result keeps the poly_gcd
+    contract: integer-primitive with positive leading coefficient, and a
+    constant gcd collapses to 1."""
+    sym = (a.symbols or b.symbols)[0]
+    g = _int_prs(_int_primitive(_int_image(a, sym, {})),
+                 _int_primitive(_int_image(b, sym, {})))
     if len(g) == 1:
         return MultiPoly.const(1)
     return MultiPoly._raw((sym,), {(i,): Fraction(c) for i, c in enumerate(g) if c})
 
 
-def _content_wrt(p: MultiPoly, sym: str) -> Tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of p as a univariate polynomial in sym."""
+# Evaluation points of the degree bound: the primes from 1009 up.  Small
+# values are unlucky here (factors such as 1 - z*(n - 2) coincide at small
+# ranks).  The values wrap around past 14 symbols; soundness rests on the
+# leading-coefficient check alone.
+_POINTS = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049,
+           1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097)
+_POINT_TRIES = 3
+
+
+def _gcd_degree_bound(a: MultiPoly, b: MultiPoly, sym: str) -> int:
+    """Upper bound on the sym-degree of gcd(a, b), for a symbol of both.
+
+    Every other symbol is set to its own prime; a point where the
+    sym-leading coefficient of a or b vanishes is skipped.  At the first
+    point that keeps both, the bound is the degree of the gcd of the two
+    integer images (see poly_gcd for why).  Without such a point among
+    _POINT_TRIES the bound is the smaller input degree.
+    """
+    others = sorted((set(a.symbols) | set(b.symbols)) - {sym})
+    for t in range(_POINT_TRIES):
+        values = {s: _POINTS[(t + j) % len(_POINTS)] for j, s in enumerate(others)}
+        f, g = _int_image(a, sym, values), _int_image(b, sym, values)
+        if f[-1] and g[-1]:
+            return len(_int_prs(_int_primitive(f), _int_primitive(g))) - 1
+    return min(a.degree(sym), b.degree(sym))
+
+
+def _content(p: MultiPoly, sym: str) -> MultiPoly:
+    """Content of p as a univariate polynomial in sym (1 when constant)."""
     coeffs = list(p.coeff_map(sym).values())
     content = coeffs[0]
     for c in coeffs[1:]:
@@ -443,7 +487,14 @@ def _content_wrt(p: MultiPoly, sym: str) -> Tuple[MultiPoly, MultiPoly]:
             break
         content = poly_gcd(content, c)
     if content.is_const():
-        _, content = content.primitive()  # normalise a constant content to 1
+        return MultiPoly.const(1)
+    return content
+
+
+def _content_wrt(p: MultiPoly, sym: str) -> Tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of p as a univariate polynomial in sym."""
+    content = _content(p, sym)
+    if content.is_const():
         return content, p
     return content, poly_exact_div(p, content)
 
@@ -480,7 +531,20 @@ def _pseudo_rem(f: Dict[int, MultiPoly], g: Dict[int, MultiPoly]) -> Dict[int, M
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, integer-primitive with positive leading
-    coefficient (constants collapse to 1)."""
+    coefficient (constants collapse to 1).
+
+    One symbol: the integer remainder sequence of _int_prs.  Several: before
+    the remainder sequence in the main symbol x = max(shared symbols), a
+    degree-bound certificate (the first step of Brown's modular gcd, Brown
+    1971; Geddes, Czapor & Labahn 1992, ch. 7) settles most pairs at once.
+    For a shared symbol y, set every other symbol to an integer where the
+    y-leading coefficients of a and b do not vanish.  lc_y(gcd) divides
+    lc_y(a), so the image of the gcd keeps its y-degree, and it divides both
+    images; the degree of the images' gcd therefore bounds deg_y gcd(a, b)
+    from above (_gcd_degree_bound).  If every bound is 0 the gcd is 1.  If
+    only the bound in x is 0, the gcd is free of x and so equals the gcd of
+    the contents in x.  Otherwise the full remainder sequence runs.
+    """
     if a.is_zero():
         _, prim = b.primitive()
         return prim if b else MultiPoly.const(0)
@@ -495,6 +559,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if set(a.symbols) == set(b.symbols) and len(a.symbols) == 1:
         return _gcd_univariate(a, b)
     sym = sorted(shared)[-1]
+    if _gcd_degree_bound(a, b, sym) == 0:
+        if all(_gcd_degree_bound(a, b, y) == 0 for y in shared - {sym}):
+            return MultiPoly.const(1)
+        return poly_gcd(_content(a, sym), _content(b, sym))
 
     cont_a, prim_a = _content_wrt(a, sym)
     cont_b, prim_b = _content_wrt(b, sym)

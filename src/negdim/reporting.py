@@ -72,7 +72,9 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.failed == 0
+        """No unexpected failure, and at least one case: an empty sweep
+        checks nothing, so it is not a pass."""
+        return bool(self.cases) and self.failed == 0
 
     def as_dict(self) -> Dict:
         return {

@@ -266,6 +266,9 @@ def dual_space(label: str, m: Optional[int] = None,
         if "m" not in s.size_params:
             raise ValueError(f"{s.key} has no m parameter")
         bindings["m"] = RatFunc.const(m)
+        if n is None:
+            raise ValueError(f"{s.key} has size parameters m and n: "
+                             f"--m needs --n as well")
     if n is not None:
         bindings[s.size_params[-1]] = RatFunc.const(n)
 

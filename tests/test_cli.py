@@ -5,6 +5,7 @@ import json
 import pytest
 
 from negdim.cli import build_parser, main, run_verify_all
+from negdim.reporting import VerificationReport
 
 
 def run(capsys, *argv):
@@ -116,6 +117,19 @@ def test_spaces_dual_json(capsys):
 def test_spaces_unknown_label(capsys):
     code, _, err = run(capsys, "spaces", "dual", "--label", "G2")
     assert code == 2 and err
+
+
+def test_spaces_dual_m_without_n_is_usage_error(capsys):
+    code, out, err = run(capsys, "spaces", "dual", "--label", "BDI", "--m", "3")
+    assert code == 2 and not out
+    assert "--n" in err and "'n'" not in err
+
+
+def test_empty_sweep_is_not_a_pass(capsys):
+    code, out, _ = run(capsys, "jack", "verify-duality", "--max-weight", "0")
+    assert code == 1
+    assert "summary: 0 checks" in out
+    assert not VerificationReport(suite="empty", config={}).all_ok
 
 
 def test_spaces_table_json(capsys):

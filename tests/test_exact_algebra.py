@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negdim import exact_algebra
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
                                   series_expand, substitute)
@@ -190,15 +191,86 @@ univariate_factors = polys(symbols=("n",), max_exp=4, coeffs=int_coeffs).filter(
     lambda p: not p.is_const())
 
 
-@given(nonzero_int_polys, nonzero_int_polys, univariate_factors)
-@settings(max_examples=60, deadline=None)
-def test_gcd_recovers_planted_univariate_factor(a, b, c):
+def _check_planted_factor(a, b, c):
     g = poly_gcd(a * c, b * c)
     _, prim_c = c.primitive()
     poly_exact_div(g, prim_c)
     cof_a, cof_b = poly_exact_div(a * c, g), poly_exact_div(b * c, g)
     assert poly_gcd(cof_a, cof_b) == MultiPoly.const(1)
     assert g.signed_content() == 1
+
+
+@given(nonzero_int_polys, nonzero_int_polys, univariate_factors)
+@settings(max_examples=60, deadline=None)
+def test_gcd_recovers_planted_univariate_factor(a, b, c):
+    _check_planted_factor(a, b, c)
+
+
+# -- planted common factors in (n, z): the degree-bound certificate -----------
+
+bivariate_int_polys = polys(coeffs=int_coeffs).filter(lambda p: not p.is_zero())
+planted_factors = {
+    # jointly bivariate: the certificate must decline and the full sequence run
+    "n-and-z": polys(max_exp=2, coeffs=int_coeffs).filter(
+        lambda p: p.symbols == ("n", "z")),
+    # free of the main symbol z: mostly settled by the content shortcut
+    "n-only": univariate_factors,
+    "z-only": polys(symbols=("z",), max_exp=3, coeffs=int_coeffs).filter(
+        lambda p: not p.is_const()),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(planted_factors))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gcd_recovers_planted_factor_in_n_z(shape, data):
+    a = data.draw(bivariate_int_polys)
+    b = data.draw(bivariate_int_polys)
+    _check_planted_factor(a, b, data.draw(planted_factors[shape]))
+
+
+def _count_remainder_sequences(monkeypatch):
+    calls = []
+    inner = exact_algebra._pseudo_rem
+
+    def counted(f, g):
+        calls.append(1)
+        return inner(f, g)
+
+    monkeypatch.setattr(exact_algebra, "_pseudo_rem", counted)
+    return calls
+
+
+def test_gcd_images_coinciding_at_first_point():
+    # n = 1009 is the first evaluation point: there both images are z - 1009,
+    # so the bound is 1 and the full remainder sequence must decide
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    assert poly_gcd(z - n, z - 1009) == MultiPoly.const(1)
+    assert poly_gcd((z - n) * (z + n), (z - 1009) * (z + n)) == z + n
+
+
+def test_gcd_skips_point_where_leading_coefficient_vanishes(monkeypatch):
+    # at n = 1009 the image of a drops to the constant 1, which would bound
+    # deg_z gcd by 0 although a divides b
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    a = (n - 1009) * z + 1
+    assert poly_gcd(a, a * (z + 1)) == a
+    assert poly_gcd(a * (n + 2), a * (z + 1)) == a
+    calls = _count_remainder_sequences(monkeypatch)
+    assert poly_gcd(a, z + n) == MultiPoly.const(1)
+    assert not calls  # certified at the next point, n = 1013
+
+
+def test_gcd_distinct_values_per_symbol(monkeypatch):
+    # lc_z(a) = va - vb vanishes wherever va and vb share a value, so a
+    # certificate that gave every symbol the same value would never apply
+    va, vb, z = (MultiPoly.symbol(s) for s in ("va", "vb", "z"))
+    a = (va - vb) * z + 1
+    assert poly_gcd(a * (va + 1), (z + va) * (va + 1)) == va + 1
+    assert poly_gcd(a * (z - va), (z - va) * (z + vb)) == va - z
+    calls = _count_remainder_sequences(monkeypatch)
+    assert poly_gcd(a, z + va + vb) == MultiPoly.const(1)
+    assert not calls
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +285,9 @@ def _to_sympy(sympy, p):
                 for exps, c in p.terms.items()), sympy.Integer(0))
 
 
-@given(nonzero_int_polys, nonzero_int_polys, univariate_factors)
-@settings(max_examples=30, deadline=None)
+@given(nonzero_int_polys, nonzero_int_polys,
+       st.one_of(univariate_factors, *planted_factors.values()))
+@settings(max_examples=60, deadline=None)
 def test_gcd_matches_sympy(sympy, a, b, c):
     ours = _to_sympy(sympy, poly_gcd(a * c, b * c))
     theirs = sympy.gcd(_to_sympy(sympy, a * c), _to_sympy(sympy, b * c))
