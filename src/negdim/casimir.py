@@ -273,10 +273,7 @@ def _divide_by_z(f: RatFunc) -> RatFunc:
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel") from None
-    result = object.__new__(RatFunc)
-    object.__setattr__(result, "num", num)
-    object.__setattr__(result, "den", f.den)
-    return result
+    return RatFunc._raw(num, f.den)
 
 
 def generating_function(family: str, lam: Partition, mode: str = "blocks",

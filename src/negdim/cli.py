@@ -287,6 +287,18 @@ def _cmd_verify_all(args) -> int:
     return _report_exit(report, args.json)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cvd = casv.add_parser("verify-duality",
                           help="rank-negation duality sweeps")
-    cvd.add_argument("--max-weight", type=int, default=6)
+    cvd.add_argument("--max-weight", type=_nonnegative_int, default=6)
     _add_json(cvd)
     cvd.set_defaults(func=_cmd_casimir_verify)
 
@@ -339,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     jc.set_defaults(func=_cmd_jack_compute)
 
     jd = jav.add_parser("verify-duality", help="transpose duality sweep")
-    jd.add_argument("--max-weight", type=int, default=6)
+    jd.add_argument("--max-weight", type=_nonnegative_int, default=6)
     _add_json(jd)
     jd.set_defaults(func=_cmd_jack_duality)
 
     jg = jav.add_parser("verify-diagram",
                         help="finite-variable projection square")
-    jg.add_argument("--max-weight", type=int, default=5)
-    jg.add_argument("--max-n", type=int, default=4)
+    jg.add_argument("--max-weight", type=_nonnegative_int, default=5)
+    jg.add_argument("--max-n", type=_nonnegative_int, default=4)
     _add_json(jg)
     jg.set_defaults(func=_cmd_jack_diagram)
 
@@ -369,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     dmv = dm.add_subparsers(dest="verb", required=True)
 
     dk = dmv.add_parser("king", help="transposition duality sweep")
-    dk.add_argument("--max-weight", type=int, default=6)
+    dk.add_argument("--max-weight", type=_nonnegative_int, default=6)
     _add_json(dk)
     dk.set_defaults(func=_cmd_dims_king)
 
@@ -390,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     ds.set_defaults(func=_cmd_dims_vogel_sp_so)
 
     va = sub.add_parser("verify-all", help="run every verification sweep")
-    va.add_argument("--max-weight", type=int, default=6)
-    va.add_argument("--max-degree", type=int, default=6)
-    va.add_argument("--max-n", type=int, default=4)
+    va.add_argument("--max-weight", type=_nonnegative_int, default=6)
+    va.add_argument("--max-degree", type=_nonnegative_int, default=6)
+    va.add_argument("--max-n", type=_nonnegative_int, default=4)
     _add_json(va)
     va.set_defaults(func=_cmd_verify_all)
 
@@ -405,7 +417,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -651,6 +651,17 @@ class RatFunc:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _raw(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
+        """Internal: skips normal-form reduction.  The caller guarantees
+        num and den are coprime, den is nonzero with signed content 1
+        (integer-primitive, positive leading coefficient), and a zero num
+        comes with den = 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
     def const(cls, value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
@@ -725,10 +736,7 @@ class RatFunc:
         return other - self
 
     def __neg__(self):
-        result = object.__new__(RatFunc)
-        object.__setattr__(result, "num", -self.num)
-        object.__setattr__(result, "den", self.den)
-        return result
+        return RatFunc._raw(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)

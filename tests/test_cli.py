@@ -115,8 +115,40 @@ def test_spaces_dual_json(capsys):
 
 
 def test_spaces_unknown_label(capsys):
-    code, _, err = run(capsys, "spaces", "dual", "--label", "G2")
-    assert code == 2 and err
+    code, out, err = run(capsys, "spaces", "dual", "--label", "XYZ")
+    assert code == 2 and not out
+    # the KeyError's message, not its repr in quotes
+    assert err.startswith("error: unknown space 'XYZ' (known: ")
+    assert not err.startswith('error: "')
+
+
+@pytest.mark.parametrize("argv", [
+    ("casimir", "verify-duality", "--max-weight", "-2"),
+    ("jack", "verify-duality", "--max-weight", "-1"),
+    ("jack", "verify-diagram", "--max-weight", "-1"),
+    ("jack", "verify-diagram", "--max-n", "-3"),
+    ("dims", "king", "--max-weight", "-2"),
+    ("verify-all", "--max-degree", "-1"),
+])
+def test_negative_sweep_size_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "usage:" in captured.err and "nonnegative integer" in captured.err
+
+
+@pytest.mark.parametrize("argv, code, summary", [
+    (("casimir", "verify-duality", "--max-weight", "0"), 0, "2 checks"),
+    (("dims", "king", "--max-weight", "0"), 0, "1 checks"),
+    (("jack", "verify-diagram", "--max-n", "0"), 1, "0 checks"),
+])
+def test_zero_sweep_size_is_accepted(capsys, argv, code, summary):
+    # weight 0 still checks the empty partition; an empty sweep is no pass
+    got, out, err = run(capsys, *argv)
+    assert got == code and not err
+    assert f"summary: {summary}," in out
 
 
 def test_spaces_dual_m_without_n_is_usage_error(capsys):

@@ -1,19 +1,11 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python ones."""
+"""Term kernels: ring laws, and the deferred-normalisation multiply against a
+naive Fraction double loop."""
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from negdim import _kernels_py, kernels
-
-try:
-    from negdim import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels_cy is None, reason="compiled kernel not built")
+from negdim import kernels
 
 fractions = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
@@ -30,48 +22,52 @@ def term_dicts(draw, width=3, max_terms=5, max_exp=4):
     return terms
 
 
+def naive_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
 def test_backend_names():
-    assert _kernels_py.BACKEND == "python"
-    assert "python" in kernels.available_backends()
-
-
-@needs_compiled
-def test_compiled_backend_registered():
-    assert _kernels_cy.BACKEND == "cython"
-    assert kernels.available_backends() == ["cython", "python"]
-
-
-def test_set_backend_roundtrip():
-    previous = kernels.active_backend()
-    try:
-        assert kernels.set_backend("python") == previous
-        assert kernels.active_backend() == "python"
-    finally:
-        kernels.set_backend(previous)
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-@needs_compiled
-@given(term_dicts(), term_dicts())
-@settings(max_examples=60, deadline=None)
-def test_add_sub_mul_parity(a, b):
-    assert _kernels_py.poly_add(a, b) == _kernels_cy.poly_add(a, b)
-    assert _kernels_py.poly_sub(a, b) == _kernels_cy.poly_sub(a, b)
-    assert _kernels_py.poly_mul(a, b) == _kernels_cy.poly_mul(a, b)
-
-
-@needs_compiled
-@given(term_dicts(), fractions)
-@settings(max_examples=60, deadline=None)
-def test_scale_parity(a, c):
-    assert _kernels_py.poly_scale(a, c) == _kernels_cy.poly_scale(a, c)
+    assert kernels.active_backend() == "python"
+    assert kernels.available_backends() == ["python"]
 
 
 @given(term_dicts(), term_dicts())
 @settings(max_examples=40, deadline=None)
 def test_python_kernel_ring_laws(a, b):
     zero = {}
-    assert _kernels_py.poly_add(a, zero) == a
-    assert _kernels_py.poly_sub(a, a) == zero
-    assert _kernels_py.poly_mul(a, b) == _kernels_py.poly_mul(b, a)
+    assert kernels.poly_add(a, zero) == a
+    assert kernels.poly_sub(a, a) == zero
+    assert kernels.poly_mul(a, b) == kernels.poly_mul(b, a)
+
+
+@given(term_dicts(), term_dicts())
+# unequal denominators: x collects 1/2 * -1/2 + 1/3 * 1/3 = -5/36
+@example({(1,): Fraction(1, 2), (0,): Fraction(1, 3)},
+         {(1,): Fraction(1, 3), (0,): Fraction(-1, 2)})
+# (x/2 - 1/3)(x + 2/3): the x terms 2/6 and -1/3 cancel across unequal
+# unreduced denominators and must leave no zero entry
+@example({(1,): Fraction(1, 2), (0,): Fraction(-1, 3)},
+         {(1,): Fraction(1), (0,): Fraction(2, 3)})
+@example({}, {(1, 2): Fraction(3, 5)})
+@example({(1, 2): Fraction(3, 5)}, {})
+@example({}, {})
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_naive_double_loop(a, b):
+    product = kernels.poly_mul(a, b)
+    assert product == naive_mul(a, b)
+    assert all(type(c) is Fraction and c for c in product.values())
+
+
+@given(term_dicts(), term_dicts())
+@settings(max_examples=80, deadline=None)
+def test_mul_cancels_planted_cross_terms(a, s):
+    # (a + s)(a - s): each cross term a*s meets s*(-a) inside one multiply
+    # and must cancel exactly, leaving a^2 - s^2 with no zero entries
+    product = kernels.poly_mul(kernels.poly_add(a, s), kernels.poly_sub(a, s))
+    assert product == kernels.poly_sub(naive_mul(a, a), naive_mul(s, s))
+    assert all(product.values())
