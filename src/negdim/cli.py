@@ -13,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -304,7 +305,10 @@ def _add_json(p: argparse.ArgumentParser) -> None:
                    help="emit machine-readable JSON")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared by every
+    call of main; parsing does not modify it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="negdim",
         description="Exact verification of rank-negation dualities for "

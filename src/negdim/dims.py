@@ -122,22 +122,11 @@ def dim_poly(family: str, lam: Partition) -> MultiPoly:
     return poly
 
 
-def _negate_rank(poly: MultiPoly) -> MultiPoly:
-    """p(N) -> p(-N)."""
-    if "N" not in poly.symbols:
-        return poly
-    idx = poly.symbols.index("N")
-    return MultiPoly(poly.symbols,
-                     {e: (c if e[idx] % 2 == 0 else -c)
-                      for e, c in poly.terms.items()})
-
-
 def king_check(lam: Partition) -> CheckResult:
     """Symplectic dimension vs sign-corrected orthogonal dimension at -N."""
     lam = check_partition(lam)
-    lhs = dim_poly("c", lam)
-    conj = dim_poly("d", transpose(lam))
-    rhs = _negate_rank(conj)
+    lhs = RatFunc(dim_poly("c", lam))
+    rhs = RatFunc(dim_poly("d", transpose(lam))).substitute({"N": -RatFunc.symbol("N")})
     if weight(lam) % 2:
         rhs = -rhs
     holds = lhs == rhs

@@ -301,7 +301,7 @@ class MultiPoly:
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
         return MultiPoly._raw(self.symbols, out)
 
-    # -- evaluation / substitution -----------------------------------------
+    # -- evaluation -------------------------------------------------------
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         missing = [s for s in self.symbols if s not in bindings]
@@ -315,33 +315,6 @@ class MultiPoly:
                 if p:
                     term *= v ** p
             total += term
-        return total
-
-    def substitute_rf(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":
-        """Evaluate with RatFunc values; unbound symbols map to themselves."""
-        args = []
-        for s in self.symbols:
-            v = bindings.get(s)
-            if v is None:
-                v = RatFunc.symbol(s)
-            elif not isinstance(v, RatFunc):
-                v = RatFunc.const(v)
-            args.append(v)
-        power_cache = [{0: RatFunc.const(1), 1: a} for a in args]
-
-        def power(i: int, p: int) -> "RatFunc":
-            cache = power_cache[i]
-            if p not in cache:
-                cache[p] = cache[p - 1] * cache[1] if p - 1 in cache else power(i, p - 1) * cache[1]
-            return cache[p]
-
-        total = RatFunc.const(0)
-        for e, c in self.terms.items():
-            term = RatFunc.const(c)
-            for i, p in enumerate(e):
-                if p:
-                    term = term * power(i, p)
-            total = total + term
         return total
 
     # -- rendering ----------------------------------------------------------
@@ -612,6 +585,33 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(syms, {e: c for e, c in quot.items() if c})
 
 
+def _eval_over_common_den(p: MultiPoly, values: Mapping[str, "RatFunc"]
+                          ) -> Tuple[MultiPoly, MultiPoly]:
+    """p with each symbol s of `values` set to values[s] = a_s/b_s, as an
+    unreduced quotient over the common denominator prod_s b_s^d_s,
+    d_s = deg_s p:  num = sum_e c_e * prod_s a_s^e_s * b_s^(d_s - e_s).
+    Other symbols stay as they are.  The substitution is simultaneous: no
+    value is substituted into again."""
+    bound = [i for i, s in enumerate(p.symbols) if s in values]
+    free = [i for i, s in enumerate(p.symbols) if s not in values]
+    # terms grouped by their bound exponents, each group a polynomial in the rest
+    groups: Dict[Exponents, Terms] = {}
+    for e, c in p.terms.items():
+        groups.setdefault(tuple(e[i] for i in bound), {})[tuple(e[i] for i in free)] = c
+    den, factors = MultiPoly.const(1), []
+    for i in bound:
+        v, d = values[p.symbols[i]], p.degree(p.symbols[i])
+        factors.append([v.num ** k * v.den ** (d - k) for k in range(d + 1)])
+        den = den * v.den ** d
+    num = MultiPoly.const(0)
+    for ks, terms in groups.items():
+        term = MultiPoly._raw(tuple(p.symbols[i] for i in free), terms)
+        for f, k in zip(factors, ks):
+            term = term * f[k]
+        num = num + term
+    return num, den
+
+
 # -- rational functions --------------------------------------------------------
 
 
@@ -770,12 +770,19 @@ class RatFunc:
     # -- substitution / evaluation -------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":
-        """Simultaneous substitution symbol -> RatFunc (or int/Fraction)."""
-        num = self.num.substitute_rf(bindings)
-        den = self.den.substitute_rf(bindings)
-        if den.is_zero():
+        """Simultaneous substitution symbol -> RatFunc (or MultiPoly, int,
+        Fraction).  Both halves are evaluated over a common denominator and
+        the quotient is reduced once; without a binding for a symbol of
+        self, self is returned as it is."""
+        syms = self.symbols()
+        values = {s: RatFunc.const(v) for s, v in bindings.items() if s in syms}
+        if not values:
+            return self
+        num_num, num_den = _eval_over_common_den(self.num, values)
+        den_num, den_den = _eval_over_common_den(self.den, values)
+        if den_num.is_zero():
             raise ZeroDivisionError("substitution makes the denominator vanish")
-        return num / den
+        return RatFunc(num_num * den_den, num_den * den_num)
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
         den = self.den.eval_fractions(bindings)
@@ -804,10 +811,6 @@ def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
     if not isinstance(b, RatFunc):
         b = RatFunc.const(b)
     return a.num * b.den == b.num * a.den
-
-
-def substitute(f: RatFunc, bindings: Mapping[str, RatFunc]) -> RatFunc:
-    return f.substitute(bindings)
 
 
 @dataclass(frozen=True)

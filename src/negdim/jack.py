@@ -422,8 +422,7 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     mm = _matrix_m_symbolic(d)
     if kv != K:
         bind = {"k": kv}
-        mm = [[entry if entry.is_zero() else entry.substitute(bind)
-               for entry in row] for row in mm]
+        mm = [[entry.substitute(bind) for entry in row] for row in mm]
 
     top = basis.index(lam)
     size = len(basis)

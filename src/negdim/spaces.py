@@ -190,8 +190,6 @@ def _dual_image(s: SpaceSpec, x: KPQ) -> KPQ:
 
 
 def _bind_kpq(x: KPQ, bindings: Mapping[str, RatFunc]) -> KPQ:
-    if not bindings:
-        return x
     return KPQ(x.k.substitute(bindings), x.p.substitute(bindings),
                x.q.substitute(bindings), x.n.substitute(bindings))
 
@@ -238,8 +236,8 @@ def _tabulated_vs_derived(s: SpaceSpec, bindings: Mapping[str, RatFunc]) -> Tupl
     derived = to_kpq(s)
     out: List[Dict[str, str]] = []
     for name in ("k", "p", "q"):
-        a = getattr(derived, name).substitute(bindings) if bindings else getattr(derived, name)
-        b = getattr(shown, name).substitute(bindings) if bindings else getattr(shown, name)
+        a = getattr(derived, name).substitute(bindings)
+        b = getattr(shown, name).substitute(bindings)
         if not ratfunc_equal(a, b):
             out.append({
                 "id": f"{s.key.lower()}-{name}-normalization",

@@ -45,7 +45,7 @@ def test_dim_poly_frozen():
     assert str(dim_poly("c", (2,))) == "2*N^2 + N"
     assert str(dim_poly("d", (1, 1))) == "2*N^2 - N"
     half = RatFunc.const(Fraction(1, 2))
-    assert ratfunc_equal(dim_poly("a", (1, 1)).substitute_rf({}),
+    assert ratfunc_equal(RatFunc(dim_poly("a", (1, 1))),
                          N * (N - 1) * half)
 
 
@@ -84,8 +84,8 @@ def test_king_examples():
 
 
 def test_king_adjoint_instance():
-    lhs = dim_poly("c", (2,)).substitute_rf({})
-    rhs = dim_poly("d", (1, 1)).substitute_rf({"N": -N})
+    lhs = RatFunc(dim_poly("c", (2,)))
+    rhs = RatFunc(dim_poly("d", (1, 1))).substitute({"N": -N})
     assert ratfunc_equal(lhs, rhs)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from negdim import exact_algebra
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
-                                  series_expand, substitute)
+                                  series_expand)
 
 N = RatFunc.symbol("n")
 Z = RatFunc.symbol("z")
@@ -59,6 +59,42 @@ def test_substitute_sign_flips():
     f = ONE - Z * N
     assert str(f.substitute({"n": -N})) == "n*z + 1"
     assert ratfunc_equal(f.substitute({"n": -N, "z": -Z}), f)
+    assert ratfunc_equal((N + 1).substitute({"n": N - 1}), N)
+
+
+def test_substitute_is_simultaneous():
+    assert (N - 2 * Z).substitute({"n": Z, "z": N}) == Z - 2 * N
+    assert (N - 2 * Z).substitute({"n": ONE / Z, "z": N}) == ONE / Z - 2 * N
+    assert (N / (ONE - Z)).substitute({"n": Z, "z": N}) == Z / (ONE - N)
+
+
+def test_substitute_without_matching_binding_returns_self():
+    f = N / (ONE - N)
+    assert f.substitute({"z": N}) is f
+    assert f.substitute({}) is f
+
+
+def test_substitute_vanishing_denominator_rejected():
+    with pytest.raises(ZeroDivisionError):
+        (ONE / (N - Z)).substitute({"n": Z})
+
+
+def test_substitute_reduces_once(monkeypatch):
+    # the numerator and denominator are evaluated over a common denominator
+    # and the quotient is put in normal form once, not term by term
+    f = (N ** 3 - 2 * N * Z + 1) / (Z ** 2 + N + 3)
+    bindings = {"n": (N + 1) / (Z - 2), "z": ONE / (N + Z)}
+    expected = f.substitute(bindings)
+    calls = []
+    inner = RatFunc.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        inner(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    assert f.substitute(bindings) == expected
+    assert len(calls) == 1
 
 
 def test_substitute_first_multiplier():
@@ -69,10 +105,6 @@ def test_substitute_first_multiplier():
     expected = (RatFunc.const(2) + Z * (-2 * N + 2)) / (
         RatFunc.const(2) + Z * (-2 * N + 1))
     assert ratfunc_equal(image, expected)
-
-
-def test_substitute_module_function():
-    assert ratfunc_equal(substitute(N + 1, {"n": N - 1}), N)
 
 
 def test_division_by_zero_rejected():
@@ -107,9 +139,9 @@ def polys(draw, symbols=("n", "z"), max_terms=4, max_exp=3, coeffs=fractions):
 
 
 @st.composite
-def ratfuncs(draw):
-    num = draw(polys())
-    den = draw(polys().filter(lambda p: not p.is_zero()))
+def ratfuncs(draw, max_terms=4, max_exp=3):
+    num = draw(polys(max_terms=max_terms, max_exp=max_exp))
+    den = draw(polys(max_terms=max_terms, max_exp=max_exp).filter(lambda p: not p.is_zero()))
     return RatFunc(num, den)
 
 
@@ -166,6 +198,18 @@ def test_series_cauchy_product(a, b):
 @settings(max_examples=60, deadline=None)
 def test_substitute_is_involutive_on_sign_flip(f):
     assert ratfunc_equal(f.substitute({"z": -Z}).substitute({"z": -Z}), f)
+
+
+@given(ratfuncs(3, 2), ratfuncs(3, 1), ratfuncs(3, 1), st.tuples(fractions, fractions))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_numeric_evaluation(f, g, h, point):
+    # f(g, h) at a point equals f evaluated at the values of g and h there
+    pt = dict(zip(("n", "z"), point))
+    try:
+        expected = f.eval_fractions({"n": g.eval_fractions(pt), "z": h.eval_fractions(pt)})
+    except ZeroDivisionError:
+        return  # a denominator vanishes at the point; precondition
+    assert f.substitute({"n": g, "z": h}).eval_fractions(pt) == expected
 
 
 @given(polys(), polys())
