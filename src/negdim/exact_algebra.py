@@ -3,7 +3,7 @@
 Everything downstream (Casimir generating functions, Jack coefficient
 fields, dimension polynomials) runs on three types defined here:
 
-* MultiPoly  -- sparse polynomial over Fraction with named symbols.
+* MultiPoly  -- sparse polynomial over the rationals with named symbols.
   Canonical form: symbols sorted, unused symbols pruned, no zero terms.
   The canonical term order is graded lexicographic.
 * RatFunc    -- quotient of two MultiPoly in reduced canonical form:
@@ -11,8 +11,13 @@ fields, dimension polynomials) runs on three types defined here:
   coefficient, so structural equality is mathematical equality.
 * FormalSeries -- truncated Taylor expansion of a RatFunc in one symbol.
 
-No floating point anywhere; coefficients are fractions.Fraction, which is
-re-exported as Rational (already gcd-reduced with positive denominator).
+No floating point anywhere.  A coefficient is an int when it is integral
+and a fractions.Fraction (re-exported as Rational; gcd-reduced with positive
+denominator) only when its denominator is greater than 1.  Nearly every
+polynomial here is integral, and sums, products and exact quotients by
+integer-primitive divisors (Gauss's lemma) of integral polynomials stay
+integral, so the hot loops run in int arithmetic.  Values
+handed out as rationals (as_fraction, eval_fractions) are always Fraction.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from negdim import kernels
 Rational = Fraction
 
 Exponents = Tuple[int, ...]
-Terms = Dict[Exponents, Fraction]
 Scalar = Union[int, Fraction]
+Terms = Dict[Exponents, Scalar]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -39,12 +44,19 @@ def _grlex(exps: Exponents):
     return (sum(exps), exps)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coeff(value) -> Scalar:
+    """The canonical coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def _all_int(terms: Terms) -> bool:
+    return all(type(c) is int for c in terms.values())
 
 
 class MultiPoly:
@@ -56,7 +68,7 @@ class MultiPoly:
         syms = tuple(symbols)
         clean: Terms = {}
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _coeff(coeff)
             if not coeff:
                 continue
             exps = tuple(exps)
@@ -64,8 +76,8 @@ class MultiPoly:
                 raise ValueError("exponent tuple length does not match symbol count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in polynomial")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        clean = {e: c for e, c in clean.items() if c}
+            clean[exps] = clean.get(exps, 0) + coeff
+        clean = {e: _coeff(c) for e, c in clean.items() if c}
 
         # prune symbols that never occur, then sort the rest
         if syms:
@@ -90,11 +102,14 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _raw(cls, symbols: Tuple[str, ...], terms: Terms) -> "MultiPoly":
+    def _raw(cls, symbols: Tuple[str, ...], terms: Terms,
+             prune: bool = True) -> "MultiPoly":
         """Internal: trusts that terms are clean for the given sorted symbols,
-        but still prunes unused symbols for canonical form."""
+        but still prunes unused symbols for canonical form.  prune=False
+        skips that scan, for terms known to use every symbol (those of a
+        canonical polynomial on the same symbols, rescaled or negated)."""
         self = object.__new__(cls)
-        if symbols:
+        if prune and symbols:
             used = [i for i in range(len(symbols)) if any(e[i] for e in terms)]
             if len(used) != len(symbols):
                 symbols = tuple(symbols[i] for i in used)
@@ -105,19 +120,19 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        value = _as_fraction(value)
+        value = _coeff(value)
         return cls._raw((), {(): value} if value else {})
 
     @classmethod
     def symbol(cls, name: str) -> "MultiPoly":
-        return cls._raw((name,), {(1,): Fraction(1)})
+        return cls._raw((name,), {(1,): 1})
 
     @classmethod
     def linear(cls, const: Scalar, **coeffs: Scalar) -> "MultiPoly":
         """Convenience builder for c0 + c1*x + c2*y + ..."""
         poly = cls.const(const)
         for name, c in coeffs.items():
-            poly = poly + cls._raw((name,), {(1,): _as_fraction(c)} if c else {})
+            poly = poly + cls._raw((name,), {(1,): _coeff(c)} if c else {})
         return poly
 
     # -- basic queries ---------------------------------------------------
@@ -131,7 +146,7 @@ class MultiPoly:
     def as_fraction(self) -> Fraction:
         if self.symbols:
             raise ValueError(f"polynomial {self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree(self, sym: str) -> int:
         """Degree in one symbol; -1 for the zero polynomial."""
@@ -147,7 +162,7 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> Tuple[Exponents, Fraction]:
+    def leading(self) -> Tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -214,18 +229,26 @@ class MultiPoly:
         return other - self
 
     def __neg__(self):
-        return MultiPoly._raw(self.symbols, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.symbols, {e: -c for e, c in self.terms.items()},
+                              prune=False)
+
+    def _scaled(self, c: Scalar) -> "MultiPoly":
+        """self * c for a constant c; a nonzero c loses no symbol."""
+        if c == 1:
+            return self
+        if not c:
+            return MultiPoly._raw((), {})
+        return MultiPoly._raw(self.symbols, kernels.poly_scale(self.terms, c),
+                              prune=False)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_const():
-            return MultiPoly._raw(
-                self.symbols, kernels.poly_scale(self.terms, other.as_fraction()))
+            return self._scaled(other.terms.get((), 0))
         if self.is_const():
-            return MultiPoly._raw(
-                other.symbols, kernels.poly_scale(other.terms, self.as_fraction()))
+            return other._scaled(self.terms.get((), 0))
         syms, ta, tb = self._aligned(self, other)
         return MultiPoly._raw(syms, kernels.poly_mul(ta, tb))
 
@@ -245,27 +268,38 @@ class MultiPoly:
 
     # -- structure --------------------------------------------------------
 
-    def signed_content(self) -> Fraction:
+    def signed_content(self) -> Scalar:
         """Rational c with self/c integer-primitive and positive leading
-        coefficient.  Zero polynomial has content 0."""
+        coefficient, an int exactly when every coefficient is one.  Zero
+        polynomial has content 0."""
         if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
+            return 0
+        if _all_int(self.terms):
+            content = math.gcd(*self.terms.values())
+        else:
+            num_gcd = 0
+            den_lcm = 1
+            for c in self.terms.values():
+                num_gcd = math.gcd(num_gcd, c.numerator)
+                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+            content = Fraction(num_gcd, den_lcm)
         _, lead = self.leading()
         return content if lead > 0 else -content
 
-    def primitive(self) -> Tuple[Fraction, "MultiPoly"]:
+    def _div_content(self, c: Scalar) -> "MultiPoly":
+        """self / c for a nonzero c whose quotient is integral, such as the
+        content: exact floor division when c is an int."""
+        if type(c) is int:
+            terms = {e: x // c for e, x in self.terms.items()}
+            return MultiPoly._raw(self.symbols, terms, prune=False)
+        return self._scaled(1 / c)
+
+    def primitive(self) -> Tuple[Scalar, "MultiPoly"]:
         """Split into (signed content, primitive part)."""
         c = self.signed_content()
         if not c:
-            return Fraction(0), self
-        inv = 1 / c
-        return c, MultiPoly._raw(self.symbols, kernels.poly_scale(self.terms, inv))
+            return 0, self
+        return c, self._div_content(c)
 
     def coeff_map(self, sym: str) -> Dict[int, "MultiPoly"]:
         """View as a univariate polynomial in sym: degree -> coefficient
@@ -307,7 +341,7 @@ class MultiPoly:
         missing = [s for s in self.symbols if s not in bindings]
         if missing:
             raise ValueError(f"no value supplied for symbols {missing}")
-        vals = [_as_fraction(bindings[s]) for s in self.symbols]
+        vals = [_coeff(bindings[s]) for s in self.symbols]
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -366,12 +400,14 @@ def _int_image(p: MultiPoly, sym: str, values: Mapping[str, int]) -> list:
     in sym, every other symbol set to its value in `values`, denominators
     cleared.  The leading entry is zero exactly when the sym-leading
     coefficient of p vanishes at that point."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = p.terms
+    if not _all_int(terms):
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     i = p.symbols.index(sym)
     others = [(j, values[s]) for j, s in enumerate(p.symbols) if j != i]
     coeffs = [0] * (p.degree(sym) + 1)
-    for e, c in p.terms.items():
-        k = c.numerator * (den // c.denominator)
+    for e, k in terms.items():
         for j, v in others:
             if e[j]:
                 k *= v ** e[j]
@@ -421,7 +457,7 @@ def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                  _int_primitive(_int_image(b, sym, {})))
     if len(g) == 1:
         return MultiPoly.const(1)
-    return MultiPoly._raw((sym,), {(i,): Fraction(c) for i, c in enumerate(g) if c})
+    return MultiPoly._raw((sym,), {(i,): c for i, c in enumerate(g) if c})
 
 
 # Evaluation points of the degree bound: the primes from 1009 up.  Small
@@ -561,17 +597,22 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient a/b; raises ExactDivisionError otherwise."""
+    """Exact polynomial quotient a/b; raises ExactDivisionError otherwise.
+
+    When a is integral and b integer-primitive, the quotient is integral
+    (Gauss's lemma), so each quotient coefficient is an exact int division
+    and a nonzero remainder there already proves a/b inexact over Q.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return a
     if b.is_const():
-        inv = 1 / b.as_fraction()
-        return MultiPoly._raw(a.symbols, kernels.poly_scale(a.terms, inv))
+        return a._scaled(1 / b.as_fraction())
     syms, ta, tb = MultiPoly._aligned(a, b)
     blead = max(tb, key=_grlex)
     bcoeff = tb[blead]
+    over_int = _all_int(ta) and _all_int(tb) and math.gcd(*tb.values()) == 1
     quot: Terms = {}
     rem = dict(ta)
     while rem:
@@ -579,10 +620,15 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         diff = tuple(x - y for x, y in zip(e, blead))
         if any(d < 0 for d in diff):
             raise ExactDivisionError("inexact polynomial division")
-        q = rem[e] / bcoeff
-        quot[diff] = quot.get(diff, Fraction(0)) + q
+        if over_int:
+            q, r = divmod(rem[e], bcoeff)
+            if r:
+                raise ExactDivisionError("inexact polynomial division")
+        else:
+            q = _coeff(Fraction(rem[e], bcoeff))
+        quot[diff] = q
         rem = kernels.poly_sub(rem, kernels.poly_mul({diff: q}, tb))
-    return MultiPoly._raw(syms, {e: c for e, c in quot.items() if c})
+    return MultiPoly._raw(syms, quot)
 
 
 def _eval_over_common_den(p: MultiPoly, values: Mapping[str, "RatFunc"]
@@ -634,14 +680,13 @@ class RatFunc:
             num, den = MultiPoly.const(0), MultiPoly.const(1)
         else:
             g = poly_gcd(num, den)
-            if not g.is_const() or g.as_fraction() != 1:
+            if g.symbols or g.terms[()] != 1:
                 num = poly_exact_div(num, g)
                 den = poly_exact_div(den, g)
             c = den.signed_content()
             if c != 1:
-                inv = 1 / c
-                num = MultiPoly._raw(num.symbols, kernels.poly_scale(num.terms, inv))
-                den = MultiPoly._raw(den.symbols, kernels.poly_scale(den.terms, inv))
+                num = num._scaled(Fraction(1, c))
+                den = den._div_content(c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

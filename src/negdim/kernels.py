@@ -1,12 +1,15 @@
 """Term-arithmetic kernels for sparse polynomials.
 
 A polynomial is a dict mapping exponent tuples (all the same length) to
-nonzero Fraction coefficients.  These four functions are the hot inner
+nonzero coefficients, each an int when it is integral and a Fraction only
+when its denominator is greater than 1.  The kernels take polynomials in
+that form and return polynomials in that form, so integral polynomials
+stay in int arithmetic throughout.  These four functions are the hot inner
 loops of the whole package.  Callers reach them as ``kernels.poly_*`` so
 that the module attributes stay the single point to wrap for tracing.
 
 The multiply defers normalisation: it sums products as raw integer
-numerator/denominator pairs per output term and builds one reduced
+numerator/denominator pairs per output term and builds at most one reduced
 Fraction per surviving term, instead of one gcd per intermediate addition.
 """
 
@@ -32,7 +35,8 @@ def poly_add(a, b):
         else:
             acc = acc + coeff
             if acc:
-                out[exps] = acc
+                out[exps] = (acc if type(acc) is int or acc.denominator != 1
+                             else acc.numerator)
             else:
                 del out[exps]
     return out
@@ -47,7 +51,8 @@ def poly_sub(a, b):
         else:
             acc = acc - coeff
             if acc:
-                out[exps] = acc
+                out[exps] = (acc if type(acc) is int or acc.denominator != 1
+                             else acc.numerator)
             else:
                 del out[exps]
     return out
@@ -73,11 +78,24 @@ def poly_mul(a, b):
             else:
                 cell[0] = cell[0] * d + n * cell[1]
                 cell[1] *= d
-    return {key: Fraction(n, d) for key, (n, d) in acc.items() if n}
+    out = {}
+    for key, (n, d) in acc.items():
+        if n:
+            if d != 1:
+                n = Fraction(n, d)
+                if n.denominator == 1:
+                    n = n.numerator
+            out[key] = n
+    return out
 
 
 def poly_scale(a, c):
-    c = Fraction(c)
+    if c.denominator == 1:
+        c = c.numerator
     if not c:
         return {}
-    return {exps: coeff * c for exps, coeff in a.items()}
+    out = {}
+    for exps, coeff in a.items():
+        p = coeff * c
+        out[exps] = p if type(p) is int or p.denominator != 1 else p.numerator
+    return out

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON shape, byte stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -230,3 +231,15 @@ def test_no_floats_anywhere(capsys):
 def test_parser_builds():
     parser = build_parser()
     assert parser.prog == "negdim"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify-all", "--max-weight", "2", "--max-degree", "3", "--max-n", "2",
+      "--json"), "d021a268da4047643012b282cf13573a28a84778"),
+    (("spaces", "table", "--json"), "eda4cd5197c5bcdccbecc9946dcc909cf255e8dc"),
+])
+def test_output_matches_golden_digest(capsys, argv, digest):
+    # byte identity of the default output, pinned by its SHA-1
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == digest

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import exact_algebra
+from negdim import exact_algebra, jack
+from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
                                   series_expand)
@@ -339,3 +340,27 @@ def test_gcd_matches_sympy(sympy, a, b, c):
     # order, so the primitive parts agree up to sign
     _, theirs = sympy.primitive(theirs)
     assert sympy.cancel(ours / theirs) in (1, -1)
+
+
+def test_work_counts_stay_within_budget(monkeypatch):
+    # deterministic work on the benchmark config (a regression here shows
+    # where the time bounds of a noisy machine cannot); jack's caches start
+    # cold, as in a fresh interpreter
+    for cache in ("_S_CACHE", "_SINV_CACHE", "_MM_CACHE"):
+        monkeypatch.setattr(jack, cache, {})
+    calls = {"poly_gcd": 0, "_pseudo_rem": 0, "RatFunc": 0}
+
+    def counted(key, inner):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in ("poly_gcd", "_pseudo_rem"):
+        monkeypatch.setattr(exact_algebra, name,
+                            counted(name, getattr(exact_algebra, name)))
+    monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
+    assert run_verify_all(2, 3, 2).all_ok
+    assert calls["poly_gcd"] <= 3600  # recursive calls included
+    assert calls["RatFunc"] <= 3100
+    assert calls["_pseudo_rem"] <= 61

@@ -1,11 +1,13 @@
-"""Term kernels: ring laws, and the deferred-normalisation multiply against a
-naive Fraction double loop."""
+"""Term kernels: ring laws, the deferred-normalisation multiply against a
+naive Fraction double loop, and the coefficient rule over a whole sweep."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 from negdim import kernels
+from negdim.cli import run_verify_all
+from negdim.exact_algebra import MultiPoly, RatFunc
 
 fractions = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
@@ -60,7 +62,10 @@ def test_python_kernel_ring_laws(a, b):
 def test_mul_matches_naive_double_loop(a, b):
     product = kernels.poly_mul(a, b)
     assert product == naive_mul(a, b)
-    assert all(type(c) is Fraction and c for c in product.values())
+    # the coefficient rule: int when integral, else a Fraction with a
+    # denominator above 1
+    assert all(c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+               for c in product.values())
 
 
 @given(term_dicts(), term_dicts())
@@ -71,3 +76,28 @@ def test_mul_cancels_planted_cross_terms(a, s):
     product = kernels.poly_mul(kernels.poly_add(a, s), kernels.poly_sub(a, s))
     assert product == kernels.poly_sub(naive_mul(a, a), naive_mul(s, s))
     assert all(product.values())
+
+
+def test_coefficient_rule_holds_through_a_sweep(monkeypatch):
+    # every coefficient the four kernels return over a whole sweep is an
+    # int, or a Fraction with a denominator above 1: never an integral
+    # Fraction and never a float
+    seen = {int: 0, Fraction: 0}
+
+    def checked(kernel):
+        def wrapped(*args):
+            out = kernel(*args)
+            for c in out.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (
+                    kernel.__name__, c)
+                seen[type(c)] += 1
+            return out
+        return wrapped
+
+    for name in ("poly_add", "poly_sub", "poly_mul", "poly_scale"):
+        monkeypatch.setattr(kernels, name, checked(getattr(kernels, name)))
+    assert run_verify_all(2, 3, 2).all_ok
+    assert seen[int] > 0
+    # rationals handed out stay Fraction, also for an int coefficient
+    assert type(MultiPoly.const(3).as_fraction()) is Fraction
+    assert type(RatFunc.const(3).as_fraction()) is Fraction
