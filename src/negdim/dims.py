@@ -51,35 +51,36 @@ def weyl_dim(family: str, lam: Partition, n: int) -> int:
             f"partition {format_partition(lam)} needs rank >= {len(lam)}, got {n}")
     padded = list(lam) + [0] * (n - len(lam))
 
+    num = den = 1
     if family == "a":
-        result = Fraction(1)
         for i in range(n):
             for j in range(i + 1, n):
-                result *= Fraction(padded[i] - padded[j] + j - i, j - i)
+                num *= padded[i] - padded[j] + j - i
+                den *= j - i
     elif family in ("b", "c", "d"):
-        if family == "b":
-            rho = [Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]
-        elif family == "c":
-            rho = [Fraction(n - i + 1) for i in range(1, n + 1)]
-        else:
-            rho = [Fraction(n - i) for i in range(1, n + 1)]
-        ell = [padded[i] + rho[i] for i in range(n)]
-        result = Fraction(1)
+        # rho and ell doubled, so the half-integral b-series rho stays an
+        # int; each factor below is a ratio unchanged by the doubling
+        rho = [2 * (n - i) + {"b": 1, "c": 2, "d": 0}[family]
+               for i in range(1, n + 1)]
+        ell = [2 * padded[i] + rho[i] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                result *= (ell[i] ** 2 - ell[j] ** 2) / (rho[i] ** 2 - rho[j] ** 2)
+                num *= ell[i] ** 2 - ell[j] ** 2
+                den *= rho[i] ** 2 - rho[j] ** 2
         if family != "d":
             for i in range(n):
-                result *= ell[i] / rho[i]
+                num *= ell[i]
+                den *= rho[i]
         elif n and padded[n - 1] != 0:
-            result *= 2
+            num *= 2
     else:
         raise ValueError(f"unknown family {family!r} (expected a, b, c or d)")
 
-    if result.denominator != 1:
-        raise ArithmeticError(f"non-integer dimension {result} for "
+    result, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer dimension {Fraction(num, den)} for "
                               f"({family}, {format_partition(lam)}, {n})")
-    return int(result)
+    return result
 
 
 def _interpolate(points) -> MultiPoly:

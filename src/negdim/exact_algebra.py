@@ -18,6 +18,12 @@ polynomial here is integral, and sums, products and exact quotients by
 integer-primitive divisors (Gauss's lemma) of integral polynomials stay
 integral, so the hot loops run in int arithmetic.  Values
 handed out as rationals (as_fraction, eval_fractions) are always Fraction.
+
+The normal form rests on poly_gcd, one algorithm on integer images: an
+integer remainder sequence for one symbol; for several, a degree bound read
+off images at integer points, which proves most pairs coprime at once, and
+otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
+is certified by exact division of both inputs.
 """
 
 from __future__ import annotations
@@ -313,14 +319,6 @@ class MultiPoly:
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         return {d: MultiPoly._raw(rest, t) for d, t in buckets.items()}
 
-    @staticmethod
-    def from_coeff_map(sym: str, coeffs: Mapping[int, "MultiPoly"]) -> "MultiPoly":
-        total = MultiPoly.const(0)
-        x = MultiPoly.symbol(sym)
-        for d, poly in coeffs.items():
-            total = total + poly * x ** d
-        return total
-
     def shift_down(self, sym: str) -> "MultiPoly":
         """Exact division by one power of sym; every term must contain it."""
         if sym not in self.symbols:
@@ -500,64 +498,106 @@ def _content(p: MultiPoly, sym: str) -> MultiPoly:
     return content
 
 
-def _content_wrt(p: MultiPoly, sym: str) -> Tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of p as a univariate polynomial in sym."""
-    content = _content(p, sym)
-    if content.is_const():
-        return content, p
-    return content, poly_exact_div(p, content)
+def _leading_coeff(p: MultiPoly, sym: str) -> MultiPoly:
+    coeffs = p.coeff_map(sym)
+    return coeffs[max(coeffs)]
 
 
-def _pseudo_rem(f: Dict[int, MultiPoly], g: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
-    """Pseudo-remainder of univariate-view polynomials (scalar-in-sym factors
-    are irrelevant because the caller re-primitivises every step)."""
-    dg = max(g)
-    lg = g[dg]
-    f = dict(f)
-    while f:
-        df = max(f)
-        if df < dg:
-            break
-        lf = f[df]
-        # f := lg*f - lf*x^(df-dg)*g; the two leading terms cancel by
-        # construction, so both are skipped explicitly.
-        new: Dict[int, MultiPoly] = {}
-        for d, c in f.items():
-            if d != df:
-                new[d] = c * lg
-        for d, c in g.items():
-            if d == dg:
-                continue
-            shift = d + df - dg
-            acc = new.get(shift, MultiPoly.const(0)) - lf * c
-            if acc:
-                new[shift] = acc
-            elif shift in new:
-                del new[shift]
-        f = new
-    return f
+def _at(p: MultiPoly, sym: str, v: int) -> MultiPoly:
+    """p with sym set to the integer v."""
+    if sym not in p.symbols:
+        return p
+    i = p.symbols.index(sym)
+    terms: Terms = {}
+    for e, c in p.terms.items():
+        rest = e[:i] + e[i + 1:]
+        terms[rest] = terms.get(rest, 0) + c * v ** e[i]
+    return MultiPoly(p.symbols[:i] + p.symbols[i + 1:], terms)
+
+
+def _gcd_interpolated(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
+    """Primitive part in x of gcd(a, b), for a and b of positive degree in x
+    with a second symbol y between them (Brown's evaluation/interpolation
+    gcd; see poly_gcd for why the result is correct).
+
+    With gamma = gcd(lc_x a, lc_x b), which lc_x(gcd) divides, the target is
+    P = gamma/lc_x(gcd) * gcd.  At y = v = 1, 2, 3, ... where neither
+    leading coefficient vanishes, the gcd of the images (by _gcd_univariate
+    for two symbols, else poly_gcd) scaled to leading coefficient gamma(v)
+    is P(v) unless v is unlucky: a larger x-degree or an inexact scaling
+    drops v, a smaller x-degree drops every earlier point.  The images are
+    Newton-interpolated in y, and the primitive part in x of the
+    interpolant is the candidate once an image agrees with the interpolant
+    already or the points reach the y-degree bound of P; it is returned
+    when it divides both a and b.
+    """
+    symbols = set(a.symbols) | set(b.symbols)
+    y = max(symbols - {x})
+    image_gcd = _gcd_univariate if len(symbols) == 2 else poly_gcd
+    gamma = poly_gcd(_leading_coeff(a, x), _leading_coeff(b, x))
+    needed = gamma.degree(y) + min(a.degree(y), b.degree(y)) + 1
+    deg, v = math.inf, 0
+    while True:
+        v += 1
+        a_v, b_v = _at(a, y, v), _at(b, y, v)
+        if a_v.degree(x) < a.degree(x) or b_v.degree(x) < b.degree(x):
+            continue
+        g = image_gcd(a_v, b_v)
+        if g.degree(x) > deg:
+            continue
+        if g.degree(x) == 0:
+            return MultiPoly.const(1)
+        try:
+            g = g * poly_exact_div(_at(gamma, y, v), _leading_coeff(g, x))
+        except ExactDivisionError:
+            continue
+        if g.degree(x) < deg:
+            deg, points = g.degree(x), []
+            interp, basis = MultiPoly.const(0), MultiPoly.const(1)
+        diff = g - _at(interp, y, v)
+        if diff:
+            interp = interp + basis * diff._scaled(
+                Fraction(1, math.prod(v - u for u in points)))
+        basis = basis * (MultiPoly.symbol(y) - v)
+        points.append(v)
+        if diff and len(points) < needed:
+            continue
+        _, candidate = poly_exact_div(interp, _content(interp, x)).primitive()
+        try:
+            poly_exact_div(a, candidate)
+            poly_exact_div(b, candidate)
+        except ExactDivisionError:
+            continue
+        return candidate
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, integer-primitive with positive leading
     coefficient (constants collapse to 1).
 
-    One symbol: the integer remainder sequence of _int_prs.  Several: before
-    the remainder sequence in the main symbol x = max(shared symbols), a
-    degree-bound certificate (the first step of Brown's modular gcd, Brown
-    1971; Geddes, Czapor & Labahn 1992, ch. 7) settles most pairs at once.
-    For a shared symbol y, set every other symbol to an integer where the
-    y-leading coefficients of a and b do not vanish.  lc_y(gcd) divides
-    lc_y(a), so the image of the gcd keeps its y-degree, and it divides both
-    images; the degree of the images' gcd therefore bounds deg_y gcd(a, b)
-    from above (_gcd_degree_bound).  If every bound is 0 the gcd is 1.  If
-    only the bound in x is 0, the gcd is free of x and so equals the gcd of
-    the contents in x.  Otherwise the full remainder sequence runs.
+    One algorithm, on integer images (Brown 1971; Geddes, Czapor & Labahn
+    1992, ch. 7).  One symbol: the integer remainder sequence of _int_prs.
+    Several, with main symbol x = max(shared symbols), first a degree-bound
+    certificate that settles most pairs at once.  For a shared symbol y, set
+    every other symbol to an integer where the y-leading coefficients of a
+    and b do not vanish.  lc_y(gcd) divides lc_y(a), so the image of the
+    gcd keeps its y-degree, and it divides both images; the degree of the
+    images' gcd therefore bounds deg_y gcd(a, b) from above
+    (_gcd_degree_bound).  If every bound is 0 the gcd is 1; if the bound in
+    x is 0 the gcd is free of x, so it is the gcd of the contents in x.
+
+    Otherwise the gcd is gcd(cont_x a, cont_x b) times its primitive part in
+    x, which _gcd_interpolated interpolates from images.  Its candidate C is
+    primitive in x and divides a and b, so it divides that primitive part;
+    C has the x-degree of images at points where the x-leading coefficients
+    do not vanish, which is at least the gcd's by the argument above.  So C
+    is the primitive part.  Only finitely many points are unlucky, so the
+    interpolation ends.
     """
     if a.is_zero():
         _, prim = b.primitive()
         return prim if b else MultiPoly.const(0)
-    if b.is_zero():
+    if b.is_zero() or a == b:
         _, prim = a.primitive()
         return prim
     if a.is_const() or b.is_const():
@@ -567,33 +607,14 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.const(1)
     if set(a.symbols) == set(b.symbols) and len(a.symbols) == 1:
         return _gcd_univariate(a, b)
-    sym = sorted(shared)[-1]
+    sym = max(shared)
     if _gcd_degree_bound(a, b, sym) == 0:
         if all(_gcd_degree_bound(a, b, y) == 0 for y in shared - {sym}):
             return MultiPoly.const(1)
-        return poly_gcd(_content(a, sym), _content(b, sym))
-
-    cont_a, prim_a = _content_wrt(a, sym)
-    cont_b, prim_b = _content_wrt(b, sym)
-    cont = poly_gcd(cont_a, cont_b)
-
-    f, g = prim_a.coeff_map(sym), prim_b.coeff_map(sym)
-    if max(f) < max(g):
-        f, g = g, f
-    while True:
-        r = _pseudo_rem(f, g)
-        if not r:
-            gp = MultiPoly.from_coeff_map(sym, g)
-            break
-        if max(r) == 0:
-            gp = MultiPoly.const(1)
-            break
-        _, rp = _content_wrt(MultiPoly.from_coeff_map(sym, r), sym)
-        f, g = g, rp.coeff_map(sym)
-    _, gp = gp.primitive()
-    result = cont * gp
-    _, result = result.primitive()
-    return result
+        prim = MultiPoly.const(1)
+    else:
+        prim = _gcd_interpolated(a, b, sym)
+    return poly_gcd(_content(a, sym), _content(b, sym)) * prim
 
 
 def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -201,7 +201,7 @@ def test_substitute_is_involutive_on_sign_flip(f):
     assert ratfunc_equal(f.substitute({"z": -Z}).substitute({"z": -Z}), f)
 
 
-@given(ratfuncs(3, 2), ratfuncs(3, 1), ratfuncs(3, 1), st.tuples(fractions, fractions))
+@given(ratfuncs(), ratfuncs(), ratfuncs(), st.tuples(fractions, fractions))
 @settings(max_examples=60, deadline=None)
 def test_substitute_matches_numeric_evaluation(f, g, h, point):
     # f(g, h) at a point equals f evaluated at the values of g and h there
@@ -255,7 +255,8 @@ def test_gcd_recovers_planted_univariate_factor(a, b, c):
 
 bivariate_int_polys = polys(coeffs=int_coeffs).filter(lambda p: not p.is_zero())
 planted_factors = {
-    # jointly bivariate: the certificate must decline and the full sequence run
+    # jointly bivariate: the certificate must decline and the images be
+    # interpolated
     "n-and-z": polys(max_exp=2, coeffs=int_coeffs).filter(
         lambda p: p.symbols == ("n", "z")),
     # free of the main symbol z: mostly settled by the content shortcut
@@ -274,21 +275,21 @@ def test_gcd_recovers_planted_factor_in_n_z(shape, data):
     _check_planted_factor(a, b, data.draw(planted_factors[shape]))
 
 
-def _count_remainder_sequences(monkeypatch):
+def _count_interpolations(monkeypatch):
     calls = []
-    inner = exact_algebra._pseudo_rem
+    inner = exact_algebra._gcd_interpolated
 
-    def counted(f, g):
+    def counted(a, b, x):
         calls.append(1)
-        return inner(f, g)
+        return inner(a, b, x)
 
-    monkeypatch.setattr(exact_algebra, "_pseudo_rem", counted)
+    monkeypatch.setattr(exact_algebra, "_gcd_interpolated", counted)
     return calls
 
 
 def test_gcd_images_coinciding_at_first_point():
     # n = 1009 is the first evaluation point: there both images are z - 1009,
-    # so the bound is 1 and the full remainder sequence must decide
+    # so the bound is 1 and the interpolated gcd must decide
     n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
     assert poly_gcd(z - n, z - 1009) == MultiPoly.const(1)
     assert poly_gcd((z - n) * (z + n), (z - 1009) * (z + n)) == z + n
@@ -301,7 +302,7 @@ def test_gcd_skips_point_where_leading_coefficient_vanishes(monkeypatch):
     a = (n - 1009) * z + 1
     assert poly_gcd(a, a * (z + 1)) == a
     assert poly_gcd(a * (n + 2), a * (z + 1)) == a
-    calls = _count_remainder_sequences(monkeypatch)
+    calls = _count_interpolations(monkeypatch)
     assert poly_gcd(a, z + n) == MultiPoly.const(1)
     assert not calls  # certified at the next point, n = 1013
 
@@ -313,9 +314,32 @@ def test_gcd_distinct_values_per_symbol(monkeypatch):
     a = (va - vb) * z + 1
     assert poly_gcd(a * (va + 1), (z + va) * (va + 1)) == va + 1
     assert poly_gcd(a * (z - va), (z - va) * (z + vb)) == va - z
-    calls = _count_remainder_sequences(monkeypatch)
+    calls = _count_interpolations(monkeypatch)
     assert poly_gcd(a, z + va + vb) == MultiPoly.const(1)
     assert not calls
+
+
+def test_substitution_with_shared_bivariate_factor(monkeypatch):
+    # a composition whose gcds share jointly bivariate factors; the
+    # multivariate pseudo-remainder sequence this gcd replaced ran for
+    # minutes on it
+    f = ((-N ** 2 * Z ** 2 + 4 * N * Z ** 3 - Fraction(8, 3) * Z ** 3)
+         / (4 * N ** 2 * Z ** 3 + 5 * N ** 3 + 12 * N * Z ** 2))
+    g = (Fraction(-15, 2) * N * Z ** 2 - N ** 2 + Fraction(3, 2)) / (N ** 2 * Z ** 2 + 2)
+    h = 24 * N / (5 * N ** 2 * Z + 4 * Z + 6)
+    calls = []
+    inner = exact_algebra._gcd_univariate
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(exact_algebra, "_gcd_univariate", counted)
+    composed = f.substitute({"n": g, "z": h})
+    assert len(calls) <= 49
+    pt = {"n": Fraction(2), "z": Fraction(3)}
+    expected = f.eval_fractions({"n": g.eval_fractions(pt), "z": h.eval_fractions(pt)})
+    assert composed.eval_fractions(pt) == expected
 
 
 @pytest.fixture(scope="module")
@@ -330,9 +354,22 @@ def _to_sympy(sympy, p):
                 for exps, c in p.terms.items()), sympy.Integer(0))
 
 
-@given(nonzero_int_polys, nonzero_int_polys,
-       st.one_of(univariate_factors, *planted_factors.values()))
-@settings(max_examples=60, deadline=None)
+# in three and four symbols the images that are interpolated are themselves
+# multivariate, so poly_gcd recurses through them
+many_symbol_int_polys = st.one_of(
+    polys(symbols=("a", "n", "z"), max_exp=2, coeffs=int_coeffs),
+    polys(symbols=("a", "b", "n", "z"), max_exp=2, coeffs=int_coeffs)).filter(
+        lambda p: not p.is_zero())
+many_symbol_factors = st.one_of(
+    polys(symbols=("a", "n", "z"), max_terms=3, max_exp=2, coeffs=int_coeffs),
+    polys(symbols=("a", "b", "n", "z"), max_terms=3, max_exp=2, coeffs=int_coeffs)).filter(
+        lambda p: not p.is_const())
+
+
+@given(st.one_of(nonzero_int_polys, many_symbol_int_polys),
+       st.one_of(nonzero_int_polys, many_symbol_int_polys),
+       st.one_of(univariate_factors, *planted_factors.values(), many_symbol_factors))
+@settings(max_examples=80, deadline=None)
 def test_gcd_matches_sympy(sympy, a, b, c):
     ours = _to_sympy(sympy, poly_gcd(a * c, b * c))
     theirs = sympy.gcd(_to_sympy(sympy, a * c), _to_sympy(sympy, b * c))
@@ -348,7 +385,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     # cold, as in a fresh interpreter
     for cache in ("_S_CACHE", "_SINV_CACHE", "_MM_CACHE"):
         monkeypatch.setattr(jack, cache, {})
-    calls = {"poly_gcd": 0, "_pseudo_rem": 0, "RatFunc": 0}
+    calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
 
     def counted(key, inner):
         def wrapped(*args, **kwargs):
@@ -356,11 +393,12 @@ def test_work_counts_stay_within_budget(monkeypatch):
             return inner(*args, **kwargs)
         return wrapped
 
-    for name in ("poly_gcd", "_pseudo_rem"):
+    for name in ("poly_gcd", "_gcd_interpolated", "_gcd_univariate"):
         monkeypatch.setattr(exact_algebra, name,
                             counted(name, getattr(exact_algebra, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] <= 3600  # recursive calls included
     assert calls["RatFunc"] <= 3100
-    assert calls["_pseudo_rem"] <= 61
+    assert calls["_gcd_interpolated"] <= 34
+    assert calls["_gcd_univariate"] <= 875
