@@ -34,6 +34,9 @@ from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
     RatFunc,
+    _coeff,
+    _Factored,
+    poly_exact_div,
     ratfunc_equal,
     series_expand,
 )
@@ -101,24 +104,37 @@ def group_spec(family: str) -> GroupSpec:
 
 def _linear_nz(const, n_coeff=0, z_coeff=0, nz_coeff=0, n2z_coeff=0) -> MultiPoly:
     """Helper: const + n_coeff*n + z_coeff*z + nz_coeff*n*z + n2z_coeff*n^2*z."""
-    terms = {
-        (0, 0): Fraction(const),
-        (1, 0): Fraction(n_coeff),
-        (0, 1): Fraction(z_coeff),
-        (1, 1): Fraction(nz_coeff),
-        (2, 1): Fraction(n2z_coeff),
-    }
-    return MultiPoly(("n", "z"), terms)
+    terms = {}
+    for exps, c in (((0, 0), const), ((1, 0), n_coeff), ((0, 1), z_coeff),
+                    ((1, 1), nz_coeff), ((2, 1), n2z_coeff)):
+        c = _coeff(c)
+        if c:
+            terms[exps] = c
+    return MultiPoly._raw(("n", "z"), terms)
+
+
+def _one_minus_z(c, n_mult=0) -> MultiPoly:
+    """1 - z*(c + n_mult*n)."""
+    return _linear_nz(1, z_coeff=-c, nz_coeff=-n_mult)
+
+
+_N = MultiPoly.symbol("n")
+
+
+def _first_multiplier(family: str) -> _Factored:
+    spec = group_spec(family)
+    fm = _Factored()
+    if spec.beta:
+        a1, a0 = spec.alpha
+        # 2 - (2*alpha + 1)*z
+        den = _linear_nz(2, z_coeff=-(2 * a0 + 1), nz_coeff=-2 * a1)
+        fm.mul(den + _linear_nz(0, z_coeff=spec.beta)).mul(den, -1)
+    return fm
 
 
 def first_multiplier(family: str) -> RatFunc:
     """Prefactor 1 + beta*z/(2 - (2*alpha+1)*z) as a function of (n, z)."""
-    spec = group_spec(family)
-    a1, a0 = spec.alpha
-    # 2 - (2*alpha + 1)*z
-    den = _linear_nz(2, z_coeff=-(2 * a0 + 1), nz_coeff=-2 * a1)
-    num = den + _linear_nz(0, z_coeff=spec.beta)
-    return RatFunc(num, den)
+    return _first_multiplier(family).expand()
 
 
 def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
@@ -146,31 +162,72 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
     return values
 
 
+def _row_factors(family: str, lam: Partition, n: int) -> _Factored:
+    # 1 - z*m determines m, so the ladder telescopes on the values m
+    exps: Dict[Fraction, int] = {}
+    for m in row_m_values(family, lam, n):
+        exps[m + 1] = exps.get(m + 1, 0) + 1
+        exps[m] = exps.get(m, 0) - 1
+    pi = _Factored()
+    for m, e in exps.items():
+        if e:
+            pi.mul(_one_minus_z(m), e)
+    return pi
+
+
 def row_product(family: str, lam: Partition, n: int) -> RatFunc:
     """Product of (1 - z(m_i+1))/(1 - z m_i) over the full ladder at rank n."""
-    num = MultiPoly.const(1)
-    den = MultiPoly.const(1)
-    z = MultiPoly.symbol("z")
-    for m in row_m_values(family, lam, n):
-        num = num * (MultiPoly.const(1) - (m + 1) * z)
-        den = den * (MultiPoly.const(1) - m * z)
-    return RatFunc(num, den)
+    return _row_factors(family, lam, n).expand()
 
 
-def _one_minus_z(c, n_mult=0) -> MultiPoly:
-    """1 - z*(c + n_mult*n)."""
-    return _linear_nz(1, z_coeff=-Fraction(c), nz_coeff=-Fraction(n_mult))
+def _mul_su_factor(pi: _Factored, c: int, t: int, exp: int) -> None:
+    """pi *= (1 - z*(c + n - t/n))**exp, carried as the irreducible
+    n - c*n*z - n^2*z + t*z (t > 0) over the factor n."""
+    pi.mul(_linear_nz(0, n_coeff=1, z_coeff=t, nz_coeff=-c, n2z_coeff=-1), exp)
+    pi.mul(_N, -exp)
 
 
-def _su_factor(c: int, t: int) -> RatFunc:
-    """1 - z*(c + n - t/n), cleared of the 1/n."""
-    num = MultiPoly(("n", "z"), {
-        (1, 0): Fraction(1),
-        (1, 1): Fraction(-c),
-        (2, 1): Fraction(-1),
-        (0, 1): Fraction(t),
-    })
-    return RatFunc(num, MultiPoly.symbol("n"))
+def _su_tail(pi: _Factored, t: int) -> _Factored:
+    """pi times the residual n/(n + z t) of the shifted empty rows."""
+    return pi.mul(_N).mul(_linear_nz(0, n_coeff=1, z_coeff=t), -1)
+
+
+def _block_factors(family: str, lam: Partition) -> _Factored:
+    group_spec(family)  # an unknown family gets its own message
+    if family not in BLOCK_FAMILIES:
+        raise ValueError(f"no block form for family {family!r}")
+    lam = check_partition(lam)
+    bp = block_param(lam)
+    k, A, B = bp.count, bp.A, bp.B
+    pi = _Factored()
+
+    t = weight(lam)
+    if family == "u" or (family == "su" and not t):
+        # the empty diagram has no trace shift, so su agrees with u there
+        for a in range(k + 1):
+            pi.mul(_one_minus_z(B[k - a] - A[a], 1))
+        for a in range(1, k + 1):
+            pi.mul(_one_minus_z(B[k - a + 1] - A[a], 1), -1)
+        return pi
+
+    if family == "su":
+        for a in range(k + 1):
+            _mul_su_factor(pi, B[k - a] - A[a], t, 1)
+        for a in range(1, k + 1):
+            _mul_su_factor(pi, B[k - a + 1] - A[a], t, -1)
+        return _su_tail(pi, t)
+
+    # symplectic / even orthogonal: s = 2n + sigma
+    sigma = 1 if family == "c" else -1
+    for a in range(k + 1):
+        pi.mul(_one_minus_z(B[k - a] - A[a] + sigma, 2))
+        pi.mul(_one_minus_z(A[a] - B[k - a]), -1)
+    for a in range(1, k + 1):
+        pi.mul(_one_minus_z(B[k - a + 1] - A[a] + sigma, 2), -1)
+        pi.mul(_one_minus_z(A[a] - B[k - a + 1]))
+    pi.mul(_one_minus_z(0, 1))              # 1 - z n
+    pi.mul(_one_minus_z(sigma, 1), -1)      # 1 - z (n + sigma)
+    return pi
 
 
 def block_product(family: str, lam: Partition) -> RatFunc:
@@ -179,73 +236,32 @@ def block_product(family: str, lam: Partition) -> RatFunc:
     Valid for the families with paired-index telescoping (u, su, c, d); the
     odd orthogonal ladder has no such form here.
     """
-    spec = group_spec(family)
-    if family not in BLOCK_FAMILIES:
-        raise ValueError(f"no block form for family {family!r}")
-    lam = check_partition(lam)
-    bp = block_param(lam)
-    k, A, B = bp.count, bp.A, bp.B
-
-    if family == "u":
-        num = MultiPoly.const(1)
-        for a in range(k + 1):
-            num = num * _one_minus_z(B[k - a] - A[a], 1)
-        den = MultiPoly.const(1)
-        for a in range(1, k + 1):
-            den = den * _one_minus_z(B[k - a + 1] - A[a], 1)
-        return RatFunc(num, den)
-
-    if family == "su":
-        t = weight(lam)
-        result = RatFunc.const(1)
-        for a in range(k + 1):
-            result = result * _su_factor(B[k - a] - A[a], t)
-        for a in range(1, k + 1):
-            result = result / _su_factor(B[k - a + 1] - A[a], t)
-        # residual of the shifted empty rows: n/(n + z t)
-        tail = RatFunc(MultiPoly.symbol("n"),
-                       _linear_nz(0, n_coeff=1, z_coeff=t))
-        return result * tail
-
-    # symplectic / even orthogonal: s = 2n + sigma
-    sigma = 1 if family == "c" else -1
-    num = MultiPoly.const(1)
-    den = MultiPoly.const(1)
-    for a in range(k + 1):
-        num = num * _linear_nz(1, z_coeff=-(B[k - a] - A[a] + sigma),
-                               nz_coeff=-2)
-        den = den * _one_minus_z(A[a] - B[k - a])
-    for a in range(1, k + 1):
-        den = den * _linear_nz(1, z_coeff=-(B[k - a + 1] - A[a] + sigma),
-                               nz_coeff=-2)
-        num = num * _one_minus_z(A[a] - B[k - a + 1])
-    num = num * _one_minus_z(0, 1)          # 1 - z n
-    den = den * _one_minus_z(sigma, 1)      # 1 - z (n + sigma)
-    return RatFunc(num, den)
+    return _block_factors(family, lam).expand()
 
 
 def rectangle_product(family: str, p: int, q: int) -> RatFunc:
     """Closed form of the block product on a q-row, p-column rectangle."""
     if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive integers")
+    pi = _Factored()
     if family == "u":
-        num = _one_minus_z(p, 1) * _one_minus_z(-q, 1)
-        return RatFunc(num, _one_minus_z(p - q, 1))
+        pi.mul(_one_minus_z(p, 1)).mul(_one_minus_z(-q, 1))
+        return pi.mul(_one_minus_z(p - q, 1), -1).expand()
     if family == "su":
         t = p * q
-        tail = RatFunc(MultiPoly.symbol("n"), _linear_nz(0, n_coeff=1, z_coeff=t))
-        return (_su_factor(p, t) * _su_factor(-q, t) / _su_factor(p - q, t)) * tail
+        _mul_su_factor(pi, p, t, 1)
+        _mul_su_factor(pi, -q, t, 1)
+        _mul_su_factor(pi, p - q, t, -1)
+        return _su_tail(pi, t).expand()
     if family in ("c", "d"):
         sigma = 1 if family == "c" else -1
-        num = (_linear_nz(1, z_coeff=-(p + sigma), nz_coeff=-2)
-               * _linear_nz(1, z_coeff=-(sigma - q), nz_coeff=-2)
-               * _one_minus_z(q - p)
-               * _one_minus_z(0, 1))
-        den = (_linear_nz(1, z_coeff=-(p - q + sigma), nz_coeff=-2)
-               * _one_minus_z(sigma, 1)
-               * _one_minus_z(-p)
-               * _one_minus_z(q))
-        return RatFunc(num, den)
+        for f in (_one_minus_z(p + sigma, 2), _one_minus_z(sigma - q, 2),
+                  _one_minus_z(q - p), _one_minus_z(0, 1)):
+            pi.mul(f)
+        for f in (_one_minus_z(p - q + sigma, 2), _one_minus_z(sigma, 1),
+                  _one_minus_z(-p), _one_minus_z(q)):
+            pi.mul(f, -1)
+        return pi.expand()
     raise ValueError(f"no rectangle closed form for family {family!r}")
 
 
@@ -261,19 +277,42 @@ class CasimirGF:
     gf: RatFunc
 
 
-def _divide_by_z(f: RatFunc) -> RatFunc:
-    """Exact division by z.  The caller guarantees f vanishes at z = 0;
-    a failure here means the spectral product lost its regularity."""
-    den_const = f.den.coeff_map("z").get(0)
+def _gf_from_factors(fm: _Factored, pi: _Factored, product: RatFunc) -> RatFunc:
+    """fm * (1 - pi) / z in canonical form, without a gcd.
+
+    With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
+    D cancel only against the numerator factors of fm, which merging the two
+    factored forms does, and a denominator factor of fm only against D - N,
+    which trial division settles.  product is pi expanded.  A failure of
+    either division by z means the spectral product lost its regularity.
+    """
+    num = product.den - product.num
+    if not num:
+        return RatFunc._raw(num, MultiPoly.const(1))
+    rest = _Factored(fm.scale)
+    for f, e in pi.factors.items():
+        if e < 0:
+            rest.mul(f, e)
+    for g, e in fm.factors.items():
+        while e < 0:
+            try:
+                num = poly_exact_div(num, g)
+            except ExactDivisionError:
+                break
+            e += 1
+        if e:
+            rest.mul(g, e)
+    rest_num, den = rest.split()
+    den_const = den.coeff_map("z").get(0)
     if den_const is None or den_const.is_zero():
         raise ExactDivisionError("denominator vanishes at z = 0")
     try:
-        num = f.num.shift_down("z")
+        num = num.shift_down("z")
     except ExactDivisionError:
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel") from None
-    return RatFunc._raw(num, f.den)
+    return RatFunc._raw((num * rest_num)._scaled(rest.scale), den)
 
 
 def generating_function(family: str, lam: Partition, mode: str = "blocks",
@@ -286,25 +325,23 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
     """
     lam = check_partition(lam)
     if mode == "blocks":
-        pi = block_product(family, lam)
-        fm = first_multiplier(family)
+        pi = _block_factors(family, lam)
+        fm = _first_multiplier(family)
         if n is not None:
             if len(lam) > n:
                 raise ValueError(
                     f"partition {format_partition(lam)} has more than n={n} parts")
-            sub = {"n": RatFunc.const(Fraction(n))}
-            pi = pi.substitute(sub)
-            fm = fm.substitute(sub)
+            pi, fm = pi.at("n", n), fm.at("n", n)
     elif mode == "rows":
         if n is None:
             raise ValueError("rows mode needs an integer rank n")
-        pi = row_product(family, lam, n)
-        fm = first_multiplier(family).substitute(
-            {"n": RatFunc.const(Fraction(n))})
+        pi = _row_factors(family, lam, n)
+        fm = _first_multiplier(family).at("n", n)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected blocks or rows)")
-    gf = _divide_by_z(fm * (RatFunc.const(1) - pi))
-    return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=pi, gf=gf)
+    product = pi.expand()
+    return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=product,
+                     gf=_gf_from_factors(fm, pi, product))
 
 
 def spectrum_coefficients(family: str, lam: Partition, order: int,
@@ -367,10 +404,10 @@ def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
     """Block product specialized at several integer ranks against row products."""
     lam = check_partition(lam)
-    blocks = block_product(family, lam)
+    blocks = _block_factors(family, lam)
     bad = []
     for n in ranks:
-        specialized = blocks.substitute({"n": RatFunc.const(Fraction(n))})
+        specialized = blocks.at("n", n).expand()
         rows = row_product(family, lam, n)
         if not ratfunc_equal(specialized, rows):
             bad.append(n)

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim.casimir import (BLOCK_FAMILIES, block_product,
+from negdim import exact_algebra
+from negdim.casimir import (BLOCK_FAMILIES, FAMILIES, block_product,
                             check_rectangle_closed_form, check_rows_vs_blocks,
                             check_sp_so_duality, check_su_rectangle_invariance,
                             check_u_selfduality, first_multiplier,
                             generating_function, group_spec, rectangle_product,
-                            row_product, spectrum_coefficients)
-from negdim.exact_algebra import RatFunc, ratfunc_equal
-from negdim.partitions import partitions_of_weight, partitions_up_to_weight
+                            row_m_values, row_product, spectrum_coefficients)
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
+from negdim.partitions import (block_param, partitions_of_weight,
+                               partitions_up_to_weight, rectangle, weight)
 
 N = RatFunc.symbol("n")
 Z = RatFunc.symbol("z")
@@ -171,3 +173,154 @@ def test_leading_coefficient_is_fundamental_dimension(lam, family):
 
 def test_full_weight_partition_census():
     assert len(list(partitions_up_to_weight(6))) == 30
+
+
+# -- the generic normal form as an oracle for the known-factor construction --
+#
+# The oracle multiplies the same linear factors as plain polynomials and
+# reduces the quotient once with RatFunc's gcd-based normal form; the library
+# merges irreducible factors by exponent and never calls a gcd.  Both land on
+# the canonical form, so they must agree structurally.
+
+def _poly_lin(c, n_mult=0):
+    """1 - z*(c + n_mult*n) as a polynomial."""
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    return MultiPoly.const(1) - z * (MultiPoly.const(c) + n * n_mult)
+
+
+def _prod(polys):
+    out = MultiPoly.const(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+def _oracle_su(num_cs, den_cs, t):
+    """prod over num_cs / prod over den_cs of 1 - z*(c + n - t/n), times
+    the residual n/(n + z t)."""
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    lin = [n - z * (n * c + n * n - t) for c in num_cs + den_cs]
+    num = _prod(lin[:len(num_cs)]) * n ** len(den_cs) * n
+    den = _prod(lin[len(num_cs):]) * n ** len(num_cs) * (n + z * t)
+    return RatFunc(num, den)
+
+
+def _oracle_block(family, lam):
+    bp = block_param(lam)
+    k, A, B = bp.count, bp.A, bp.B
+    tops = [B[k - a] - A[a] for a in range(k + 1)]
+    bottoms = [B[k - a + 1] - A[a] for a in range(1, k + 1)]
+    if family == "u":
+        return RatFunc(_prod(_poly_lin(c, 1) for c in tops),
+                       _prod(_poly_lin(c, 1) for c in bottoms))
+    if family == "su":
+        return _oracle_su(tops, bottoms, weight(lam))
+    sigma = 1 if family == "c" else -1
+    num = (_prod(_poly_lin(c + sigma, 2) for c in tops)
+           * _prod(_poly_lin(A[a] - B[k - a + 1]) for a in range(1, k + 1))
+           * _poly_lin(0, 1))
+    den = (_prod(_poly_lin(A[a] - B[k - a]) for a in range(k + 1))
+           * _prod(_poly_lin(c + sigma, 2) for c in bottoms)
+           * _poly_lin(sigma, 1))
+    return RatFunc(num, den)
+
+
+def _oracle_rectangle(family, p, q):
+    if family == "u":
+        return RatFunc(_poly_lin(p, 1) * _poly_lin(-q, 1), _poly_lin(p - q, 1))
+    if family == "su":
+        return _oracle_su([p, -q], [p - q], p * q)
+    sigma = 1 if family == "c" else -1
+    return RatFunc(_prod([_poly_lin(p + sigma, 2), _poly_lin(sigma - q, 2),
+                          _poly_lin(q - p), _poly_lin(0, 1)]),
+                   _prod([_poly_lin(p - q + sigma, 2), _poly_lin(sigma, 1),
+                          _poly_lin(-p), _poly_lin(q)]))
+
+
+def _oracle_rows(family, lam, n):
+    ms = row_m_values(family, lam, n)
+    return RatFunc(_prod(_poly_lin(m + 1) for m in ms), _prod(_poly_lin(m) for m in ms))
+
+
+def _oracle_first_multiplier(family):
+    a1, a0 = FAMILIES[family].alpha
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    den = MultiPoly.const(2) - z * (n * (2 * a1) + MultiPoly.const(2 * a0 + 1))
+    return RatFunc(den + z * FAMILIES[family].beta, den)
+
+
+def _oracle_gf(fm, pi):
+    f = fm * (ONE - pi)
+    return RatFunc._raw(f.num.shift_down("z"), f.den)
+
+
+def _at(f, n):
+    return f.substitute({"n": RatFunc.const(n)})
+
+
+SMALL = list(partitions_up_to_weight(4))
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_block_product_matches_generic_normal_form(family):
+    for lam in SMALL:
+        assert block_product(family, lam) == _oracle_block(family, lam)
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_rectangle_product_matches_generic_normal_form(family):
+    for p in range(1, 5):
+        for q in range(1, 5):
+            assert rectangle_product(family, p, q) == _oracle_rectangle(family, p, q)
+            assert block_product(family, rectangle(p, q)) == _oracle_rectangle(family, p, q)
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_products_at_integer_ranks_match_generic_normal_form(family):
+    for lam in SMALL:
+        start = max(len(lam), 1)
+        symbolic = _oracle_block(family, lam)
+        for n in range(start, start + 5):
+            assert row_product(family, lam, n) == _oracle_rows(family, lam, n)
+            assert generating_function(family, lam, n=n).pi == _at(symbolic, n)
+
+
+def test_first_multiplier_matches_generic_normal_form():
+    for family in FAMILIES:
+        assert first_multiplier(family) == _oracle_first_multiplier(family)
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_generating_function_matches_generic_normal_form(family):
+    fm = _oracle_first_multiplier(family)
+    for lam in SMALL:
+        pi = _oracle_block(family, lam)
+        assert generating_function(family, lam).gf == _oracle_gf(fm, pi)
+        n = len(lam) + 1
+        assert generating_function(family, lam, n=n).gf == _oracle_gf(_at(fm, n), _at(pi, n))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rows_mode_generating_function_matches_generic_normal_form(family):
+    for lam in SMALL:
+        for n in (len(lam) + 1, len(lam) + 3):
+            expected = _oracle_gf(_at(_oracle_first_multiplier(family), n),
+                                  _oracle_rows(family, lam, n))
+            assert generating_function(family, lam, mode="rows", n=n).gf == expected
+
+
+def test_unit_first_multiplier_needs_no_normal_form(monkeypatch):
+    calls = []
+
+    def counted(inner):
+        def wrapped(*args):
+            calls.append(1)
+            return inner(*args)
+        return wrapped
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd", counted(exact_algebra.poly_gcd))
+    monkeypatch.setattr(RatFunc, "__init__", counted(RatFunc.__init__))
+    for family in ("u", "su"):
+        fm = first_multiplier(family)
+        assert fm.num == MultiPoly.const(1) and fm.den == MultiPoly.const(1)
+    assert not calls

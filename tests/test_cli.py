@@ -237,6 +237,7 @@ def test_parser_builds():
     (("verify-all", "--max-weight", "2", "--max-degree", "3", "--max-n", "2",
       "--json"), "d021a268da4047643012b282cf13573a28a84778"),
     (("spaces", "table", "--json"), "eda4cd5197c5bcdccbecc9946dcc909cf255e8dc"),
+    (("verify-all", "--json"), "00b9edda2c5a7738b2454bc463e9165918e5c206"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import exact_algebra, jack
+from negdim import casimir, exact_algebra, jack
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
-                                  poly_exact_div, poly_gcd, ratfunc_equal,
-                                  series_expand)
+                                  _Factored, poly_exact_div, poly_gcd,
+                                  ratfunc_equal, series_expand)
 
 N = RatFunc.symbol("n")
 Z = RatFunc.symbol("z")
@@ -108,9 +108,59 @@ def test_substitute_first_multiplier():
     assert ratfunc_equal(image, expected)
 
 
+def _spy_signed_permutation(monkeypatch):
+    calls = []
+    inner = exact_algebra._signed_permutation
+
+    def counted(p, images):
+        calls.append(1)
+        return inner(p, images)
+
+    monkeypatch.setattr(exact_algebra, "_signed_permutation", counted)
+    return calls
+
+
+def test_substitute_takes_generic_path_unless_signed_permutation(monkeypatch):
+    calls = _spy_signed_permutation(monkeypatch)
+    # n -> z while z is free: the images collide, the quotient collapses
+    assert ((N + Z) / (N - 2 * Z)).substitute({"n": Z}) == RatFunc.const(-2)
+    # a scaled symbol, and a value with a nontrivial denominator
+    assert (N / (ONE - N * Z)).substitute({"n": 2 * N}) == 2 * N / (ONE - 2 * N * Z)
+    assert (N / (ONE - N * Z)).substitute({"n": ONE / N}) == ONE / (N - Z)
+    assert not calls
+    image = ((N + Z) / (N - 2 * Z)).substitute({"n": -Z, "z": N})
+    assert image == (Z - N) / (Z + 2 * N)
+    assert len(calls) == 2
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         ONE / (N - N)
+
+
+def test_factored_form_cancels_by_exponents():
+    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
+    # the su factor n - c*n*z - n^2*z + t*z over n, with c = 2, t = 3
+    su = n - 2 * n * z - n * n * z + 3 * z
+    f = _Factored(3).mul(su).mul(n, -1).mul(2 - 4 * z).mul(1 - 2 * z, -2)
+    assert f.expand() == RatFunc(3 * su * (2 - 4 * z), n * (1 - 2 * z) ** 2)
+    # keys are primitive with positive leading coefficient; the signs and
+    # contents went to the scale, and 1 - 2z cancelled once against 2 - 4z
+    assert f.scale == 6 and f.factors == {-su: 1, n: -1, 2 * z - 1: -1}
+    # at n = 1 the su factor is the constant 1 and n drops out
+    assert f.at("n", 1).expand() == RatFunc(MultiPoly.const(6), 1 - 2 * z)
+    assert _Factored().mul(n + z).mul(n + z, -1).expand() == ONE
+    assert _Factored().mul(MultiPoly.const(0)).expand() == RatFunc.const(0)
+    with pytest.raises(ZeroDivisionError):
+        _Factored().mul(n - 1, -1).at("n", 1)
+
+
+@pytest.mark.parametrize("poly", [
+    N.num * (1 - Z.num), N.num ** 2 - 1, N.num * Z.num * (1 + N.num),
+    Z.num ** 2, N.num ** 2 * (Z.num + 1)], ids=str)
+def test_factored_form_rejects_factors_it_cannot_prove_irreducible(poly):
+    with pytest.raises(ValueError):
+        _Factored().mul(poly)
 
 
 def test_poly_exact_div():
@@ -199,6 +249,27 @@ def test_series_cauchy_product(a, b):
 @settings(max_examples=60, deadline=None)
 def test_substitute_is_involutive_on_sign_flip(f):
     assert ratfunc_equal(f.substitute({"z": -Z}).substitute({"z": -Z}), f)
+
+
+@given(ratfuncs(), st.permutations(("a", "n", "z")),
+       st.sampled_from((("n",), ("z",), ("n", "z"))),
+       st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+       st.tuples(fractions, fractions, fractions))
+@settings(max_examples=60, deadline=None)
+def test_signed_permutation_gives_canonical_image(f, targets, bound, signs, values):
+    bindings = {s: sign * RatFunc.symbol(t)
+                for s, t, sign in zip(bound, targets, signs)}
+    image = f.substitute(bindings)
+    assert poly_gcd(image.num, image.den) == MultiPoly.const(1)
+    assert image.den.signed_content() == 1
+    point = dict(zip(("a", "n", "z"), values))
+    preimage = {s: point[s] for s in ("n", "z")}
+    preimage.update({s: v.eval_fractions(point) for s, v in bindings.items()})
+    try:
+        expected = f.eval_fractions(preimage)
+    except ZeroDivisionError:
+        return  # a denominator vanishes at the point; precondition
+    assert image.eval_fractions(point) == expected
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs(), st.tuples(fractions, fractions))
@@ -398,7 +469,23 @@ def test_work_counts_stay_within_budget(monkeypatch):
                             counted(name, getattr(exact_algebra, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
-    assert calls["poly_gcd"] <= 3600  # recursive calls included
-    assert calls["RatFunc"] <= 3100
-    assert calls["_gcd_interpolated"] <= 34
-    assert calls["_gcd_univariate"] <= 875
+    assert calls["poly_gcd"] <= 1822  # recursive calls included
+    assert calls["RatFunc"] <= 1988
+    assert calls["_gcd_interpolated"] <= 23
+    assert calls["_gcd_univariate"] <= 112
+
+
+def test_casimir_suites_make_no_gcd_call(monkeypatch):
+    # their products are built from known irreducible factors, and the
+    # dualities' substitutions are signed permutations of the symbols
+    calls = []
+    inner = exact_algebra.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd", counted)
+    assert casimir.verify_sp_so(6).all_ok
+    assert casimir.verify_consistency(6).all_ok
+    assert not calls  # recursive calls included
