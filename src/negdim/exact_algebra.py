@@ -737,10 +737,12 @@ class RatFunc:
         if num.is_zero():
             num, den = MultiPoly.const(0), MultiPoly.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.symbols or g.terms[()] != 1:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
+            # the gcd with a constant is 1, so only the content is left
+            if not (num.is_const() or den.is_const()):
+                g = poly_gcd(num, den)
+                if g.symbols or g.terms[()] != 1:
+                    num = poly_exact_div(num, g)
+                    den = poly_exact_div(den, g)
             c = den.signed_content()
             if c != 1:
                 num = num._scaled(Fraction(1, c))
@@ -845,6 +847,11 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a nonzero constant is a unit, so it keeps the other quotient reduced
+        if other.is_const() and other:
+            return RatFunc._raw(self.num._scaled(other.num.terms[()]), self.den)
+        if self.is_const() and self:
+            return RatFunc._raw(other.num._scaled(self.num.terms[()]), other.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

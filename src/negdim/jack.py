@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from negdim.exact_algebra import (
@@ -57,20 +58,14 @@ from negdim.partitions import (
 )
 from negdim.reporting import CheckResult, VerificationReport
 
-Coupling = Union[None, int, str, Fraction, RatFunc]
+Coupling = Union[None, int, Fraction, RatFunc]
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
 
 
 def _as_value(v: Coupling, default: RatFunc) -> RatFunc:
-    if v is None:
-        return default
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, str):
-        return default if v == "symbolic" else RatFunc.const(Fraction(v))
-    return RatFunc.const(v)
+    return default if v is None else RatFunc.const(v)
 
 
 def _as_coupling(k: Coupling) -> RatFunc:
@@ -108,8 +103,10 @@ def _clean_terms(degree: int,
 
 
 @dataclass(frozen=True, eq=False)
-class PExpr:
-    """Homogeneous element in the power-sum basis: sum of coeff * p_mu."""
+class _Expr:
+    """Homogeneous element of one basis: sum of coeff * <letter>_mu."""
+
+    letter = ""  # the basis letter, set by each subclass
 
     degree: int
     terms: Mapping[Partition, RatFunc]
@@ -119,6 +116,19 @@ class PExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.degree == other.degree
+                and self.terms == other.terms)
+
+    def __str__(self) -> str:
+        return format_expr(self.terms, self.letter)
+
+
+class PExpr(_Expr):
+    """Homogeneous element in the power-sum basis: sum of coeff * p_mu."""
+
+    letter = "p"
 
     def scale(self, c) -> "PExpr":
         c = RatFunc.const(c)
@@ -132,33 +142,11 @@ class PExpr:
             merged[mu] = merged.get(mu, RatFunc.const(0)) + v
         return PExpr(self.degree, merged)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PExpr) and self.degree == other.degree
-                and self.terms == other.terms)
 
-    def __str__(self) -> str:
-        return format_expr(self.terms, "p")
-
-
-@dataclass(frozen=True, eq=False)
-class MExpr:
+class MExpr(_Expr):
     """Homogeneous element in the monomial basis: sum of coeff * m_lambda."""
 
-    degree: int
-    terms: Mapping[Partition, RatFunc]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_terms(self.degree, self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MExpr) and self.degree == other.degree
-                and self.terms == other.terms)
-
-    def __str__(self) -> str:
-        return format_expr(self.terms, "m")
+    letter = "m"
 
 
 def p_basis_element(mu: Partition) -> PExpr:
@@ -258,10 +246,6 @@ def operator_matrix(d: int, k: Coupling = None,
 
 # -- basis change -----------------------------------------------------------
 
-_S_CACHE: Dict[int, List[List[Fraction]]] = {}
-_SINV_CACHE: Dict[int, List[List[Fraction]]] = {}
-_MM_CACHE: Dict[int, List[List[RatFunc]]] = {}
-
 
 def _expand_powersum_product(mu: Partition, nvars: int) -> Dict[Tuple[int, ...], int]:
     acc: Dict[Tuple[int, ...], int] = {(0,) * nvars: 1}
@@ -275,113 +259,78 @@ def _expand_powersum_product(mu: Partition, nvars: int) -> Dict[Tuple[int, ...],
     return acc
 
 
-def _s_matrix(d: int) -> List[List[Fraction]]:
+@lru_cache(maxsize=None)
+def _s_matrix(d: int) -> Tuple[Tuple[int, ...], ...]:
     """S[nu][mu] = coefficient of m_nu in p_mu, both indexed by degree_basis(d).
 
     Computed by expanding p_mu in exactly d variables, which is faithful for
     degree d; the coefficient of m_nu is read off the single monomial whose
-    exponents are nu itself.  The matrix is triangular: parts only fuse
-    upward in dominance.
+    exponents are nu itself.  Every monomial of p_mu fuses parts of mu, which
+    only moves up in dominance, so S is upper triangular in degree_basis
+    order, with the integer diagonal S[mu][mu] = prod_i m_i(mu)!, m_i(mu) the
+    multiplicity of the part i (Macdonald, Symmetric Functions, I.6).
     """
-    if d not in _S_CACHE:
-        basis = degree_basis(d)
-        rows = []
-        cols = [_expand_powersum_product(mu, d) for mu in basis]
-        for nu in basis:
-            probe = tuple(nu) + (0,) * (d - len(nu))
-            rows.append([Fraction(col.get(probe, 0)) for col in cols])
-        _S_CACHE[d] = rows
-    return _S_CACHE[d]
+    basis = degree_basis(d)
+    cols = [_expand_powersum_product(mu, d) for mu in basis]
+    return tuple(
+        tuple(col.get(tuple(nu) + (0,) * (d - len(nu)), 0) for col in cols)
+        for nu in basis)
 
 
-def _invert_fraction_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    size = len(mat)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("basis-change matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
+@lru_cache(maxsize=None)
+def _s_inverse(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """S^-1, column by column, by back substitution on the triangular S."""
+    s = _s_matrix(d)
+    size = len(s)
+    cols = []
+    for j in range(size):
+        col = [Fraction(0)] * size
+        col[j] = Fraction(1, s[j][j])
+        for i in range(j - 1, -1, -1):
+            col[i] = -sum(s[i][t] * col[t] for t in range(i + 1, j + 1)) / s[i][i]
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
-def _s_inverse(d: int) -> List[List[Fraction]]:
-    if d not in _SINV_CACHE:
-        _SINV_CACHE[d] = _invert_fraction_matrix(_s_matrix(d))
-    return _SINV_CACHE[d]
+def _mat_vec(mat: Sequence[Sequence], x: _Expr) -> Dict[Partition, RatFunc]:
+    """mat times the coordinate vector of x in degree_basis order, skipping
+    zeros; the result is keyed by degree_basis."""
+    basis = degree_basis(x.degree)
+    index = {mu: j for j, mu in enumerate(basis)}
+    out: Dict[Partition, RatFunc] = {}
+    for mu, c in x.terms.items():
+        j = index[mu]
+        for nu, row in zip(basis, mat):
+            if row[j]:
+                term = c * row[j]
+                out[nu] = out[nu] + term if nu in out else term
+    return out
 
 
 def p_to_m(x: PExpr) -> MExpr:
-    d = x.degree
-    if d == 0:
-        return MExpr(0, dict(x.terms))
-    basis = degree_basis(d)
-    s = _s_matrix(d)
-    coords = [x.terms.get(mu, RatFunc.const(0)) for mu in basis]
-    out = {}
-    for i, nu in enumerate(basis):
-        total = RatFunc.const(0)
-        for j, c in enumerate(coords):
-            if s[i][j] and not c.is_zero():
-                total = total + c * s[i][j]
-        out[nu] = total
-    return MExpr(d, out)
+    return MExpr(x.degree, _mat_vec(_s_matrix(x.degree), x))
 
 
 def m_to_p(x: MExpr) -> PExpr:
-    d = x.degree
-    if d == 0:
-        return PExpr(0, dict(x.terms))
-    basis = degree_basis(d)
-    sinv = _s_inverse(d)
-    coords = [x.terms.get(nu, RatFunc.const(0)) for nu in basis]
-    out = {}
-    for i, mu in enumerate(basis):
-        total = RatFunc.const(0)
-        for j, c in enumerate(coords):
-            if sinv[i][j] and not c.is_zero():
-                total = total + c * sinv[i][j]
-        out[mu] = total
-    return PExpr(d, out)
+    return PExpr(x.degree, _mat_vec(_s_inverse(x.degree), x))
 
 
-def _matrix_m_symbolic(d: int) -> List[List[RatFunc]]:
+@lru_cache(maxsize=None)
+def _matrix_m_symbolic(d: int) -> Tuple[Tuple[RatFunc, ...], ...]:
     """Operator matrix in the monomial basis, k symbolic, p0 = 0 (cached).
 
-    The omitted p0 part is the scalar -k*d*p0 on the whole degree block, so
-    nothing is lost by pinning p0 = 0 here.
+    Column nu is the image of m_nu under p_to_m . L . m_to_p.  The omitted
+    p0 part is the scalar -k*d*p0 on the whole degree block, so nothing is
+    lost by pinning p0 = 0 here.
     """
-    if d not in _MM_CACHE:
-        mp = operator_matrix(d, None, 0)
-        s = _s_matrix(d)
-        sinv = _s_inverse(d)
-        size = len(mp)
-        zero = RatFunc.const(0)
-        tmp = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                total = zero
-                for t in range(size):
-                    if s[i][t] and not mp[t][j].is_zero():
-                        total = total + mp[t][j] * s[i][t]
-                tmp[i][j] = total
-        out = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                total = zero
-                for t in range(size):
-                    if sinv[t][j] and not tmp[i][t].is_zero():
-                        total = total + tmp[i][t] * sinv[t][j]
-                out[i][j] = total
-        _MM_CACHE[d] = out
-    return _MM_CACHE[d]
+    basis = degree_basis(d)
+    zero = RatFunc.const(0)
+    cols = []
+    for nu in basis:
+        m_nu = MExpr(d, {nu: RatFunc.const(1)})
+        image = p_to_m(apply_L_inf(m_to_p(m_nu), None, 0))
+        cols.append([image.terms.get(mu, zero) for mu in basis])
+    return tuple(zip(*cols))
 
 
 # -- Jack functions ----------------------------------------------------------
@@ -719,8 +668,6 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if weight(lam) != weight(mu):
         return 0
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def count(shape: Partition, entries: Partition) -> int:

@@ -238,6 +238,12 @@ def test_parser_builds():
       "--json"), "d021a268da4047643012b282cf13573a28a84778"),
     (("spaces", "table", "--json"), "eda4cd5197c5bcdccbecc9946dcc909cf255e8dc"),
     (("verify-all", "--json"), "00b9edda2c5a7738b2454bc463e9165918e5c206"),
+    (("jack", "compute", "--lambda", "3,2", "--k=-1/2", "--json"),
+     "3a75b6492a5bc95de410066b456ed6e83ecad479"),
+    (("jack", "compute", "--lambda", "2,2,1,1", "--json"),
+     "ae1145c51875b21e0b05251d7bc4e87287fb1125"),
+    (("jack", "compute", "--lambda", "3,1,1", "--json"),
+     "d94c0730aa234585fee6d4716b58746dfe747121"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1

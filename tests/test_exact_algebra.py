@@ -450,12 +450,51 @@ def test_gcd_matches_sympy(sympy, a, b, c):
     assert sympy.cancel(ours / theirs) in (1, -1)
 
 
+def _count_gcds(monkeypatch):
+    calls = []
+    inner = exact_algebra.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd", counted)
+    return calls
+
+
+def test_constant_denominator_needs_no_gcd(monkeypatch):
+    calls = _count_gcds(monkeypatch)
+    poly = MultiPoly(("n", "z"), {(2, 1): Fraction(3, 2), (0, 1): 6})
+    assert RatFunc(poly).den == MultiPoly.const(1)
+    assert RatFunc(poly, MultiPoly.const(Fraction(-3, 4))).num == poly * Fraction(-4, 3)
+    assert RatFunc.const(Fraction(5, 7)).as_fraction() == Fraction(5, 7)
+    assert RatFunc.symbol("n") == N
+    assert not calls
+
+
+@given(ratfuncs(), fractions.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_product_with_unit_stays_reduced(f, c):
+    expected = RatFunc(f.num * c, f.den)
+    for product in (f * c, c * f, f * RatFunc.const(c), RatFunc.const(c) * f):
+        assert product.num == expected.num and product.den == expected.den
+
+
+def test_product_with_unit_needs_no_gcd(monkeypatch):
+    f = (N ** 2 - Z) / (N * Z + 3)
+    calls = _count_gcds(monkeypatch)
+    for c in (Fraction(-2, 3), 5):
+        for product in (f * c, c * f, RatFunc.const(c) * f):
+            assert product.num == f.num * c and product.den == f.den
+    assert not calls
+
+
 def test_work_counts_stay_within_budget(monkeypatch):
     # deterministic work on the benchmark config (a regression here shows
     # where the time bounds of a noisy machine cannot); jack's caches start
     # cold, as in a fresh interpreter
-    for cache in ("_S_CACHE", "_SINV_CACHE", "_MM_CACHE"):
-        monkeypatch.setattr(jack, cache, {})
+    for cached in (jack._s_matrix, jack._s_inverse, jack._matrix_m_symbolic):
+        cached.cache_clear()
     calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
 
     def counted(key, inner):
@@ -469,23 +508,16 @@ def test_work_counts_stay_within_budget(monkeypatch):
                             counted(name, getattr(exact_algebra, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
-    assert calls["poly_gcd"] <= 1822  # recursive calls included
-    assert calls["RatFunc"] <= 1988
+    assert calls["poly_gcd"] <= 169  # recursive calls included
+    assert calls["RatFunc"] <= 1376
     assert calls["_gcd_interpolated"] <= 23
-    assert calls["_gcd_univariate"] <= 112
+    assert calls["_gcd_univariate"] <= 98
 
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):
     # their products are built from known irreducible factors, and the
     # dualities' substitutions are signed permutations of the symbols
-    calls = []
-    inner = exact_algebra.poly_gcd
-
-    def counted(a, b):
-        calls.append(1)
-        return inner(a, b)
-
-    monkeypatch.setattr(exact_algebra, "poly_gcd", counted)
+    calls = _count_gcds(monkeypatch)
     assert casimir.verify_sp_so(6).all_ok
     assert casimir.verify_consistency(6).all_ok
     assert not calls  # recursive calls included

@@ -1,13 +1,14 @@
 """Jack eigenfunctions, the transpose duality and the projection diagram."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from negdim.exact_algebra import RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
-                         SingularCouplingError, apply_L_N, apply_L_inf,
+                         SingularCouplingError, _matrix_m_symbolic, _s_inverse,
+                         _s_matrix, apply_L_N, apply_L_inf,
                          check_conjugation, check_diagram, check_p0_scalar,
                          check_schur, check_triangularity, degree_basis, jack,
                          kostka_number, m_to_p, macdonald_duality,
@@ -63,12 +64,57 @@ def test_basis_change_examples():
     assert p_to_m(p_basis_element((1, 1))) == mexpr(((2,), 1), ((1, 1), 2))
 
 
-@given(st.integers(1, 6))
-@settings(max_examples=6, deadline=None)
+@pytest.mark.parametrize("d", range(1, 8))
 def test_basis_change_roundtrip(d):
     for mu in degree_basis(d):
         x = p_basis_element(mu)
         assert m_to_p(p_to_m(x)) == x
+        m_mu = MExpr(d, {mu: ONE})
+        assert p_to_m(m_to_p(m_mu)) == m_mu
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_s_matrix_is_triangular_and_inverted(d):
+    s, sinv = _s_matrix(d), _s_inverse(d)
+    size = len(s)
+    for i, mu in enumerate(degree_basis(d)):
+        assert s[i][i] == prod(factorial(mu.count(part)) for part in set(mu))
+        assert not any(s[j][i] for j in range(i + 1, size))
+        for j in range(size):
+            assert sum(sinv[i][t] * s[t][j] for t in range(size)) == (i == j)
+
+
+def _gauss_jordan_inverse(mat):
+    size = len(mat)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+            for i, row in enumerate(mat)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(size):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[size:] for row in work]
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    return [[sum((a[i][t] * b[t][j] for t in range(size) if a[i][t] and b[t][j]),
+                 RatFunc.const(0)) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
+    # the monomial-basis operator built from L itself equals S . M_p . S^-1,
+    # with S^-1 from a general pivoting inverse
+    s = _s_matrix(d)
+    expected = _mat_mul(_mat_mul(s, operator_matrix(d, None, 0)),
+                        _gauss_jordan_inverse(s))
+    mm = _matrix_m_symbolic(d)
+    assert [list(row) for row in mm] == expected
 
 
 def test_jack_single_box():
