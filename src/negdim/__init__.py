@@ -14,7 +14,6 @@ Checks, with exact rational arithmetic throughout:
 __version__ = "0.1.0"
 
 from negdim.exact_algebra import (  # noqa: F401
-    FormalSeries,
     MultiPoly,
     RatFunc,
     Rational,

@@ -348,7 +348,7 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
                           mode: str = "blocks", n: Optional[int] = None) -> List[RatFunc]:
     """[C_0, ..., C_order] of the generating function."""
     gf = generating_function(family, lam, mode=mode, n=n).gf
-    return list(series_expand(gf, "z", order).coefficients)
+    return list(series_expand(gf, "z", order))
 
 
 _NEGATE = {

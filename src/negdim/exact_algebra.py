@@ -1,7 +1,7 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
 Everything downstream (Casimir generating functions, Jack coefficient
-fields, dimension polynomials) runs on three types defined here:
+fields, dimension polynomials) runs on two types defined here:
 
 * MultiPoly  -- sparse polynomial over the rationals with named symbols.
   Canonical form: symbols sorted, unused symbols pruned, no zero terms.
@@ -9,7 +9,9 @@ fields, dimension polynomials) runs on three types defined here:
 * RatFunc    -- quotient of two MultiPoly in reduced canonical form:
   gcd(num, den) = 1 and den integer-primitive with positive leading
   coefficient, so structural equality is mathematical equality.
-* FormalSeries -- truncated Taylor expansion of a RatFunc in one symbol.
+
+series_expand gives the truncated Taylor coefficients of a RatFunc in one
+symbol.
 
 No floating point anywhere.  A coefficient is an int when it is integral
 and a fractions.Fraction (re-exported as Rational; gcd-reduced with positive
@@ -33,7 +35,6 @@ quotient reduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -166,11 +167,6 @@ class MultiPoly:
             return 0
         i = self.symbols.index(sym)
         return max(e[i] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self) -> Tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) in graded-lex order."""
@@ -464,8 +460,9 @@ def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 # Evaluation points of the degree bound: the primes from 1009 up.  Small
 # values are unlucky here (factors such as 1 - z*(n - 2) coincide at small
-# ranks).  The values wrap around past 14 symbols; soundness rests on the
-# leading-coefficient check alone.
+# ranks).  Try t gives the j-th other symbol the prime at (t + j) mod 16,
+# so values repeat within a try only past 16 symbols; soundness rests on
+# the leading-coefficient check alone.
 _POINTS = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049,
            1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097)
 _POINT_TRIES = 3
@@ -778,10 +775,6 @@ class RatFunc:
     def symbol(cls, name: str) -> "RatFunc":
         return cls(MultiPoly.symbol(name))
 
-    @classmethod
-    def linear(cls, const: Scalar, **coeffs: Scalar) -> "RatFunc":
-        return cls(MultiPoly.linear(const, **coeffs))
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -910,9 +903,6 @@ class RatFunc:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval_fractions(bindings) / den
 
-    def series(self, var: str, order: int) -> "FormalSeries":
-        return series_expand(self, var, order)
-
     # -- rendering -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -1025,25 +1015,9 @@ class _Factored:
         return RatFunc._raw(num._scaled(self.scale), den)
 
 
-@dataclass(frozen=True)
-class FormalSeries:
-    """Truncated Taylor expansion: coefficients[p] multiplies variable**p."""
-
-    variable: str
-    order: int
-    coefficients: Tuple[RatFunc, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-
-    def __str__(self) -> str:
-        parts = [f"[{p}] {c}" for p, c in enumerate(self.coefficients)]
-        return "\n".join(parts)
-
-
-def series_expand(f: RatFunc, var: str, order: int) -> FormalSeries:
-    """Taylor coefficients of f at var = 0 up to the requested order.
+def series_expand(f: RatFunc, var: str, order: int) -> Tuple[RatFunc, ...]:
+    """Taylor coefficients of f at var = 0 up to the requested order; entry
+    p multiplies var**p.
 
     Requires the denominator to be invertible at var = 0, i.e. its var-free
     part must be a nonzero polynomial in the remaining symbols.
@@ -1064,4 +1038,4 @@ def series_expand(f: RatFunc, var: str, order: int) -> FormalSeries:
             if bj is not None:
                 acc = acc - RatFunc(bj) * coeffs[p - j]
         coeffs.append(acc * inv_b0)
-    return FormalSeries(variable=var, order=order, coefficients=tuple(coeffs))
+    return tuple(coeffs)

@@ -59,6 +59,7 @@ from negdim.partitions import (
 from negdim.reporting import CheckResult, VerificationReport
 
 Coupling = Union[None, int, Fraction, RatFunc]
+Coeff = Union[MultiPoly, RatFunc]
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
@@ -292,13 +293,14 @@ def _s_inverse(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(zip(*cols))
 
 
-def _mat_vec(mat: Sequence[Sequence], x: _Expr) -> Dict[Partition, RatFunc]:
-    """mat times the coordinate vector of x in degree_basis order, skipping
-    zeros; the result is keyed by degree_basis."""
-    basis = degree_basis(x.degree)
+def _mat_vec(mat: Sequence[Sequence], degree: int,
+             coords: Mapping[Partition, Coeff]) -> Dict[Partition, Coeff]:
+    """mat times a coordinate vector keyed by degree_basis(degree), skipping
+    zeros.  The coordinates are RatFunc or MultiPoly, and so is the result."""
+    basis = degree_basis(degree)
     index = {mu: j for j, mu in enumerate(basis)}
-    out: Dict[Partition, RatFunc] = {}
-    for mu, c in x.terms.items():
+    out: Dict[Partition, Coeff] = {}
+    for mu, c in coords.items():
         j = index[mu]
         for nu, row in zip(basis, mat):
             if row[j]:
@@ -308,11 +310,11 @@ def _mat_vec(mat: Sequence[Sequence], x: _Expr) -> Dict[Partition, RatFunc]:
 
 
 def p_to_m(x: PExpr) -> MExpr:
-    return MExpr(x.degree, _mat_vec(_s_matrix(x.degree), x))
+    return MExpr(x.degree, _mat_vec(_s_matrix(x.degree), x.degree, x.terms))
 
 
 def m_to_p(x: MExpr) -> PExpr:
-    return PExpr(x.degree, _mat_vec(_s_inverse(x.degree), x))
+    return PExpr(x.degree, _mat_vec(_s_inverse(x.degree), x.degree, x.terms))
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +323,9 @@ def _matrix_m_symbolic(d: int) -> Tuple[Tuple[RatFunc, ...], ...]:
 
     Column nu is the image of m_nu under p_to_m . L . m_to_p.  The omitted
     p0 part is the scalar -k*d*p0 on the whole degree block, so nothing is
-    lost by pinning p0 = 0 here.
+    lost by pinning p0 = 0 here.  L is affine in k and S, S^-1 are constant,
+    so every entry is a polynomial a + b*k, which the solve in jack() reads
+    through _affine.
     """
     basis = degree_basis(d)
     zero = RatFunc.const(0)
@@ -350,6 +354,14 @@ class JackFunction:
         return str(self.m_expansion)
 
 
+def _affine(entry: RatFunc) -> Tuple[int, int]:
+    """(a, b) with entry = a + b*k, for an entry of _matrix_m_symbolic."""
+    terms = entry.num.terms
+    if entry.num.symbols:
+        return terms.get((0,), 0), terms.get((1,), 0)
+    return terms.get((), 0), 0
+
+
 def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     """Solve the triangular eigenproblem for the monic eigenfunction of lam.
 
@@ -358,6 +370,11 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     SingularCouplingError naming the pair.  Incomparable partitions may
     share an eigenvalue even symbolically, which is harmless: their coupling
     coefficient has a vanishing numerator and is set to zero outright.
+
+    One fraction-free solve (Bareiss 1968) serves every coupling u/w: it
+    reads w times an entry a + b*k of the monomial-basis matrix as a*w + b*u,
+    keeps coordinate i as nums[i]/den, den the product of the gaps divided
+    by so far, and reduces each m- and p-coordinate once.
     """
     lam = check_partition(lam)
     kv = _as_coupling(k)
@@ -369,37 +386,37 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
 
     basis = degree_basis(d)
     mm = _matrix_m_symbolic(d)
-    if kv != K:
-        bind = {"k": kv}
-        mm = [[entry.substitute(bind) for entry in row] for row in mm]
-
+    u, w = kv.num, kv.den
     top = basis.index(lam)
-    size = len(basis)
-    zero = RatFunc.const(0)
-    coords = [zero] * size
-    coords[top] = RatFunc.const(1)
-    e_top = mm[top][top]
-    for row in range(top + 1, size):
-        s = zero
-        for col in range(top, row):
-            if not (coords[col].is_zero() or mm[row][col].is_zero()):
-                s = s + mm[row][col] * coords[col]
+    a_top, b_top = _affine(mm[top][top])
+    den = MultiPoly.const(1)
+    nums = {top: den}
+    for row in range(top + 1, len(basis)):
+        s = MultiPoly.const(0)
+        for col, c in nums.items():
+            if mm[row][col]:
+                a, b = _affine(mm[row][col])
+                s = s + (w * a + u * b) * c
         if s.is_zero():
             continue
-        gap = e_top - mm[row][row]
+        a, b = _affine(mm[row][row])
+        gap = w * (a_top - a) + u * (b_top - b)
         if gap.is_zero():
             raise SingularCouplingError(kv, lam, basis[row])
-        coords[row] = s / gap
+        nums = {col: c * gap for col, c in nums.items()}
+        nums[row] = s
+        den = den * gap
 
-    m_terms = {basis[i]: coords[i] for i in range(size)}
-    for mu, coeff in m_terms.items():
-        if mu != lam and not coeff.is_zero() and not dominance_leq(mu, lam):
+    m_nums = {basis[i]: c for i, c in nums.items()}
+    for mu in m_nums:
+        if mu != lam and not dominance_leq(mu, lam):
             raise AssertionError(
                 f"triangularity violated: {format_partition(mu)} appears in "
                 f"the expansion of {format_partition(lam)}")
-    m_exp = MExpr(d, m_terms)
-    p_exp = m_to_p(m_exp)
-    eigen = e_top + kv * (-d) * P0
+    p_nums = _mat_vec(_s_inverse(d), d, m_nums)
+    m_exp = MExpr(d, {mu: RatFunc(c, den) for mu, c in m_nums.items()})
+    p_exp = PExpr(d, {mu: RatFunc(c, den) for mu, c in p_nums.items()})
+    eigen = RatFunc(w * a_top + u * (b_top - d * P0.num), w)
     return JackFunction(lam, kv, m_exp, p_exp, eigen)
 
 

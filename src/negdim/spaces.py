@@ -264,11 +264,12 @@ def dual_space(label: str, m: Optional[int] = None,
         if "m" not in s.size_params:
             raise ValueError(f"{s.key} has no m parameter")
         bindings["m"] = RatFunc.const(m)
-        if n is None:
-            raise ValueError(f"{s.key} has size parameters m and n: "
-                             f"--m needs --n as well")
     if n is not None:
         bindings[s.size_params[-1]] = RatFunc.const(n)
+    if len(s.size_params) == 2 and (m is None) != (n is None):
+        given, missing = ("--m", "--n") if n is None else ("--n", "--m")
+        raise ValueError(f"{s.key} has size parameters m and n: "
+                         f"{given} needs {missing} as well")
 
     base = tabulated_kpq(s) or to_kpq(s)
     kpq = _bind_kpq(base, bindings)

@@ -158,6 +158,12 @@ def test_spaces_dual_m_without_n_is_usage_error(capsys):
     assert "--n" in err and "'n'" not in err
 
 
+def test_spaces_dual_n_without_m_is_usage_error(capsys):
+    code, out, err = run(capsys, "spaces", "dual", "--label", "BDI", "--n", "3")
+    assert code == 2 and not out
+    assert "BDI has size parameters m and n: --n needs --m as well" in err
+
+
 def test_empty_sweep_is_not_a_pass(capsys):
     code, out, _ = run(capsys, "jack", "verify-duality", "--max-weight", "0")
     assert code == 1

@@ -7,8 +7,8 @@ import pytest
 
 from negdim.exact_algebra import RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
-                         SingularCouplingError, _matrix_m_symbolic, _s_inverse,
-                         _s_matrix, apply_L_N, apply_L_inf,
+                         SingularCouplingError, _affine, _matrix_m_symbolic,
+                         _s_inverse, _s_matrix, apply_L_N, apply_L_inf,
                          check_conjugation, check_diagram, check_p0_scalar,
                          check_schur, check_triangularity, degree_basis, jack,
                          kostka_number, m_to_p, macdonald_duality,
@@ -115,6 +115,72 @@ def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
                         _gauss_jordan_inverse(s))
     mm = _matrix_m_symbolic(d)
     assert [list(row) for row in mm] == expected
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_monomial_matrix_entries_are_affine_in_k(d):
+    # the solve in jack() reads each entry as a + b*k through _affine
+    for row in _matrix_m_symbolic(d):
+        for entry in row:
+            assert entry.den == 1 and entry.num.symbols in ((), ("k",))
+            assert entry.num.degree("k") <= 1
+            assert all(type(c) is int for c in entry.num.terms.values())
+            a, b = _affine(entry)
+            assert RatFunc.const(a) + b * K == entry
+
+
+def _jack_by_substitution(lam, k):
+    """Reference route for jack(): substitute the coupling into every entry
+    of the monomial-basis matrix, solve in RatFunc arithmetic, and convert
+    the monomial expansion with m_to_p."""
+    kv = K if k is None else RatFunc.const(k)
+    d = weight(lam)
+    basis = degree_basis(d)
+    mm = [[entry.substitute({"k": kv}) for entry in row]
+          for row in _matrix_m_symbolic(d)]
+    top = basis.index(lam)
+    coords = {top: ONE}
+    for row in range(top + 1, len(basis)):
+        s = RatFunc.const(0)
+        for col, c in coords.items():
+            s = s + mm[row][col] * c
+        if s.is_zero():
+            continue
+        gap = mm[top][top] - mm[row][row]
+        if gap.is_zero():
+            raise SingularCouplingError(kv, lam, basis[row])
+        coords[row] = s / gap
+    m_exp = MExpr(d, {basis[i]: c for i, c in coords.items()})
+    return m_exp, m_to_p(m_exp), mm[top][top] + kv * (-d) * P0
+
+
+@pytest.mark.parametrize("k", [None, 1 / K, K + 1, 0, 1, -1, 2, Fraction(1, 2),
+                               Fraction(-1, 2), Fraction(3, 2)], ids=str)
+def test_jack_matches_substitution_route(k):
+    for lam in partitions_up_to_weight(6):
+        if not lam:
+            continue
+        try:
+            expected = _jack_by_substitution(lam, k)
+        except SingularCouplingError as exc:
+            with pytest.raises(SingularCouplingError) as err:
+                jack(lam, k)
+            assert (err.value.top, err.value.other) == (exc.top, exc.other)
+            assert str(err.value) == str(exc)
+            continue
+        jf = jack(lam, k)
+        assert (jf.m_expansion, jf.p_expansion, jf.eigenvalue) == expected
+
+
+def test_jack_makes_no_substitution(monkeypatch):
+    def refuse(self, bindings):
+        raise AssertionError("jack() substituted into a rational function")
+
+    _matrix_m_symbolic.cache_clear()
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    for k in (None, 1 / K, K + 1, -1):
+        for lam in partitions_up_to_weight(5):
+            jack(lam, k)
 
 
 def test_jack_single_box():
