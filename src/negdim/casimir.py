@@ -34,8 +34,8 @@ from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
     RatFunc,
+    Scalar,
     _coeff,
-    _Factored,
     poly_exact_div,
     ratfunc_equal,
     series_expand,
@@ -102,39 +102,98 @@ def group_spec(family: str) -> GroupSpec:
         raise ValueError(f"unknown family {family!r} (expected one of {known})") from None
 
 
-def _linear_nz(const, n_coeff=0, z_coeff=0, nz_coeff=0, n2z_coeff=0) -> MultiPoly:
-    """Helper: const + n_coeff*n + z_coeff*z + nz_coeff*n*z + n2z_coeff*n^2*z."""
-    terms = {}
-    for exps, c in (((0, 0), const), ((1, 0), n_coeff), ((0, 1), z_coeff),
-                    ((1, 1), nz_coeff), ((2, 1), n2z_coeff)):
-        c = _coeff(c)
-        if c:
-            terms[exps] = c
-    return MultiPoly._raw(("n", "z"), terms)
+# -- ladders ------------------------------------------------------------------
+#
+# Every factor of the spectral products and of the prefactor is 1 - z*m with
+# m = a/n + b + c*n.  A ladder is a map from the triple (a, b, c) to a signed
+# exponent, standing for prod (1 - z*m)**e.  Over Q(n) each factor has degree
+# 1 in z and constant term 1, so distinct values are distinct, non-associate
+# irreducibles: two ladders are the same function exactly when they are the
+# same map, and cancellation is adding exponents.
+
+Key = Tuple[Scalar, Scalar, Scalar]
+Ladder = Dict[Key, int]
 
 
-def _one_minus_z(c, n_mult=0) -> MultiPoly:
-    """1 - z*(c + n_mult*n)."""
-    return _linear_nz(1, z_coeff=-c, nz_coeff=-n_mult)
+def _mul(ladder: Ladder, key: Key, exp: int = 1) -> Ladder:
+    """ladder times (1 - z*m)**exp in place, m keyed by key; the value 0 is
+    the factor 1 and is dropped.  Returns ladder."""
+    if key != (0, 0, 0):
+        e = ladder.get(key, 0) + exp
+        if e:
+            ladder[key] = e
+        else:
+            del ladder[key]
+    return ladder
+
+
+def _ladder_at(ladder: Ladder, n: int) -> Ladder:
+    """The ladder with the rank set to the integer n, equal values merged."""
+    out: Ladder = {}
+    for (a, b, c), e in ladder.items():
+        m = b + c * n
+        _mul(out, (0, m + Fraction(a, n) if a else m, 0), e)
+    return out
 
 
 _N = MultiPoly.symbol("n")
 
 
-def _first_multiplier(family: str) -> _Factored:
+def _ladder_factors(ladder: Ladder) -> Tuple[Scalar, Dict[MultiPoly, int]]:
+    """(scale, {P: e}) with ladder = scale * prod P**e over distinct
+    irreducible P.
+
+    1 - z*m is a rational scale times the integer-primitive P_m, over n when
+    a != 0: P_m = 1 - z*(b + c*n) or n - z*(a + b*n + c*n^2), up to content
+    and sign.  P_m is linear in z with coprime coefficients in Q[n], so it
+    is irreducible; distinct values give distinct P_m, none of them n.
+    """
+    scale = Fraction(1)
+    factors: Dict[MultiPoly, int] = {}
+    for (a, b, c), e in ladder.items():
+        if a:
+            terms = {(1, 0): 1, (0, 1): -a, (1, 1): -b, (2, 1): -c}
+            factors[_N] = factors.get(_N, 0) - e
+        else:
+            terms = {(0, 0): 1, (0, 1): -b, (1, 1): -c}
+        s, p = MultiPoly(("n", "z"), terms).primitive()
+        scale *= Fraction(s) ** e
+        factors[p] = factors.get(p, 0) + e
+    return _coeff(scale), {p: e for p, e in factors.items() if e}
+
+
+def _split(factors: Dict[MultiPoly, int]) -> Tuple[MultiPoly, MultiPoly]:
+    """(prod of the factors with e > 0, prod of those with e < 0), each to
+    its |e|-th power; both are integer-primitive with positive leading coefficient
+    (Gauss's lemma)."""
+    num, den = MultiPoly.const(1), MultiPoly.const(1)
+    for f, e in factors.items():
+        if e > 0:
+            num = num * (f if e == 1 else f ** e)
+        elif e < 0:
+            den = den * (f if e == -1 else f ** -e)
+    return num, den
+
+
+def _expand(ladder: Ladder) -> RatFunc:
+    """The canonical RatFunc of a ladder, without a gcd."""
+    scale, factors = _ladder_factors(ladder)
+    num, den = _split(factors)
+    return RatFunc._raw(num._scaled(scale), den)
+
+
+def _first_multiplier(family: str) -> Ladder:
+    # 1 + beta*z/(2 - (2*alpha+1)*z) = (1 - z*(m - beta/2)) / (1 - z*m)
+    # with m = alpha + 1/2
     spec = group_spec(family)
-    fm = _Factored()
-    if spec.beta:
-        a1, a0 = spec.alpha
-        # 2 - (2*alpha + 1)*z
-        den = _linear_nz(2, z_coeff=-(2 * a0 + 1), nz_coeff=-2 * a1)
-        fm.mul(den + _linear_nz(0, z_coeff=spec.beta)).mul(den, -1)
-    return fm
+    a1, a0 = spec.alpha
+    m = a0 + Fraction(1, 2)
+    return _mul(_mul({}, (0, m - spec.beta / 2, a1)), (0, m, a1), -1)
 
 
 def first_multiplier(family: str) -> RatFunc:
     """Prefactor 1 + beta*z/(2 - (2*alpha+1)*z) as a function of (n, z)."""
-    return _first_multiplier(family).expand()
+    return _expand(_first_multiplier(family))
 
 
 def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
@@ -162,72 +221,49 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
     return values
 
 
-def _row_factors(family: str, lam: Partition, n: int) -> _Factored:
-    # 1 - z*m determines m, so the ladder telescopes on the values m
-    exps: Dict[Fraction, int] = {}
+def _row_factors(family: str, lam: Partition, n: int) -> Ladder:
+    # the ladder telescopes on the values m
+    ladder: Ladder = {}
     for m in row_m_values(family, lam, n):
-        exps[m + 1] = exps.get(m + 1, 0) + 1
-        exps[m] = exps.get(m, 0) - 1
-    pi = _Factored()
-    for m, e in exps.items():
-        if e:
-            pi.mul(_one_minus_z(m), e)
-    return pi
+        _mul(ladder, (0, m + 1, 0))
+        _mul(ladder, (0, m, 0), -1)
+    return ladder
 
 
 def row_product(family: str, lam: Partition, n: int) -> RatFunc:
     """Product of (1 - z(m_i+1))/(1 - z m_i) over the full ladder at rank n."""
-    return _row_factors(family, lam, n).expand()
+    return _expand(_row_factors(family, lam, n))
 
 
-def _mul_su_factor(pi: _Factored, c: int, t: int, exp: int) -> None:
-    """pi *= (1 - z*(c + n - t/n))**exp, carried as the irreducible
-    n - c*n*z - n^2*z + t*z (t > 0) over the factor n."""
-    pi.mul(_linear_nz(0, n_coeff=1, z_coeff=t, nz_coeff=-c, n2z_coeff=-1), exp)
-    pi.mul(_N, -exp)
-
-
-def _su_tail(pi: _Factored, t: int) -> _Factored:
-    """pi times the residual n/(n + z t) of the shifted empty rows."""
-    return pi.mul(_N).mul(_linear_nz(0, n_coeff=1, z_coeff=t), -1)
-
-
-def _block_factors(family: str, lam: Partition) -> _Factored:
+def _block_factors(family: str, lam: Partition) -> Ladder:
     group_spec(family)  # an unknown family gets its own message
     if family not in BLOCK_FAMILIES:
         raise ValueError(f"no block form for family {family!r}")
     lam = check_partition(lam)
     bp = block_param(lam)
     k, A, B = bp.count, bp.A, bp.B
-    pi = _Factored()
+    pi: Ladder = {}
 
-    t = weight(lam)
-    if family == "u" or (family == "su" and not t):
-        # the empty diagram has no trace shift, so su agrees with u there
+    if family in ("u", "su"):
+        # su shifts every value by -t/n, and its empty rows telescope to the
+        # residual n/(n + z t) = 1/(1 + z t/n); the empty diagram has t = 0
+        s = -weight(lam) if family == "su" else 0
         for a in range(k + 1):
-            pi.mul(_one_minus_z(B[k - a] - A[a], 1))
+            _mul(pi, (s, B[k - a] - A[a], 1))
         for a in range(1, k + 1):
-            pi.mul(_one_minus_z(B[k - a + 1] - A[a], 1), -1)
-        return pi
-
-    if family == "su":
-        for a in range(k + 1):
-            _mul_su_factor(pi, B[k - a] - A[a], t, 1)
-        for a in range(1, k + 1):
-            _mul_su_factor(pi, B[k - a + 1] - A[a], t, -1)
-        return _su_tail(pi, t)
+            _mul(pi, (s, B[k - a + 1] - A[a], 1), -1)
+        return _mul(pi, (s, 0, 0), -1)
 
     # symplectic / even orthogonal: s = 2n + sigma
     sigma = 1 if family == "c" else -1
     for a in range(k + 1):
-        pi.mul(_one_minus_z(B[k - a] - A[a] + sigma, 2))
-        pi.mul(_one_minus_z(A[a] - B[k - a]), -1)
+        _mul(pi, (0, B[k - a] - A[a] + sigma, 2))
+        _mul(pi, (0, A[a] - B[k - a], 0), -1)
     for a in range(1, k + 1):
-        pi.mul(_one_minus_z(B[k - a + 1] - A[a] + sigma, 2), -1)
-        pi.mul(_one_minus_z(A[a] - B[k - a + 1]))
-    pi.mul(_one_minus_z(0, 1))              # 1 - z n
-    pi.mul(_one_minus_z(sigma, 1), -1)      # 1 - z (n + sigma)
-    return pi
+        _mul(pi, (0, B[k - a + 1] - A[a] + sigma, 2), -1)
+        _mul(pi, (0, A[a] - B[k - a + 1], 0))
+    _mul(pi, (0, 0, 1))              # 1 - z n
+    return _mul(pi, (0, sigma, 1), -1)  # 1 - z (n + sigma)
 
 
 def block_product(family: str, lam: Partition) -> RatFunc:
@@ -236,32 +272,27 @@ def block_product(family: str, lam: Partition) -> RatFunc:
     Valid for the families with paired-index telescoping (u, su, c, d); the
     odd orthogonal ladder has no such form here.
     """
-    return _block_factors(family, lam).expand()
+    return _expand(_block_factors(family, lam))
 
 
 def rectangle_product(family: str, p: int, q: int) -> RatFunc:
     """Closed form of the block product on a q-row, p-column rectangle."""
     if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive integers")
-    pi = _Factored()
-    if family == "u":
-        pi.mul(_one_minus_z(p, 1)).mul(_one_minus_z(-q, 1))
-        return pi.mul(_one_minus_z(p - q, 1), -1).expand()
-    if family == "su":
-        t = p * q
-        _mul_su_factor(pi, p, t, 1)
-        _mul_su_factor(pi, -q, t, 1)
-        _mul_su_factor(pi, p - q, t, -1)
-        return _su_tail(pi, t).expand()
+    if family in ("u", "su"):
+        s = -p * q if family == "su" else 0
+        pi = {(s, p, 1): 1, (s, -q, 1): 1, (s, p - q, 1): -1}
+        return _expand(_mul(pi, (s, 0, 0), -1))
     if family in ("c", "d"):
         sigma = 1 if family == "c" else -1
-        for f in (_one_minus_z(p + sigma, 2), _one_minus_z(sigma - q, 2),
-                  _one_minus_z(q - p), _one_minus_z(0, 1)):
-            pi.mul(f)
-        for f in (_one_minus_z(p - q + sigma, 2), _one_minus_z(sigma, 1),
-                  _one_minus_z(-p), _one_minus_z(q)):
-            pi.mul(f, -1)
-        return pi.expand()
+        pi: Ladder = {}
+        for key in ((0, p + sigma, 2), (0, sigma - q, 2), (0, q - p, 0),
+                    (0, 0, 1)):
+            _mul(pi, key)
+        for key in ((0, p - q + sigma, 2), (0, sigma, 1), (0, -p, 0),
+                    (0, q, 0)):
+            _mul(pi, key, -1)
+        return _expand(pi)
     raise ValueError(f"no rectangle closed form for family {family!r}")
 
 
@@ -277,32 +308,32 @@ class CasimirGF:
     gf: RatFunc
 
 
-def _gf_from_factors(fm: _Factored, pi: _Factored, product: RatFunc) -> RatFunc:
-    """fm * (1 - pi) / z in canonical form, without a gcd.
+def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
+    """(pi, fm * (1 - pi) / z), both expanded in canonical form without a gcd.
 
     With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
     D cancel only against the numerator factors of fm, which merging the two
-    factored forms does, and a denominator factor of fm only against D - N,
-    which trial division settles.  product is pi expanded.  A failure of
-    either division by z means the spectral product lost its regularity.
+    factor maps does, and a denominator factor of fm only against D - N,
+    which trial division settles.  A failure of either division by z means
+    the spectral product lost its regularity.
     """
-    num = product.den - product.num
+    scale, factors = _ladder_factors(pi)
+    num, den = _split(factors)
+    product = RatFunc._raw(num._scaled(scale), den)
+    num = den - product.num
     if not num:
-        return RatFunc._raw(num, MultiPoly.const(1))
-    rest = _Factored(fm.scale)
-    for f, e in pi.factors.items():
-        if e < 0:
-            rest.mul(f, e)
-    for g, e in fm.factors.items():
+        return product, RatFunc._raw(num, MultiPoly.const(1))
+    fm_scale, fm_factors = _ladder_factors(fm)
+    rest = {f: e for f, e in factors.items() if e < 0}
+    for g, e in fm_factors.items():
         while e < 0:
             try:
                 num = poly_exact_div(num, g)
             except ExactDivisionError:
                 break
             e += 1
-        if e:
-            rest.mul(g, e)
-    rest_num, den = rest.split()
+        rest[g] = rest.get(g, 0) + e
+    rest_num, den = _split(rest)
     den_const = den.coeff_map("z").get(0)
     if den_const is None or den_const.is_zero():
         raise ExactDivisionError("denominator vanishes at z = 0")
@@ -312,7 +343,7 @@ def _gf_from_factors(fm: _Factored, pi: _Factored, product: RatFunc) -> RatFunc:
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel") from None
-    return RatFunc._raw((num * rest_num)._scaled(rest.scale), den)
+    return product, RatFunc._raw((num * rest_num)._scaled(fm_scale), den)
 
 
 def generating_function(family: str, lam: Partition, mode: str = "blocks",
@@ -325,23 +356,23 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
     """
     lam = check_partition(lam)
     if mode == "blocks":
-        pi = _block_factors(family, lam)
-        fm = _first_multiplier(family)
+        pi, fm = _block_factors(family, lam), _first_multiplier(family)
         if n is not None:
+            if n < 1:
+                raise ValueError("rank must be a positive integer")
             if len(lam) > n:
                 raise ValueError(
                     f"partition {format_partition(lam)} has more than n={n} parts")
-            pi, fm = pi.at("n", n), fm.at("n", n)
+            pi, fm = _ladder_at(pi, n), _ladder_at(fm, n)
     elif mode == "rows":
         if n is None:
             raise ValueError("rows mode needs an integer rank n")
         pi = _row_factors(family, lam, n)
-        fm = _first_multiplier(family).at("n", n)
+        fm = _ladder_at(_first_multiplier(family), n)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected blocks or rows)")
-    product = pi.expand()
-    return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=product,
-                     gf=_gf_from_factors(fm, pi, product))
+    product, gf = _gf_from_factors(fm, pi)
+    return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=product, gf=gf)
 
 
 def spectrum_coefficients(family: str, lam: Partition, order: int,
@@ -402,21 +433,29 @@ def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
 
 
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
-    """Block product specialized at several integer ranks against row products."""
+    """Block product specialized at several integer ranks against row
+    products, compared as ladders: equal maps exactly when equal functions."""
     lam = check_partition(lam)
     blocks = _block_factors(family, lam)
     bad = []
+    witness = ""
     for n in ranks:
-        specialized = blocks.at("n", n).expand()
-        rows = row_product(family, lam, n)
-        if not ratfunc_equal(specialized, rows):
+        specialized, rows = _ladder_at(blocks, n), _row_factors(family, lam, n)
+        if specialized != rows:
+            if not bad:
+                key = min((k for k in specialized.keys() | rows.keys()
+                           if specialized.get(k) != rows.get(k)),
+                          key=lambda k: k[1])
+                witness = (f"; at n={n}, m={key[1]} has exponent "
+                           f"{specialized.get(key, 0)} in blocks and "
+                           f"{rows.get(key, 0)} in rows")
             bad.append(n)
     return CheckResult(
         check_id=f"casimir/rows-blocks/{family}/{format_partition(lam)}",
         holds=not bad,
         inputs=(("family", family), ("lambda", format_partition(lam)),
                 ("ranks", ",".join(str(n) for n in ranks))),
-        notes=f"mismatch at n={bad}" if bad else "",
+        notes=f"mismatch at n={bad}{witness}" if bad else "",
     )
 
 

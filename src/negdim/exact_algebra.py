@@ -25,11 +25,11 @@ The normal form rests on poly_gcd, one algorithm on integer images: an
 integer remainder sequence for one symbol; for several, a degree bound read
 off images at integer points, which proves most pairs coprime at once, and
 otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
-is certified by exact division of both inputs.  Two paths need no gcd: a
-product of known irreducible factors (_Factored, which the Casimir spectral
-products use) is reduced by adding exponents, and a substitution that maps
-symbols to distinct signed symbols is an automorphism, so it keeps a reduced
-quotient reduced.
+is certified by exact division of both inputs.  Two paths need no gcd: the
+Casimir products are expanded from their ladders of distinct irreducible
+factors 1 - z*m (casimir._expand), and a substitution that maps symbols to
+distinct signed symbols is an automorphism, so it keeps a reduced quotient
+reduced.
 """
 
 from __future__ import annotations
@@ -921,98 +921,6 @@ def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
     if not isinstance(b, RatFunc):
         b = RatFunc.const(b)
     return a.num * b.den == b.num * a.den
-
-
-# -- known-factor products -------------------------------------------------------
-
-
-def _is_linear_irreducible(p: MultiPoly) -> bool:
-    """Irreducibility test without a gcd, for a nonconstant primitive p.
-
-    p passes when it has degree 1 in some symbol x, p = a*x + b, and a or b
-    is a nonzero constant, or a monomial in symbols of which the other has a
-    term free.  A proper factor of p is free of x, so it divides a and b; a
-    divisor of a monomial is a monomial in its symbols, and it cannot divide
-    a polynomial with a term free of them.
-    """
-    for i, x in enumerate(p.symbols):
-        if p.degree(x) != 1:
-            continue
-        a = [e for e in p.terms if e[i]]
-        b = [e for e in p.terms if not e[i]]
-        for mono, other in ((a, b), (b, a)):
-            if len(mono) != 1:
-                continue
-            used = [j for j, k in enumerate(mono[0]) if k and j != i]
-            if not used or any(not any(e[j] for j in used) for e in other):
-                return True
-    return False
-
-
-class _Factored:
-    """scale * prod f**e over distinct irreducible factors f, kept as a map
-    f -> e with e a nonzero int.
-
-    Every key is integer-primitive with a positive leading coefficient and
-    passes _is_linear_irreducible, so distinct keys are coprime and
-    cancellation is adding exponents.  Products of such keys are primitive
-    with positive leading coefficient (Gauss's lemma), so expand() gives the
-    canonical RatFunc without a gcd.
-    """
-
-    __slots__ = ("scale", "factors")
-
-    def __init__(self, scale: Scalar = 1):
-        self.scale = _coeff(scale)
-        self.factors: Dict[MultiPoly, int] = {}
-
-    def mul(self, poly: MultiPoly, exp: int = 1) -> "_Factored":
-        """Multiply by poly**exp in place; poly is a constant or a constant
-        times an irreducible factor.  Returns self."""
-        c, prim = poly.primitive()
-        if not c:
-            if exp < 0:
-                raise ZeroDivisionError("division by a vanishing factor")
-            self.scale, self.factors = 0, {}
-            return self
-        if c != 1:
-            self.scale = _coeff(Fraction(self.scale) * Fraction(c) ** exp)
-        if prim.is_const() or not self.scale:
-            return self
-        e = self.factors.get(prim)
-        if e is None:
-            if not _is_linear_irreducible(prim):
-                raise ValueError(f"{prim} is not a known irreducible factor")
-            self.factors[prim] = exp
-        elif e + exp:
-            self.factors[prim] = e + exp
-        else:
-            del self.factors[prim]
-        return self
-
-    def at(self, sym: str, v: int) -> "_Factored":
-        """A new factored form with sym set to the integer v, re-merged."""
-        out = _Factored(self.scale)
-        for f, e in self.factors.items():
-            out.mul(_at(f, sym, v), e)
-        return out
-
-    def split(self) -> Tuple[MultiPoly, MultiPoly]:
-        """(prod of the factors with e > 0, prod of those with e < 0), each
-        to its |e|-th power and without the scale."""
-        num, den = MultiPoly.const(1), MultiPoly.const(1)
-        for f, e in self.factors.items():
-            if e > 0:
-                num = num * (f if e == 1 else f ** e)
-            else:
-                den = den * (f if e == -1 else f ** -e)
-        return num, den
-
-    def expand(self) -> RatFunc:
-        if not self.scale:
-            return RatFunc._raw(MultiPoly.const(0), MultiPoly.const(1))
-        num, den = self.split()
-        return RatFunc._raw(num._scaled(self.scale), den)
 
 
 def series_expand(f: RatFunc, var: str, order: int) -> Tuple[RatFunc, ...]:

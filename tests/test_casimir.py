@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import exact_algebra
+from negdim import casimir, exact_algebra
 from negdim.casimir import (BLOCK_FAMILIES, FAMILIES, block_product,
                             check_rectangle_closed_form, check_rows_vs_blocks,
                             check_sp_so_duality, check_su_rectangle_invariance,
@@ -175,11 +175,11 @@ def test_full_weight_partition_census():
     assert len(list(partitions_up_to_weight(6))) == 30
 
 
-# -- the generic normal form as an oracle for the known-factor construction --
+# -- the generic normal form as an oracle for the ladder construction ---------
 #
 # The oracle multiplies the same linear factors as plain polynomials and
 # reduces the quotient once with RatFunc's gcd-based normal form; the library
-# merges irreducible factors by exponent and never calls a gcd.  Both land on
+# merges the values m of a ladder by exponent and never calls a gcd.  Both land on
 # the canonical form, so they must agree structurally.
 
 def _poly_lin(c, n_mult=0):
@@ -324,3 +324,39 @@ def test_unit_first_multiplier_needs_no_normal_form(monkeypatch):
         fm = first_multiplier(family)
         assert fm.num == MultiPoly.const(1) and fm.den == MultiPoly.const(1)
     assert not calls
+
+
+# -- ladders: the rows-against-blocks comparison ------------------------------
+
+
+def test_ladder_comparison_agrees_with_expanded_route():
+    # every rank check of verify_consistency(6), and each block ladder
+    # against the rows of the next rank, a different function
+    for family in BLOCK_FAMILIES:
+        for lam in partitions_up_to_weight(6):
+            ladder = casimir._block_factors(family, lam)
+            blocks = block_product(family, lam)
+            start = max(len(lam), 1)
+            for n in range(start, start + 5):
+                at_n = casimir._ladder_at(ladder, n)
+                expanded = _at(blocks, n)
+                for r in (n, n + 1):
+                    same = at_n == casimir._row_factors(family, lam, r)
+                    assert same == ratfunc_equal(expanded, row_product(family, lam, r))
+                    assert same == (r == n)
+
+
+def test_rows_vs_blocks_reports_first_differing_value(monkeypatch):
+    real = casimir.row_m_values
+
+    def shifted(family, lam, n):
+        values = real(family, lam, n)
+        values[0] += 1
+        return values
+
+    monkeypatch.setattr(casimir, "row_m_values", shifted)
+    result = check_rows_vs_blocks("u", (2, 1), range(2, 5))
+    # at n = 2 the values are 3, 1; the shift makes them 4, 1
+    assert not result.holds
+    assert result.notes == ("mismatch at n=[2, 3, 4]; at n=2, m=3 has "
+                            "exponent -1 in blocks and 0 in rows")

@@ -67,6 +67,17 @@ def test_blocks_mode_with_rank_evaluates(capsys):
     assert json.loads(out)["coeffs"] == ["3", "1", "3"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "su", "--lambda", "", "--n", "0"),
+    ("--group", "c", "--lambda", "", "--n", "-2"),
+], ids=["su-n0", "c-n-2"])
+def test_blocks_mode_rank_below_one_is_usage_error(capsys, argv):
+    # the same message as rows mode, before the parts check
+    code, out, err = run(capsys, "casimir", "gf", *argv, "--mode", "blocks")
+    assert code == 2 and not out
+    assert "rank must be a positive integer" in err
+
+
 def test_unknown_group_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["casimir", "gf", "--group", "e8", "--lambda", "1"])

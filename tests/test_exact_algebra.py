@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from negdim import casimir, exact_algebra, jack
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
-                                  _Factored, poly_exact_div, poly_gcd,
-                                  ratfunc_equal, series_expand)
+                                  poly_exact_div, poly_gcd, ratfunc_equal,
+                                  series_expand)
+from negdim.partitions import partitions_up_to_weight
 
 N = RatFunc.symbol("n")
 Z = RatFunc.symbol("z")
@@ -139,28 +140,31 @@ def test_division_by_zero_rejected():
 
 
 def test_factored_form_cancels_by_exponents():
-    n, z = MultiPoly.symbol("n"), MultiPoly.symbol("z")
-    # the su factor n - c*n*z - n^2*z + t*z over n, with c = 2, t = 3
-    su = n - 2 * n * z - n * n * z + 3 * z
-    f = _Factored(3).mul(su).mul(n, -1).mul(2 - 4 * z).mul(1 - 2 * z, -2)
-    assert f.expand() == RatFunc(3 * su * (2 - 4 * z), n * (1 - 2 * z) ** 2)
-    # keys are primitive with positive leading coefficient; the signs and
-    # contents went to the scale, and 1 - 2z cancelled once against 2 - 4z
-    assert f.scale == 6 and f.factors == {-su: 1, n: -1, 2 * z - 1: -1}
-    # at n = 1 the su factor is the constant 1 and n drops out
-    assert f.at("n", 1).expand() == RatFunc(MultiPoly.const(6), 1 - 2 * z)
-    assert _Factored().mul(n + z).mul(n + z, -1).expand() == ONE
-    assert _Factored().mul(MultiPoly.const(0)).expand() == RatFunc.const(0)
-    with pytest.raises(ZeroDivisionError):
-        _Factored().mul(n - 1, -1).at("n", 1)
+    # a Casimir ladder: the triple (a, b, c) keys m = a/n + b + c*n, and the
+    # map stands for prod (1 - z*m)**e
+    ladder = {}
+    casimir._mul(ladder, (-3, 2, 1))                # the su value 2 + n - 3/n
+    casimir._mul(ladder, (0, Fraction(1, 2), 0))    # 1 - z/2
+    casimir._mul(ladder, (0, 2, 0), -2)
+    expected = ((ONE - Z * (2 + N - 3 / N)) * (ONE - Z / 2)
+                / (ONE - 2 * Z) ** 2)                # gcd-based normal form
+    assert casimir._expand(ladder) == expected
+    # at n = 2 the su value is 5/2; at n = 3 it is 4 and merges with 1 + n
+    for n in (2, 3):
+        assert casimir._expand(casimir._ladder_at(ladder, n)) == _at(expected, n)
+    assert casimir._ladder_at({(-3, 2, 1): 1, (0, 1, 1): -1}, 3) == {}
+    # equal values cancel by exponents
+    casimir._mul(ladder, (0, 2, 0), 2)
+    assert ladder == {(-3, 2, 1): 1, (0, Fraction(1, 2), 0): 1}
+    assert casimir._mul(ladder, (-3, 2, 1), -1) == {(0, Fraction(1, 2), 0): 1}
+    # the value 0 is the factor 1 and is dropped, also when a rank makes it 0
+    assert casimir._mul({}, (0, 0, 0)) == {}
+    assert casimir._ladder_at({(0, -3, 1): 1, (-6, 1, 0): -1}, 3) == {(0, -1, 0): -1}
+    assert casimir._expand({}) == ONE
 
 
-@pytest.mark.parametrize("poly", [
-    N.num * (1 - Z.num), N.num ** 2 - 1, N.num * Z.num * (1 + N.num),
-    Z.num ** 2, N.num ** 2 * (Z.num + 1)], ids=str)
-def test_factored_form_rejects_factors_it_cannot_prove_irreducible(poly):
-    with pytest.raises(ValueError):
-        _Factored().mul(poly)
+def _at(f, n):
+    return f.substitute({"n": RatFunc.const(n)})
 
 
 def test_poly_exact_div():
@@ -515,9 +519,31 @@ def test_work_counts_stay_within_budget(monkeypatch):
 
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):
-    # their products are built from known irreducible factors, and the
-    # dualities' substitutions are signed permutations of the symbols
+    # their products are expanded from ladders of known irreducible factors,
+    # and the dualities' substitutions are signed permutations of the symbols
     calls = _count_gcds(monkeypatch)
+    made = {"RatFunc": 0, "MultiPoly": 0}
+
+    def counted(key, inner):
+        def wrapped(*args, **kwargs):
+            made[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert casimir.verify_sp_so(6).all_ok
     assert casimir.verify_consistency(6).all_ok
     assert not calls  # recursive calls included
+    assert made["RatFunc"] == 0
+    # rows against blocks compares ladders and builds no polynomial at all
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        counted("MultiPoly", MultiPoly.__init__))
+    monkeypatch.setattr(MultiPoly, "_raw",
+                        classmethod(counted("MultiPoly",
+                                            MultiPoly.__dict__["_raw"].__func__)))
+    for family in casimir.BLOCK_FAMILIES:
+        for lam in partitions_up_to_weight(6):
+            start = max(len(lam), 1)
+            assert casimir.check_rows_vs_blocks(family, lam,
+                                                range(start, start + 5)).holds
+    assert made == {"RatFunc": 0, "MultiPoly": 0}
