@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from negdim.exact_algebra import (
@@ -139,25 +140,34 @@ def _ladder_at(ladder: Ladder, n: int) -> Ladder:
 _N = MultiPoly.symbol("n")
 
 
+@lru_cache(maxsize=None)
+def _factor(key: Key) -> Tuple[Fraction, MultiPoly]:
+    """(s, P_m) with 1 - z*m = s * P_m, over n when a != 0.
+
+    P_m = 1 - z*(b + c*n) or n - z*(a + b*n + c*n^2), up to content and
+    sign.  P_m is integer-primitive, linear in z with coprime coefficients
+    in Q[n], so it is irreducible; distinct values give distinct P_m, none
+    of them n.
+    """
+    a, b, c = key
+    if a:
+        terms = {(1, 0): 1, (0, 1): -a, (1, 1): -b, (2, 1): -c}
+    else:
+        terms = {(0, 0): 1, (0, 1): -b, (1, 1): -c}
+    s, p = MultiPoly(("n", "z"), terms).primitive()
+    return Fraction(s), p
+
+
 def _ladder_factors(ladder: Ladder) -> Tuple[Scalar, Dict[MultiPoly, int]]:
     """(scale, {P: e}) with ladder = scale * prod P**e over distinct
-    irreducible P.
-
-    1 - z*m is a rational scale times the integer-primitive P_m, over n when
-    a != 0: P_m = 1 - z*(b + c*n) or n - z*(a + b*n + c*n^2), up to content
-    and sign.  P_m is linear in z with coprime coefficients in Q[n], so it
-    is irreducible; distinct values give distinct P_m, none of them n.
-    """
+    irreducible P (see _factor)."""
     scale = Fraction(1)
     factors: Dict[MultiPoly, int] = {}
-    for (a, b, c), e in ladder.items():
-        if a:
-            terms = {(1, 0): 1, (0, 1): -a, (1, 1): -b, (2, 1): -c}
+    for key, e in ladder.items():
+        s, p = _factor(key)
+        if key[0]:
             factors[_N] = factors.get(_N, 0) - e
-        else:
-            terms = {(0, 0): 1, (0, 1): -b, (1, 1): -c}
-        s, p = MultiPoly(("n", "z"), terms).primitive()
-        scale *= Fraction(s) ** e
+        scale *= s ** e
         factors[p] = factors.get(p, 0) + e
     return _coeff(scale), {p: e for p, e in factors.items() if e}
 
@@ -196,8 +206,15 @@ def first_multiplier(family: str) -> RatFunc:
     return _expand(_first_multiplier(family))
 
 
-def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
-    """The shifted-weight ladder m_i at integer rank n, in index order."""
+def row_m_values(family: str, lam: Partition, n: int) -> List[Scalar]:
+    """The shifted-weight ladder m_i at integer rank n, in index order.
+
+    m_i = base + lambda_i - i with base = c1*n + c0 + alpha (less t/n for
+    su), and a mirrored index has 2*alpha - m_i.  Each value is an int when
+    integral: always for u, c and d; b's self-paired index 0 has the
+    half-integer alpha, and su's values are Fractions where t/n is not an
+    integer.
+    """
     spec = group_spec(family)
     lam = check_partition(lam)
     if n < 1:
@@ -208,16 +225,18 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Fraction]:
     a1, a0 = spec.alpha
     c1, c0 = spec.shift
     alpha = a1 * n + a0
-    trace_shift = Fraction(weight(lam), n) if spec.traceless else Fraction(0)
-    values: List[Fraction] = []
+    base = c1 * n + c0 + alpha
+    if spec.traceless:
+        base -= Fraction(weight(lam), n)
+    base, twice_alpha = _coeff(base), _coeff(2 * alpha)
+    values: List[Scalar] = []
     if spec.has_zero_index:
-        values.append(alpha)  # l_0 = 0
+        values.append(_coeff(alpha))  # l_0 = 0
     for i in range(1, n + 1):
-        part = Fraction(lam[i - 1] if i <= len(lam) else 0) - trace_shift
-        l_i = part + (c1 * n + c0) - i
-        values.append(l_i + alpha)
+        m = base + (lam[i - 1] if i <= len(lam) else 0) - i
+        values.append(m)
         if spec.mirrored:
-            values.append(-l_i + alpha)
+            values.append(twice_alpha - m)
     return values
 
 
@@ -275,14 +294,13 @@ def block_product(family: str, lam: Partition) -> RatFunc:
     return _expand(_block_factors(family, lam))
 
 
-def rectangle_product(family: str, p: int, q: int) -> RatFunc:
-    """Closed form of the block product on a q-row, p-column rectangle."""
+def _rectangle_factors(family: str, p: int, q: int) -> Ladder:
     if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive integers")
     if family in ("u", "su"):
         s = -p * q if family == "su" else 0
         pi = {(s, p, 1): 1, (s, -q, 1): 1, (s, p - q, 1): -1}
-        return _expand(_mul(pi, (s, 0, 0), -1))
+        return _mul(pi, (s, 0, 0), -1)
     if family in ("c", "d"):
         sigma = 1 if family == "c" else -1
         pi: Ladder = {}
@@ -292,8 +310,13 @@ def rectangle_product(family: str, p: int, q: int) -> RatFunc:
         for key in ((0, p - q + sigma, 2), (0, sigma, 1), (0, -p, 0),
                     (0, q, 0)):
             _mul(pi, key, -1)
-        return _expand(pi)
+        return pi
     raise ValueError(f"no rectangle closed form for family {family!r}")
+
+
+def rectangle_product(family: str, p: int, q: int) -> RatFunc:
+    """Closed form of the block product on a q-row, p-column rectangle."""
+    return _expand(_rectangle_factors(family, p, q))
 
 
 @dataclass(frozen=True)
@@ -418,18 +441,47 @@ def check_u_selfduality(lam: Partition) -> CheckResult:
     )
 
 
+def _first_difference(left: Ladder, right: Ladder) -> Key:
+    """The key, smallest by b, whose exponents in two unequal ladders differ."""
+    return min((k for k in left.keys() | right.keys()
+                if left.get(k) != right.get(k)),
+               key=lambda k: (k[1], k[2], k[0]))
+
+
+def _format_value(key: Key) -> str:
+    """m = a/n + b + c*n as text."""
+    a, b, c = key
+    if a:
+        return f"({MultiPoly(('n',), {(2,): c, (1,): b, (0,): a})})/n"
+    return str(MultiPoly(("n",), {(1,): c, (0,): b}))
+
+
+def _ladder_check(check_id: str, inputs: Tuple[Tuple[str, str], ...],
+                  lhs: Ladder, rhs: Ladder) -> CheckResult:
+    """Two ladders as functions: equal exactly when equal maps.  A check
+    that holds expands once, since equal functions have one canonical form."""
+    holds = lhs == rhs
+    text = str(_expand(lhs))
+    notes = ""
+    if not holds:
+        key = _first_difference(lhs, rhs)
+        notes = (f"m={_format_value(key)} has exponent {lhs.get(key, 0)} "
+                 f"in lhs and {rhs.get(key, 0)} in rhs")
+    return CheckResult(check_id=check_id, holds=holds, inputs=inputs,
+                       lhs=text, rhs=text if holds else str(_expand(rhs)),
+                       notes=notes)
+
+
 def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
-    """The traceless rectangle product is fixed by {n -> -n, p <-> q, z -> -z}."""
-    lhs = block_product("su", rectangle(p, q))
-    rhs = block_product("su", rectangle(q, p)).substitute(_NEGATE)
-    holds = ratfunc_equal(lhs, rhs)
-    return CheckResult(
-        check_id=f"casimir/su-rect/{p}x{q}",
-        holds=holds,
-        inputs=(("p", str(p)), ("q", str(q))),
-        lhs=str(lhs),
-        rhs=str(rhs),
-    )
+    """The traceless rectangle product is fixed by {n -> -n, p <-> q, z -> -z}.
+
+    The involution sends 1 - z*m(a, b, c) to 1 - z*m(a, -b, c), so the rhs
+    is the (q, p) ladder with each b negated."""
+    mirror = _block_factors("su", rectangle(q, p))
+    return _ladder_check(
+        f"casimir/su-rect/{p}x{q}", (("p", str(p)), ("q", str(q))),
+        _block_factors("su", rectangle(p, q)),
+        {(a, -b, c): e for (a, b, c), e in mirror.items()})
 
 
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
@@ -443,9 +495,7 @@ def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
         specialized, rows = _ladder_at(blocks, n), _row_factors(family, lam, n)
         if specialized != rows:
             if not bad:
-                key = min((k for k in specialized.keys() | rows.keys()
-                           if specialized.get(k) != rows.get(k)),
-                          key=lambda k: k[1])
+                key = _first_difference(specialized, rows)
                 witness = (f"; at n={n}, m={key[1]} has exponent "
                            f"{specialized.get(key, 0)} in blocks and "
                            f"{rows.get(key, 0)} in rows")
@@ -461,16 +511,11 @@ def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
 
 def check_rectangle_closed_form(family: str, p: int, q: int) -> CheckResult:
     """Closed rectangle form against the general block product, symbolically."""
-    lhs = rectangle_product(family, p, q)
-    rhs = block_product(family, rectangle(p, q))
-    holds = ratfunc_equal(lhs, rhs)
-    return CheckResult(
-        check_id=f"casimir/rect-closed/{family}/{p}x{q}",
-        holds=holds,
-        inputs=(("family", family), ("p", str(p)), ("q", str(q))),
-        lhs=str(lhs),
-        rhs=str(rhs),
-    )
+    return _ladder_check(
+        f"casimir/rect-closed/{family}/{p}x{q}",
+        (("family", family), ("p", str(p)), ("q", str(q))),
+        _rectangle_factors(family, p, q),
+        _block_factors(family, rectangle(p, q)))
 
 # -- sweep drivers -----------------------------------------------------------
 

@@ -360,3 +360,129 @@ def test_rows_vs_blocks_reports_first_differing_value(monkeypatch):
     assert not result.holds
     assert result.notes == ("mismatch at n=[2, 3, 4]; at n=2, m=3 has "
                             "exponent -1 in blocks and 0 in rows")
+
+
+# -- ladders: the rectangle checks --------------------------------------------
+
+
+def _negated(ladder):
+    """The ladder under n -> -n, z -> -z: 1 - z*m(a, b, c) becomes
+    1 - z*m(a, -b, c)."""
+    return {(a, -b, c): e for (a, b, c), e in ladder.items()}
+
+
+def test_rectangle_checks_agree_with_expanded_route():
+    sides = range(1, 5)
+    for family in BLOCK_FAMILIES:
+        for p in sides:
+            for q in sides:
+                closed = rectangle_product(family, p, q)
+                blocks = block_product(family, rectangle(p, q))
+                result = check_rectangle_closed_form(family, p, q)
+                assert result.holds == ratfunc_equal(closed, blocks)
+                assert (result.lhs, result.rhs) == (str(closed), str(blocks))
+    for p in sides:
+        for q in sides:
+            lhs = block_product("su", rectangle(p, q))
+            rhs = block_product("su", rectangle(q, p)).substitute(casimir._NEGATE)
+            result = check_su_rectangle_invariance(p, q)
+            assert result.holds == ratfunc_equal(lhs, rhs)
+            assert (result.lhs, result.rhs) == (str(lhs), str(rhs))
+            # a failing check renders its rhs from the negated ladder
+            negated = _negated(casimir._block_factors("su", rectangle(q, p)))
+            assert casimir._expand(negated) == rhs
+
+
+def test_rectangle_ladder_verdicts_on_mismatched_inputs():
+    # c against d, and (p, q) against (q, p): the map comparison decides as
+    # the cross-multiplied expansions do, both ways
+    outcomes = set()
+    for p in range(1, 5):
+        for q in range(1, 5):
+            pairs = [(left, right, rectangle(p, q))
+                     for left, right in (("c", "d"), ("d", "c"))]
+            pairs += [(family, family, rectangle(q, p)) for family in ("c", "d")]
+            for left, right, lam in pairs:
+                same = (casimir._rectangle_factors(left, p, q)
+                        == casimir._block_factors(right, lam))
+                assert same == ratfunc_equal(rectangle_product(left, p, q),
+                                             block_product(right, lam))
+                outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def test_rectangle_checks_report_first_differing_value(monkeypatch):
+    real = casimir._block_factors
+    shifted_lam = rectangle(2, 3)
+
+    def shifted(family, lam):
+        # move the factor with the smallest b of the 2x3 rectangle to b + 1
+        ladder = real(family, lam)
+        if lam == shifted_lam:
+            a, b, c = min(ladder, key=lambda k: k[1])
+            casimir._mul(ladder, (a, b, c), -1)
+            casimir._mul(ladder, (a, b + 1, c))
+        return ladder
+
+    monkeypatch.setattr(casimir, "_block_factors", shifted)
+    # u: blocks 1 - z*m for m = n + 2, n - 3 and 1/(1 - z*(n - 1)); n - 3
+    # becomes n - 2 in the rhs
+    result = check_rectangle_closed_form("u", 2, 3)
+    assert not result.holds and result.lhs != result.rhs
+    assert result.notes == "m=n - 3 has exponent 1 in lhs and 0 in rhs"
+    assert result.rhs == str(block_product("u", shifted_lam))
+    # su: every value carries -6/n; the lhs is the shifted ladder
+    result = check_su_rectangle_invariance(2, 3)
+    assert not result.holds and result.lhs != result.rhs
+    assert result.notes == ("m=(n^2 - 3*n - 6)/n has exponent 0 in lhs "
+                            "and 1 in rhs")
+    assert result.lhs == str(block_product("su", shifted_lam))
+    assert result.rhs == str(block_product("su", rectangle(3, 2))
+                             .substitute(casimir._NEGATE))
+
+
+# -- the integer row ladder ---------------------------------------------------
+
+
+def _fraction_row_values(family, lam, n):
+    """m_i = l_i + alpha and, mirrored, -l_i + alpha, all in Fractions."""
+    spec = FAMILIES[family]
+    a1, a0 = spec.alpha
+    c1, c0 = spec.shift
+    alpha = a1 * n + a0
+    trace = Fraction(weight(lam), n) if spec.traceless else Fraction(0)
+    values = [alpha] if spec.has_zero_index else []
+    for i in range(1, n + 1):
+        l_i = Fraction(lam[i - 1] if i <= len(lam) else 0) - trace + c1 * n + c0 - i
+        values.append(l_i + alpha)
+        if spec.mirrored:
+            values.append(-l_i + alpha)
+    return values
+
+
+def _six_ranks(lam):
+    start = max(len(lam), 1)
+    return range(start, start + 6)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_row_m_values_match_fraction_formula(family):
+    for lam in partitions_up_to_weight(6):
+        for n in _six_ranks(lam):
+            assert row_m_values(family, lam, n) == _fraction_row_values(family, lam, n)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_row_m_values_are_int_when_integral(family):
+    for lam in partitions_up_to_weight(6):
+        for n in _six_ranks(lam):
+            values = row_m_values(family, lam, n)
+            if family == "b":
+                # only the self-paired index 0 carries the half-integer alpha
+                assert isinstance(values[0], Fraction) and values[0].denominator == 2
+                values = values[1:]
+            if family == "su" and weight(lam) % n:
+                assert all(isinstance(m, Fraction) and m.denominator > 1
+                           for m in values)
+            else:
+                assert all(type(m) is int for m in values)

@@ -495,9 +495,10 @@ def test_product_with_unit_needs_no_gcd(monkeypatch):
 
 def test_work_counts_stay_within_budget(monkeypatch):
     # deterministic work on the benchmark config (a regression here shows
-    # where the time bounds of a noisy machine cannot); jack's caches start
-    # cold, as in a fresh interpreter
-    for cached in (jack._s_matrix, jack._s_inverse, jack._matrix_m_symbolic):
+    # where the time bounds of a noisy machine cannot); jack's caches and
+    # the Casimir ladder factors start cold, as in a fresh interpreter
+    for cached in (jack._s_matrix, jack._s_inverse, jack._matrix_m_symbolic,
+                   casimir._factor):
         cached.cache_clear()
     calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
 
@@ -520,7 +521,9 @@ def test_work_counts_stay_within_budget(monkeypatch):
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):
     # their products are expanded from ladders of known irreducible factors,
-    # and the dualities' substitutions are signed permutations of the symbols
+    # and the dualities' substitutions are signed permutations of the symbols;
+    # the ladder factors start cold, as in a fresh interpreter
+    casimir._factor.cache_clear()
     calls = _count_gcds(monkeypatch)
     made = {"RatFunc": 0, "MultiPoly": 0}
 
@@ -531,13 +534,17 @@ def test_casimir_suites_make_no_gcd_call(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
-    assert casimir.verify_sp_so(6).all_ok
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        counted("MultiPoly", MultiPoly.__init__))
     assert casimir.verify_consistency(6).all_ok
+    # each distinct factor 1 - z*m is built once, and a rectangle check
+    # that holds expands one side only
+    assert made["MultiPoly"] <= 81
+    assert casimir.verify_sp_so(6).all_ok
     assert not calls  # recursive calls included
     assert made["RatFunc"] == 0
     # rows against blocks compares ladders and builds no polynomial at all
-    monkeypatch.setattr(MultiPoly, "__init__",
-                        counted("MultiPoly", MultiPoly.__init__))
+    made["MultiPoly"] = 0
     monkeypatch.setattr(MultiPoly, "_raw",
                         classmethod(counted("MultiPoly",
                                             MultiPoly.__dict__["_raw"].__func__)))
