@@ -6,8 +6,8 @@ point appears anywhere.  Every command takes --json for machine-readable
 output; text and JSON are byte-stable for a fixed config and version.
 
 Exit codes: 0 when everything asked for holds (expected discrepancies do
-not fail a run), 1 on an unexpected failure or computational error, 2 on
-usage errors.
+not fail a run), 1 on an unexpected failure or computational error, or
+when the reader of the output goes away early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -419,7 +420,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early (`| head`): as the Python docs advise for
+        # SIGPIPE, send the rest of the output to devnull, so that the flush
+        # at exit cannot fail again, and report the failed write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its argument; print the message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

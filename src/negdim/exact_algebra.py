@@ -25,11 +25,12 @@ The normal form rests on poly_gcd, one algorithm on integer images: an
 integer remainder sequence for one symbol; for several, a degree bound read
 off images at integer points, which proves most pairs coprime at once, and
 otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
-is certified by exact division of both inputs.  Two paths need no gcd: the
-Casimir products are expanded from their ladders of distinct irreducible
-factors 1 - z*m (casimir._expand), and a substitution that maps symbols to
-distinct signed symbols is an automorphism, so it keeps a reduced quotient
-reduced.
+is certified by exact division of both inputs.  Three paths need no gcd:
+the Casimir products are expanded from their ladders of distinct irreducible
+factors 1 - z*m (casimir._expand), the Jack coordinates are reduced by
+trial division against their known eigenvalue gaps (jack._cancel), and a
+substitution that maps symbols to distinct signed symbols is an
+automorphism, so it keeps a reduced quotient reduced.
 """
 
 from __future__ import annotations
@@ -618,12 +619,39 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return poly_gcd(_content(a, sym), _content(b, sym)) * prim
 
 
+def _exact_div_univariate(ta: Terms, tb: Terms) -> Terms:
+    """Exact quotient of integral one-symbol terms by integer-primitive
+    ones, by long division on dense coefficient lists."""
+    n = max(e for (e,) in ta)
+    m = max(e for (e,) in tb)
+    if m > n:
+        raise ExactDivisionError("inexact polynomial division")
+    rem = [0] * (n + 1)
+    for (e,), c in ta.items():
+        rem[e] = c
+    lead = tb[(m,)]
+    lower = [(e - m, c) for (e,), c in tb.items() if e != m]
+    quot: Terms = {}
+    for i in range(n - m, -1, -1):
+        q, r = divmod(rem[i + m], lead)
+        if r:
+            raise ExactDivisionError("inexact polynomial division")
+        if q:
+            quot[(i,)] = q
+            for shift, c in lower:
+                rem[i + m + shift] -= q * c
+    if any(rem[:m]):
+        raise ExactDivisionError("inexact polynomial division")
+    return quot
+
+
 def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact polynomial quotient a/b; raises ExactDivisionError otherwise.
 
     When a is integral and b integer-primitive, the quotient is integral
     (Gauss's lemma), so each quotient coefficient is an exact int division
-    and a nonzero remainder there already proves a/b inexact over Q.
+    and a nonzero remainder there already proves a/b inexact over Q.  In
+    one symbol that division runs on dense coefficient lists.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -632,9 +660,11 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_const():
         return a._scaled(1 / b.as_fraction())
     syms, ta, tb = MultiPoly._aligned(a, b)
+    over_int = _all_int(ta) and _all_int(tb) and math.gcd(*tb.values()) == 1
+    if over_int and len(syms) == 1:
+        return MultiPoly._raw(syms, _exact_div_univariate(ta, tb))
     blead = max(tb, key=_grlex)
     bcoeff = tb[blead]
-    over_int = _all_int(ta) and _all_int(tb) and math.gcd(*tb.values()) == 1
     quot: Terms = {}
     rem = dict(ta)
     while rem:

@@ -30,14 +30,22 @@ component already forces that form, and check_conjugation pins it for every
 degree.  The same map sends the eigenfunction of lambda at coupling k to a
 multiple of the eigenfunction of the transposed diagram at coupling 1/k;
 macdonald_duality computes the multiplier and verifies exact proportionality.
+
+The Jack path runs in integers.  S, the power-sum-to-monomial matrix, is
+counted, d! * S^-1 is an integer matrix, and the operator in the monomial
+basis is the integer pair M0 + k*M1.  jack() keeps each denominator as a
+multiset of primitive eigenvalue gaps and cancels them by trial division,
+so it takes no gcd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from math import factorial
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from negdim.exact_algebra import (
     ExactDivisionError,
@@ -65,12 +73,8 @@ K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
 
 
-def _as_value(v: Coupling, default: RatFunc) -> RatFunc:
+def _as_value(v: Coupling, default: RatFunc = K) -> RatFunc:
     return default if v is None else RatFunc.const(v)
-
-
-def _as_coupling(k: Coupling) -> RatFunc:
-    return _as_value(k, K)
 
 
 class SingularCouplingError(ArithmeticError):
@@ -179,15 +183,12 @@ def format_expr(terms: Mapping[Partition, RatFunc], letter: str) -> str:
 
 def apply_L_inf(x: PExpr, k: Coupling = None, p0: Coupling = None) -> PExpr:
     """Apply the deformed Laplacian; degree is preserved term by term."""
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     pv = _as_value(p0, P0)
     out: Dict[Partition, RatFunc] = {}
 
     def add(mu: Partition, coeff: RatFunc):
-        if mu in out:
-            out[mu] = out[mu] + coeff
-        else:
-            out[mu] = coeff
+        out[mu] = out[mu] + coeff if mu in out else coeff
 
     for mu, c in x.terms.items():
         parts = list(mu)
@@ -234,69 +235,61 @@ def operator_matrix(d: int, k: Coupling = None,
     if d < 1:
         raise ValueError("degree must be at least 1")
     basis = degree_basis(d)
-    index = {mu: i for i, mu in enumerate(basis)}
-    size = len(basis)
+    images = [apply_L_inf(p_basis_element(mu), k, p0).terms for mu in basis]
     zero = RatFunc.const(0)
-    mat = [[zero] * size for _ in range(size)]
-    for j, mu in enumerate(basis):
-        image = apply_L_inf(p_basis_element(mu), k, p0)
-        for nu, coeff in image.terms.items():
-            mat[index[nu]][j] = coeff
-    return mat
+    return [[image.get(nu, zero) for image in images] for nu in basis]
 
 
 # -- basis change -----------------------------------------------------------
-
-
-def _expand_powersum_product(mu: Partition, nvars: int) -> Dict[Tuple[int, ...], int]:
-    acc: Dict[Tuple[int, ...], int] = {(0,) * nvars: 1}
-    for part in mu:
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for exps, c in acc.items():
-            for i in range(nvars):
-                bumped = exps[:i] + (exps[i] + part,) + exps[i + 1:]
-                nxt[bumped] = nxt.get(bumped, 0) + c
-        acc = nxt
-    return acc
 
 
 @lru_cache(maxsize=None)
 def _s_matrix(d: int) -> Tuple[Tuple[int, ...], ...]:
     """S[nu][mu] = coefficient of m_nu in p_mu, both indexed by degree_basis(d).
 
-    Computed by expanding p_mu in exactly d variables, which is faithful for
-    degree d; the coefficient of m_nu is read off the single monomial whose
-    exponents are nu itself.  Every monomial of p_mu fuses parts of mu, which
-    only moves up in dominance, so S is upper triangular in degree_basis
-    order, with the integer diagonal S[mu][mu] = prod_i m_i(mu)!, m_i(mu) the
-    multiplicity of the part i (Macdonald, Symmetric Functions, I.6).
+    The transition matrix from power sums to monomials (Macdonald, I.6):
+    S[nu][mu] counts the maps from the parts of mu to the rows of nu that
+    fill every row exactly, memoised on the sorted room left in the rows.  A
+    map fuses parts of mu, which only moves up in dominance, so S is upper
+    triangular in degree_basis order, with diagonal S[mu][mu] = prod_i
+    m_i(mu)!, m_i(mu) the multiplicity of the part i.
     """
+
+    @lru_cache(maxsize=None)
+    def fillings(parts: Partition, room: Tuple[int, ...]) -> int:
+        if not parts:
+            return int(not any(room))
+        return sum(fillings(parts[1:], tuple(sorted(
+            room[:i] + (r - parts[0],) + room[i + 1:], reverse=True)))
+            for i, r in enumerate(room) if r >= parts[0])
+
     basis = degree_basis(d)
-    cols = [_expand_powersum_product(mu, d) for mu in basis]
-    return tuple(
-        tuple(col.get(tuple(nu) + (0,) * (d - len(nu)), 0) for col in cols)
-        for nu in basis)
+    return tuple(tuple(fillings(mu, nu) for mu in basis) for nu in basis)
 
 
 @lru_cache(maxsize=None)
-def _s_inverse(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """S^-1, column by column, by back substitution on the triangular S."""
+def _s_inverse(d: int) -> Tuple[Tuple[int, ...], ...]:
+    """d! * S^-1, column by column, by back substitution on the triangular S.
+
+    S^-1[mu][nu] = <m_nu, p_mu>/z_mu, the numerator the integer coefficient
+    of h_nu in p_mu, and z_mu divides d! (it is the order of a centraliser in
+    the symmetric group), so every entry and every step's division is exact.
+    """
     s = _s_matrix(d)
-    size = len(s)
     cols = []
-    for j in range(size):
-        col = [Fraction(0)] * size
-        col[j] = Fraction(1, s[j][j])
+    for j in range(len(s)):
+        col = [0] * len(s)
+        col[j] = factorial(d) // s[j][j]
         for i in range(j - 1, -1, -1):
-            col[i] = -sum(s[i][t] * col[t] for t in range(i + 1, j + 1)) / s[i][i]
+            col[i] = -sum(s[i][t] * col[t] for t in range(i + 1, j + 1)) // s[i][i]
         cols.append(col)
     return tuple(zip(*cols))
 
 
-def _mat_vec(mat: Sequence[Sequence], degree: int,
+def _mat_vec(mat: Sequence[Sequence[int]], degree: int,
              coords: Mapping[Partition, Coeff]) -> Dict[Partition, Coeff]:
     """mat times a coordinate vector keyed by degree_basis(degree), skipping
-    zeros.  The coordinates are RatFunc or MultiPoly, and so is the result."""
+    zeros; int, MultiPoly or RatFunc coordinates give the same type."""
     basis = degree_basis(degree)
     index = {mu: j for j, mu in enumerate(basis)}
     out: Dict[Partition, Coeff] = {}
@@ -314,27 +307,41 @@ def p_to_m(x: PExpr) -> MExpr:
 
 
 def m_to_p(x: MExpr) -> PExpr:
-    return PExpr(x.degree, _mat_vec(_s_inverse(x.degree), x.degree, x.terms))
+    scale = Fraction(1, factorial(x.degree))
+    coords = _mat_vec(_s_inverse(x.degree), x.degree, x.terms)
+    return PExpr(x.degree, {mu: c * scale for mu, c in coords.items()})
 
 
 @lru_cache(maxsize=None)
-def _matrix_m_symbolic(d: int) -> Tuple[Tuple[RatFunc, ...], ...]:
-    """Operator matrix in the monomial basis, k symbolic, p0 = 0 (cached).
+def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """(M0, M1): M0 + k*M1 is the operator in the degree-d monomial basis at
+    p0 = 0 (the p0 part is the scalar -k*d*p0), indexed by degree_basis(d).
 
-    Column nu is the image of m_nu under p_to_m . L . m_to_p.  The omitted
-    p0 part is the scalar -k*d*p0 on the whole degree block, so nothing is
-    lost by pinning p0 = 0 here.  L is affine in k and S, S^-1 are constant,
-    so every entry is a polynomial a + b*k, which the solve in jack() reads
-    through _affine.
+    The power-sum matrix L0 + k*L1 is counted in int arithmetic, apart from
+    apply_L_inf; M_i = S . L_i . (d! S^-1) / d! divides exactly, as every
+    entry of the conjugate is an integer polynomial a + b*k.
     """
     basis = degree_basis(d)
-    zero = RatFunc.const(0)
-    cols = []
-    for nu in basis:
-        m_nu = MExpr(d, {nu: RatFunc.const(1)})
-        image = p_to_m(apply_L_inf(m_to_p(m_nu), None, 0))
-        cols.append([image.terms.get(mu, zero) for mu in basis])
-    return tuple(zip(*cols))
+    index = {mu: i for i, mu in enumerate(basis)}
+    pair = [[[0] * len(basis) for _ in basis] for _ in range(2)]
+    for j, mu in enumerate(basis):
+        pair[0][j][j] = pair[1][j][j] = sum(p * p for p in mu)
+        for i, part in enumerate(mu):
+            rest = mu[:i] + mu[i + 1:]
+            for t, other in enumerate(rest):  # fuse two parts
+                fused = sorted(rest[:t] + rest[t + 1:] + (part + other,), reverse=True)
+                pair[0][index[tuple(fused)]][j] += part * other
+            for a in range(1, part):  # split one part in an ordered pair
+                split = sorted(rest + (a, part - a), reverse=True)
+                pair[1][index[tuple(split)]][j] -= part
+
+    def times(a, b, div=1):
+        cols = tuple(zip(*b))
+        return tuple(tuple(sum(x * y for x, y in zip(row, col) if x) // div
+                           for col in cols) for row in a)
+
+    s, sinv = _s_matrix(d), _s_inverse(d)
+    return tuple(times(s, times(lmat, sinv), factorial(d)) for lmat in pair)
 
 
 # -- Jack functions ----------------------------------------------------------
@@ -354,12 +361,27 @@ class JackFunction:
         return str(self.m_expansion)
 
 
-def _affine(entry: RatFunc) -> Tuple[int, int]:
-    """(a, b) with entry = a + b*k, for an entry of _matrix_m_symbolic."""
-    terms = entry.num.terms
-    if entry.num.symbols:
-        return terms.get((0,), 0), terms.get((1,), 0)
-    return terms.get((), 0), 0
+def _cancel(num, gaps: Mapping[MultiPoly, int]):
+    """(num', left) with num / prod g^e over gaps = num' / prod g^e over left
+    and num' coprime to every g left, by trial division alone.
+
+    In jack() num is N(u, w) for an integer binary form N, and each gap is
+    the primitive part of L(u, w) for a linear form L, at the coupling u/w
+    in lowest terms.  An irreducible factor of both vanishes where u and w
+    do not both vanish (they are coprime), so there (u : w) is the one zero
+    of L, and N, a product of linear forms over the algebraic closure, has
+    L as a factor.  So a gap divides num wholly or is coprime to it, at any
+    coupling, and no gcd is needed.
+    """
+    left: Dict[MultiPoly, int] = {}
+    for g, e in gaps.items():
+        for i in range(e):
+            try:
+                num = poly_exact_div(num, g)
+            except ExactDivisionError:
+                left[g] = e - i
+                break
+    return num, left
 
 
 def jack(lam: Partition, k: Coupling = None) -> JackFunction:
@@ -371,53 +393,81 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     share an eigenvalue even symbolically, which is harmless: their coupling
     coefficient has a vanishing numerator and is set to zero outright.
 
-    One fraction-free solve (Bareiss 1968) serves every coupling u/w: it
-    reads w times an entry a + b*k of the monomial-basis matrix as a*w + b*u,
-    keeps coordinate i as nums[i]/den, den the product of the gaps divided
-    by so far, and reduces each m- and p-coordinate once.
+    At k = u/w, u and w integral, w times the entry a + b*k is a*w + b*u.
+    Coordinate i is nums[i] over one common denominator (Bareiss 1968),
+    scale * prod g^e over den, the integer contents and the primitive parts
+    of the gaps divided by; at a numeric coupling it is all int arithmetic.
+    Each new coordinate is reduced by _cancel, and den keeps only the gaps
+    that stay.  A product of primitive gaps with positive leading
+    coefficients is one too (Gauss's lemma), so the scalar moves to the
+    numerator and the form is canonical, with no gcd at any coupling.
     """
     lam = check_partition(lam)
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     d = weight(lam)
-    if d == 0:
-        one = RatFunc.const(1)
-        return JackFunction((), kv, MExpr(0, {(): one}), PExpr(0, {(): one}),
-                            RatFunc.const(0))
-
-    basis = degree_basis(d)
-    mm = _matrix_m_symbolic(d)
-    u, w = kv.num, kv.den
+    basis, (m0, m1) = degree_basis(d), _monomial_matrices(d)
+    if kv.is_const():
+        u, w = kv.as_fraction().as_integer_ratio()
+    else:
+        lcm = math.lcm(*(c.denominator for c in kv.num.terms.values()))
+        u, w = kv.num._scaled(lcm), kv.den._scaled(lcm)
     top = basis.index(lam)
-    a_top, b_top = _affine(mm[top][top])
-    den = MultiPoly.const(1)
-    nums = {top: den}
-    for row in range(top + 1, len(basis)):
-        s = MultiPoly.const(0)
-        for col, c in nums.items():
-            if mm[row][col]:
-                a, b = _affine(mm[row][col])
-                s = s + (w * a + u * b) * c
-        if s.is_zero():
-            continue
-        a, b = _affine(mm[row][row])
-        gap = w * (a_top - a) + u * (b_top - b)
-        if gap.is_zero():
-            raise SingularCouplingError(kv, lam, basis[row])
-        nums = {col: c * gap for col, c in nums.items()}
-        nums[row] = s
-        den = den * gap
+    a_top, b_top = m0[top][top], m1[top][top]
+    scale, den, nums, m_exp = 1, {}, {top: 1}, {lam: RatFunc.const(1)}
 
-    m_nums = {basis[i]: c for i, c in nums.items()}
-    for mu in m_nums:
+    def coordinate(num, gaps: Mapping[MultiPoly, int], div: int) -> RatFunc:
+        if type(num) is int:
+            return RatFunc.const(Fraction(num, div))
+        return RatFunc._raw(num._scaled(Fraction(1, div)),
+                            MultiPoly.const(1) * product(gaps))
+
+    products: Dict[frozenset, Union[int, MultiPoly]] = {}
+
+    def product(gaps: Mapping[MultiPoly, int]) -> Union[int, MultiPoly]:
+        key = frozenset(gaps.items())
+        if key not in products:
+            products[key] = math.prod(g ** e for g, e in key)
+        return products[key]
+
+    @lru_cache(maxsize=None)
+    def entry(a: int, b: int):
+        return w * a + u * b
+
+    for row in range(top + 1, len(basis)):
+        r0, r1 = m0[row], m1[row]
+        s = sum((entry(r0[col], r1[col]) * c for col, c in nums.items()
+                 if r0[col] or r1[col]), 0)
+        if not s:
+            continue
+        gap = w * (a_top - r0[row]) + u * (b_top - r1[row])
+        if not gap:
+            raise SingularCouplingError(kv, lam, basis[row])
+        content, g = (gap, 1) if type(gap) is int else gap.primitive()
+        s, left = _cancel(s, {**den, g: den.get(g, 0) + 1} if g != 1 else den)
+        scale *= content
+        m_exp[basis[row]] = coordinate(s, left, scale)
+        extra = {h: e - den.get(h, 0) for h, e in left.items() if e > den.get(h, 0)}
+        grow = product(extra) * content
+        if grow != 1:
+            nums = {col: c * grow for col, c in nums.items()}
+        den.update({h: den.get(h, 0) + e for h, e in extra.items()})
+        nums[row] = s * product({h: e - left.get(h, 0) for h, e in den.items()
+                                 if e > left.get(h, 0)})
+
+    for mu in m_exp:
         if mu != lam and not dominance_leq(mu, lam):
             raise AssertionError(
                 f"triangularity violated: {format_partition(mu)} appears in "
                 f"the expansion of {format_partition(lam)}")
-    p_nums = _mat_vec(_s_inverse(d), d, m_nums)
-    m_exp = MExpr(d, {mu: RatFunc(c, den) for mu, c in m_nums.items()})
-    p_exp = PExpr(d, {mu: RatFunc(c, den) for mu, c in p_nums.items()})
-    eigen = RatFunc(w * a_top + u * (b_top - d * P0.num), w)
-    return JackFunction(lam, kv, m_exp, p_exp, eigen)
+    p_nums = _mat_vec(_s_inverse(d), d, {basis[i]: c for i, c in nums.items()})
+    p_exp = {mu: coordinate(*_cancel(c, den), scale * factorial(d))
+             for mu, c in p_nums.items() if c}
+    # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
+    # that divides the numerator divides b - d*p0, so it involves p0
+    e_num = kv.den * a_top + kv.num * (b_top - d * P0.num)
+    eigen = (RatFunc(e_num, kv.den) if "p0" in kv.den.symbols or not e_num
+             else RatFunc._raw(e_num, kv.den))
+    return JackFunction(lam, kv, MExpr(d, m_exp), PExpr(d, p_exp), eigen)
 
 
 # -- the coupling-inversion map ---------------------------------------------
@@ -429,7 +479,7 @@ def theta(x: PExpr, k: Coupling = None) -> PExpr:
     The map is linear over the coefficient field: coefficients are not
     rewritten.  Applying it at coupling v and then at 1/v is the identity.
     """
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("the rescaling map needs a nonzero coupling")
     return PExpr(x.degree,
@@ -445,22 +495,15 @@ def check_conjugation(d: int) -> CheckResult:
     basis = degree_basis(d)
     mat = operator_matrix(d)
     inverted = {"k": 1 / K, "p0": K * P0}
-    holds = True
-    witness = ""
-    for i, nu in enumerate(basis):
-        for j, mu in enumerate(basis):
-            lhs = mat[i][j] * K ** (len(mu) - len(nu))
-            rhs = K * mat[i][j].substitute(inverted)
-            if not ratfunc_equal(lhs, rhs):
-                holds = False
-                witness = (f"entry ({format_partition(nu)}, "
-                           f"{format_partition(mu)}): {lhs} != {rhs}")
-                break
-        if not holds:
-            break
+    sides = ((nu, mu, mat[i][j] * K ** (len(mu) - len(nu)),
+              K * mat[i][j].substitute(inverted))
+             for i, nu in enumerate(basis) for j, mu in enumerate(basis))
+    witness = next((f"entry ({format_partition(nu)}, {format_partition(mu)}): "
+                    f"{lhs} != {rhs}" for nu, mu, lhs, rhs in sides
+                    if not ratfunc_equal(lhs, rhs)), "")
     return CheckResult(
         check_id=f"jack/conjugation/d={d}",
-        holds=holds,
+        holds=not witness,
         inputs=(("degree", str(d)),),
         lhs="theta . L(k, p0) . theta^-1",
         rhs="k * L(1/k, k*p0)",
@@ -476,7 +519,7 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     always are; a failure would falsify the construction).
     """
     lam = check_partition(lam)
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("coupling inversion needs k != 0")
     p_lam = jack(lam, kv)
@@ -484,11 +527,8 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     lhs = theta(p_lam.p_expansion, kv)
     rhs = q_mu.p_expansion
 
-    c: Optional[RatFunc] = None
-    for mu, coeff in rhs.terms.items():
-        if mu in lhs.terms:
-            c = lhs.terms[mu] / coeff
-            break
+    c = next((lhs.terms[mu] / coeff for mu, coeff in rhs.terms.items()
+              if mu in lhs.terms), None)
     if c is None:
         raise ArithmeticError(
             f"no common power-sum term between the images for "
@@ -517,27 +557,16 @@ def phi_N(x: PExpr, n: int) -> RatFunc:
     if n < 1:
         raise ValueError("need at least one variable")
     names = _zvars(n)
-    sums: Dict[int, MultiPoly] = {}
-
-    def power_sum(l: int) -> MultiPoly:
-        if l not in sums:
-            sums[l] = MultiPoly(
-                names, {tuple(l if i == j else 0 for i in range(n)): Fraction(1)
-                        for j in range(n)})
-        return sums[l]
-
+    sums = {l: MultiPoly(names, {tuple(l if i == j else 0 for i in range(n)): 1
+                                 for j in range(n)})
+            for l in {part for mu in x.terms for part in mu}}
     total = RatFunc.const(0)
     for mu, coeff in x.terms.items():
         poly = MultiPoly.const(1)
         for part in mu:
-            poly = poly * power_sum(part)
+            poly = poly * sums[part]
         total = total + coeff * poly
     return total
-
-
-def _euler_weights(poly: MultiPoly, names: Sequence[str]) -> List[Optional[int]]:
-    index = {s: i for i, s in enumerate(poly.symbols)}
-    return [index.get(name) for name in names]
 
 
 def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
@@ -547,12 +576,13 @@ def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
     them); the pairwise term divides by z_i - z_j exactly, and a division
     failure signals a non-symmetric input.
     """
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     names = _zvars(n)
     if any(s in f.den.symbols for s in names):
         raise ValueError("coefficients must be polynomial in the z variables")
     num = f.num
-    pos = _euler_weights(num, names)
+    index = {s: i for i, s in enumerate(num.symbols)}
+    pos = [index.get(name) for name in names]
 
     def euler_square(p: MultiPoly) -> MultiPoly:
         terms = {}
@@ -589,13 +619,12 @@ def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
 def check_diagram(mu: Partition, k: Coupling = None, n: int = 1) -> CheckResult:
     """Projecting to n variables commutes with the operator at p0 = n."""
     mu = check_partition(mu)
-    kv = _as_coupling(k)
+    kv = _as_value(k)
     down = phi_N(apply_L_inf(p_basis_element(mu), kv, n), n)
     across = apply_L_N(phi_N(p_basis_element(mu), n), kv, n)
-    holds = ratfunc_equal(down, across)
     return CheckResult(
         check_id=f"jack/diagram/{format_partition(mu)}/N={n}",
-        holds=holds,
+        holds=ratfunc_equal(down, across),
         inputs=(("mu", format_partition(mu)), ("N", str(n))),
         lhs=str(down),
         rhs=str(across),
@@ -608,8 +637,7 @@ def check_diagram(mu: Partition, k: Coupling = None, n: int = 1) -> CheckResult:
 def verify_conjugation(max_degree: int = 6) -> VerificationReport:
     report = VerificationReport(suite="jack-conjugation",
                                 config={"maxDegree": max_degree})
-    for d in range(1, max_degree + 1):
-        report.add(check_conjugation(d))
+    report.extend(check_conjugation(d) for d in range(1, max_degree + 1))
     report.sort()
     return report
 
@@ -621,26 +649,19 @@ def verify_duality(max_weight: int = 6) -> VerificationReport:
     for lam in partitions_up_to_weight(max_weight):
         if not lam:
             continue
-        name = f"jack/macdonald/{format_partition(lam)}"
         try:
             c = macdonald_duality(lam, None)
-            report.add(CheckResult(
-                check_id=name,
-                holds=not c.is_zero(),
-                inputs=(("lambda", format_partition(lam)),),
-                lhs="theta(P(lambda, k))",
-                rhs="c * P(lambda', 1/k)",
-                notes=f"c = {c}",
-            ))
+            holds, notes = not c.is_zero(), f"c = {c}"
         except ArithmeticError as exc:
-            report.add(CheckResult(
-                check_id=name,
-                holds=False,
-                inputs=(("lambda", format_partition(lam)),),
-                lhs="theta(P(lambda, k))",
-                rhs="c * P(lambda', 1/k)",
-                notes=str(exc),
-            ))
+            holds, notes = False, str(exc)
+        report.add(CheckResult(
+            check_id=f"jack/macdonald/{format_partition(lam)}",
+            holds=holds,
+            inputs=(("lambda", format_partition(lam)),),
+            lhs="theta(P(lambda, k))",
+            rhs="c * P(lambda', 1/k)",
+            notes=notes,
+        ))
     report.sort()
     return report
 
@@ -648,11 +669,9 @@ def verify_duality(max_weight: int = 6) -> VerificationReport:
 def verify_diagram(max_weight: int = 5, max_n: int = 4) -> VerificationReport:
     report = VerificationReport(
         suite="jack-diagram", config={"maxWeight": max_weight, "maxN": max_n})
-    for mu in partitions_up_to_weight(max_weight):
-        if not mu:
-            continue
-        for n in range(1, max_n + 1):
-            report.add(check_diagram(mu, None, n))
+    report.extend(check_diagram(mu, None, n)
+                  for mu in partitions_up_to_weight(max_weight) if mu
+                  for n in range(1, max_n + 1))
     report.sort()
     return report
 
@@ -661,10 +680,7 @@ def verify_diagram(max_weight: int = 5, max_n: int = 4) -> VerificationReport:
 
 def _horizontal_strips(lam: Partition) -> List[Tuple[Partition, int]]:
     """Inner shapes nu with lam/nu a horizontal strip, with the strip size."""
-    bounds = []
-    for i, part in enumerate(lam):
-        low = lam[i + 1] if i + 1 < len(lam) else 0
-        bounds.append((low, part))
+    bounds = list(zip(lam[1:] + (0,), lam))
     out: List[Tuple[Partition, int]] = []
 
     def rec(i: int, acc: List[int], removed: int):
@@ -709,12 +725,8 @@ def schur_m_expansion(lam: Partition) -> MExpr:
     """
     lam = check_partition(lam)
     d = weight(lam)
-    terms = {}
-    for mu in partitions_of_weight(d):
-        c = kostka_number(lam, mu)
-        if c:
-            terms[mu] = RatFunc.const(c)
-    return MExpr(d, terms)
+    return MExpr(d, {mu: c for mu in partitions_of_weight(d)
+                     if (c := kostka_number(lam, mu))})
 
 
 def check_schur(lam: Partition) -> CheckResult:
@@ -734,21 +746,14 @@ def check_schur(lam: Partition) -> CheckResult:
 def check_triangularity(d: int) -> CheckResult:
     """In the monomial basis the operator only moves weight down in dominance."""
     basis = degree_basis(d)
-    mm = _matrix_m_symbolic(d)
-    bad = ""
-    holds = True
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if not mm[i][j].is_zero() and not dominance_leq(basis[i], basis[j]):
-                holds = False
-                bad = (f"entry ({format_partition(basis[i])}, "
-                       f"{format_partition(basis[j])}) = {mm[i][j]}")
-                break
-        if not holds:
-            break
+    m0, m1 = _monomial_matrices(d)
+    bad = next((f"entry ({format_partition(nu)}, {format_partition(mu)}) = "
+                f"{m0[i][j] + m1[i][j] * K}"
+                for i, nu in enumerate(basis) for j, mu in enumerate(basis)
+                if (m0[i][j] or m1[i][j]) and not dominance_leq(nu, mu)), "")
     return CheckResult(
         check_id=f"jack/triangular/d={d}",
-        holds=holds,
+        holds=not bad,
         inputs=(("degree", str(d)),),
         lhs="support of the monomial-basis matrix",
         rhs="dominance-lower triangle",
@@ -760,17 +765,11 @@ def check_p0_scalar(d: int) -> CheckResult:
     """The p0 dependence of the degree-d block is the scalar -k*d*p0."""
     with_p0 = operator_matrix(d)
     without = operator_matrix(d, None, 0)
-    basis = degree_basis(d)
+    size = len(degree_basis(d))
     scalar = K * (-d) * P0
-    holds = True
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            expected = scalar if i == j else RatFunc.const(0)
-            if not ratfunc_equal(with_p0[i][j] - without[i][j], expected):
-                holds = False
-                break
-        if not holds:
-            break
+    holds = all(ratfunc_equal(with_p0[i][j] - without[i][j],
+                              scalar if i == j else RatFunc.const(0))
+                for i in range(size) for j in range(size))
     return CheckResult(
         check_id=f"jack/p0-scalar/d={d}",
         holds=holds,
@@ -784,9 +783,8 @@ def verify_structure(max_degree: int = 6) -> VerificationReport:
     """Triangularity and the scalar p0 dependence, degree by degree."""
     report = VerificationReport(suite="jack-structure",
                                 config={"maxDegree": max_degree})
-    for d in range(1, max_degree + 1):
-        report.add(check_triangularity(d))
-        report.add(check_p0_scalar(d))
+    report.extend(check(d) for d in range(1, max_degree + 1)
+                  for check in (check_triangularity, check_p0_scalar))
     report.sort()
     return report
 
@@ -794,8 +792,7 @@ def verify_structure(max_degree: int = 6) -> VerificationReport:
 def verify_schur(max_weight: int = 6) -> VerificationReport:
     report = VerificationReport(suite="jack-schur",
                                 config={"maxWeight": max_weight})
-    for lam in partitions_up_to_weight(max_weight):
-        if lam:
-            report.add(check_schur(lam))
+    report.extend(check_schur(lam) for lam in partitions_up_to_weight(max_weight)
+                  if lam)
     report.sort()
     return report

@@ -1,10 +1,16 @@
 """CLI surface: exit codes, JSON shape, byte stability."""
 
+import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import negdim
 from negdim.cli import build_parser, main, run_verify_all
 from negdim.reporting import VerificationReport
 
@@ -267,3 +273,21 @@ def test_output_matches_golden_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+
+def test_closed_reader_ends_quietly():
+    # the reader closes after the first line, as `| head -1` does; a pipe
+    # of one page makes the writer block long before the 54 kB are out
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(Path(negdim.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "negdim.cli", "verify-all", "--max-weight", "2",
+         "--max-degree", "3", "--max-n", "2", "--json"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,13 +1,15 @@
 """Jack eigenfunctions, the transpose duality and the projection diagram."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import pytest
 
+from negdim import exact_algebra
 from negdim.exact_algebra import RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
-                         SingularCouplingError, _affine, _matrix_m_symbolic,
+                         SingularCouplingError, _monomial_matrices,
                          _s_inverse, _s_matrix, apply_L_N, apply_L_inf,
                          check_conjugation, check_diagram, check_p0_scalar,
                          check_schur, check_triangularity, degree_basis, jack,
@@ -75,13 +77,39 @@ def test_basis_change_roundtrip(d):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_s_matrix_is_triangular_and_inverted(d):
+    # _s_inverse holds the integer matrix d! * S^-1
     s, sinv = _s_matrix(d), _s_inverse(d)
     size = len(s)
     for i, mu in enumerate(degree_basis(d)):
         assert s[i][i] == prod(factorial(mu.count(part)) for part in set(mu))
         assert not any(s[j][i] for j in range(i + 1, size))
+        assert all(type(v) is int for v in sinv[i])
         for j in range(size):
-            assert sum(sinv[i][t] * s[t][j] for t in range(size)) == (i == j)
+            assert sum(sinv[i][t] * s[t][j] for t in range(size)) == factorial(d) * (i == j)
+
+
+def _expand_powersum_product(mu, nvars):
+    """The monomials of p_mu in nvars variables, by multiplying out."""
+    acc = {(0,) * nvars: 1}
+    for part in mu:
+        nxt = {}
+        for exps, c in acc.items():
+            for i in range(nvars):
+                bumped = exps[:i] + (exps[i] + part,) + exps[i + 1:]
+                nxt[bumped] = nxt.get(bumped, 0) + c
+        acc = nxt
+    return acc
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_s_matrix_matches_expanded_power_sums(d):
+    # in d variables the coefficient of m_nu in p_mu is that of the single
+    # monomial whose exponents are nu itself
+    basis = degree_basis(d)
+    cols = [_expand_powersum_product(mu, d) for mu in basis]
+    expected = tuple(tuple(col.get(nu + (0,) * (d - len(nu)), 0) for col in cols)
+                     for nu in basis)
+    assert _s_matrix(d) == expected
 
 
 def _gauss_jordan_inverse(mat):
@@ -106,38 +134,52 @@ def _mat_mul(a, b):
                  RatFunc.const(0)) for j in range(size)] for i in range(size)]
 
 
+@lru_cache(maxsize=None)
+def _conjugated_operator(d):
+    """S . M_p . S^-1 in RatFunc arithmetic, M_p = operator_matrix(d, k, 0)
+    and S^-1 from a general pivoting inverse: shares no code with the
+    integer build but S itself."""
+    s = _s_matrix(d)
+    return _mat_mul(_mat_mul(s, operator_matrix(d, None, 0)),
+                    _gauss_jordan_inverse(s))
+
+
+def _pair_entry(d, i, j):
+    m0, m1 = _monomial_matrices(d)
+    return RatFunc.const(m0[i][j]) + m1[i][j] * K
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
-    # the monomial-basis operator built from L itself equals S . M_p . S^-1,
-    # with S^-1 from a general pivoting inverse
-    s = _s_matrix(d)
-    expected = _mat_mul(_mat_mul(s, operator_matrix(d, None, 0)),
-                        _gauss_jordan_inverse(s))
-    mm = _matrix_m_symbolic(d)
-    assert [list(row) for row in mm] == expected
+    expected = _conjugated_operator(d)
+    size = len(expected)
+    for i in range(size):
+        for j in range(size):
+            assert _pair_entry(d, i, j) == expected[i][j], (i, j)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_monomial_matrix_entries_are_affine_in_k(d):
-    # the solve in jack() reads each entry as a + b*k through _affine
-    for row in _matrix_m_symbolic(d):
-        for entry in row:
-            assert entry.den == 1 and entry.num.symbols in ((), ("k",))
-            assert entry.num.degree("k") <= 1
-            assert all(type(c) is int for c in entry.num.terms.values())
-            a, b = _affine(entry)
-            assert RatFunc.const(a) + b * K == entry
+    # the pair holds ints, and M0 + k*M1 is the image of each m_nu under
+    # p_to_m . L . m_to_p, column by column in RatFunc arithmetic
+    m0, m1 = _monomial_matrices(d)
+    assert all(type(v) is int for mat in (m0, m1) for row in mat for v in row)
+    basis = degree_basis(d)
+    for j, nu in enumerate(basis):
+        image = p_to_m(apply_L_inf(m_to_p(MExpr(d, {nu: ONE})), None, 0))
+        for i, mu in enumerate(basis):
+            assert _pair_entry(d, i, j) == image.terms.get(mu, 0), (mu, nu)
 
 
 def _jack_by_substitution(lam, k):
     """Reference route for jack(): substitute the coupling into every entry
-    of the monomial-basis matrix, solve in RatFunc arithmetic, and convert
-    the monomial expansion with m_to_p."""
+    of the monomial-basis matrix S . M_p . S^-1, solve in RatFunc
+    arithmetic, and convert the monomial expansion with m_to_p."""
     kv = K if k is None else RatFunc.const(k)
     d = weight(lam)
     basis = degree_basis(d)
     mm = [[entry.substitute({"k": kv}) for entry in row]
-          for row in _matrix_m_symbolic(d)]
+          for row in _conjugated_operator(d)]
     top = basis.index(lam)
     coords = {top: ONE}
     for row in range(top + 1, len(basis)):
@@ -176,11 +218,81 @@ def test_jack_makes_no_substitution(monkeypatch):
     def refuse(self, bindings):
         raise AssertionError("jack() substituted into a rational function")
 
-    _matrix_m_symbolic.cache_clear()
+    _monomial_matrices.cache_clear()
     monkeypatch.setattr(RatFunc, "substitute", refuse)
     for k in (None, 1 / K, K + 1, -1):
         for lam in partitions_up_to_weight(5):
             jack(lam, k)
+
+
+def test_jack_makes_no_gcd(monkeypatch):
+    # trial division by the gaps reduces every coordinate; the couplings
+    # and the matrices are built before counting
+    couplings = (None, 1 / K, K + 1, K * K, (K + 1) / (2 * K - 3))
+    for lam in partitions_up_to_weight(6):
+        jack(lam)
+    calls = []
+    inner = exact_algebra.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd", counted)
+    for k in couplings:
+        for lam in partitions_up_to_weight(6):
+            jack(lam, k)
+    assert not calls
+
+
+@pytest.mark.parametrize("k", [None, 1 / K, K + 1], ids=str)
+def test_jack_coordinates_are_in_normal_form(k):
+    # the generic normal form (a gcd) leaves every coordinate as it is;
+    # (5, 2, 1) is the only partition to weight 8 where one gap cancels
+    # twice from one numerator
+    for lam in list(partitions_up_to_weight(6)) + [(5, 2, 1)]:
+        jf = jack(lam, k)
+        for c in list(jf.m_expansion.terms.values()) + list(jf.p_expansion.terms.values()):
+            again = RatFunc(c.num, c.den)
+            assert (again.num, again.den) == (c.num, c.den), lam
+
+
+A = RatFunc.symbol("a")
+
+
+@pytest.mark.parametrize("k", [K * K, K / 2, (K + 1) / (2 * K - 3),
+                               (K * K - 2) / (K ** 3 + 3), K + A,
+                               (A * K + 1) / (A * A - K), 1 / P0], ids=str)
+def test_jack_at_other_couplings_matches_substitution(k):
+    # trial division by whole gaps reaches the normal form at any coupling:
+    # gaps of higher degree, gaps in two symbols (term-by-term division),
+    # and p0 in the coupling's denominator (the eigenvalue's normal form)
+    for lam in partitions_up_to_weight(4):
+        jf, sym = jack(lam, k), jack(lam)
+        for got, want in ((jf.m_expansion, sym.m_expansion),
+                          (jf.p_expansion, sym.p_expansion)):
+            assert got.terms == {mu: c.substitute({"k": k})
+                                 for mu, c in want.terms.items()}
+        assert jf.eigenvalue == sym.eigenvalue.substitute({"k": k})
+
+
+def _arm_leg(lam):
+    conj = transpose(lam)
+    for i, row in enumerate(lam):
+        for j in range(row):
+            yield row - j - 1, conj[j] - i - 1
+
+
+@pytest.mark.parametrize("w", range(1, 11))
+def test_single_column_coefficient_closed_form(w):
+    # the m_{1^n} coefficient of jack(lam) at symbolic k is
+    # n! prod_s k / (k*(l(s) + 1) - a(s)) over the boxes s of lam
+    for lam in partitions_of_weight(w):
+        expected = RatFunc.const(factorial(w))
+        for arm, leg in _arm_leg(lam):
+            expected = expected * K / (K * (leg + 1) - arm)
+        got = jack(lam).m_expansion.terms[(1,) * w]
+        assert ratfunc_equal(got, expected), lam
 
 
 def test_jack_single_box():
