@@ -36,8 +36,9 @@ from negdim.exact_algebra import (
     MultiPoly,
     RatFunc,
     Scalar,
+    _cancel,
     _coeff,
-    poly_exact_div,
+    _expand_factors,
     ratfunc_equal,
     series_expand,
 )
@@ -172,24 +173,9 @@ def _ladder_factors(ladder: Ladder) -> Tuple[Scalar, Dict[MultiPoly, int]]:
     return _coeff(scale), {p: e for p, e in factors.items() if e}
 
 
-def _split(factors: Dict[MultiPoly, int]) -> Tuple[MultiPoly, MultiPoly]:
-    """(prod of the factors with e > 0, prod of those with e < 0), each to
-    its |e|-th power; both are integer-primitive with positive leading coefficient
-    (Gauss's lemma)."""
-    num, den = MultiPoly.const(1), MultiPoly.const(1)
-    for f, e in factors.items():
-        if e > 0:
-            num = num * (f if e == 1 else f ** e)
-        elif e < 0:
-            den = den * (f if e == -1 else f ** -e)
-    return num, den
-
-
 def _expand(ladder: Ladder) -> RatFunc:
     """The canonical RatFunc of a ladder, without a gcd."""
-    scale, factors = _ladder_factors(ladder)
-    num, den = _split(factors)
-    return RatFunc._raw(num._scaled(scale), den)
+    return _expand_factors(*_ladder_factors(ladder))
 
 
 def _first_multiplier(family: str) -> Ladder:
@@ -337,36 +323,27 @@ def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
     With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
     D cancel only against the numerator factors of fm, which merging the two
     factor maps does, and a denominator factor of fm only against D - N,
-    which trial division settles.  A failure of either division by z means
-    the spectral product lost its regularity.
+    which trial division settles.  No factor vanishes at z = 0, so a failure
+    of the division by z means the spectral product lost its regularity.
     """
     scale, factors = _ladder_factors(pi)
-    num, den = _split(factors)
-    product = RatFunc._raw(num._scaled(scale), den)
-    num = den - product.num
+    product = _expand_factors(scale, factors)
+    num = product.den - product.num
     if not num:
         return product, RatFunc._raw(num, MultiPoly.const(1))
     fm_scale, fm_factors = _ladder_factors(fm)
+    num, left = _cancel(num, {g: -e for g, e in fm_factors.items() if e < 0})
     rest = {f: e for f, e in factors.items() if e < 0}
     for g, e in fm_factors.items():
-        while e < 0:
-            try:
-                num = poly_exact_div(num, g)
-            except ExactDivisionError:
-                break
-            e += 1
-        rest[g] = rest.get(g, 0) + e
-    rest_num, den = _split(rest)
-    den_const = den.coeff_map("z").get(0)
-    if den_const is None or den_const.is_zero():
-        raise ExactDivisionError("denominator vanishes at z = 0")
+        rest[g] = rest.get(g, 0) + (e if e > 0 else -left.get(g, 0))
+    rest = _expand_factors(fm_scale, rest)
     try:
         num = num.shift_down("z")
     except ExactDivisionError:
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel") from None
-    return product, RatFunc._raw((num * rest_num)._scaled(fm_scale), den)
+    return product, RatFunc._raw(num * rest.num, rest.den)
 
 
 def generating_function(family: str, lam: Partition, mode: str = "blocks",

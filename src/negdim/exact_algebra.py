@@ -25,12 +25,14 @@ The normal form rests on poly_gcd, one algorithm on integer images: an
 integer remainder sequence for one symbol; for several, a degree bound read
 off images at integer points, which proves most pairs coprime at once, and
 otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
-is certified by exact division of both inputs.  Three paths need no gcd:
-the Casimir products are expanded from their ladders of distinct irreducible
-factors 1 - z*m (casimir._expand), the Jack coordinates are reduced by
-trial division against their known eigenvalue gaps (jack._cancel), and a
-substitution that maps symbols to distinct signed symbols is an
-automorphism, so it keeps a reduced quotient reduced.
+is certified by exact division of both inputs.  The one gcd-free path is
+the factor form, a scale times known irreducible factors with signed
+exponents: _expand_factors multiplies it out into the canonical RatFunc,
+and _cancel reduces a numerator over it by trial division.  The Casimir
+products (factors 1 - z*m), the Jack coordinates (eigenvalue gaps) and the
+Jack duality scalar (linear factors in k) take it.  A substitution mapping
+symbols to distinct signed symbols is an automorphism, so it too keeps a
+reduced quotient reduced.
 """
 
 from __future__ import annotations
@@ -683,6 +685,42 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(syms, quot)
 
 
+# -- the factor form ------------------------------------------------------------
+
+
+def _cancel(num, factors: Mapping[MultiPoly, int]):
+    """(num', left) with num / prod f^e over factors = num' / prod f^e over
+    left, by trial division alone.  Each f must divide num wholly or be
+    coprime to it, as an irreducible f does, so num' is coprime to every f
+    left."""
+    left: Dict[MultiPoly, int] = {}
+    for f, e in factors.items():
+        for i in range(e):
+            try:
+                num = poly_exact_div(num, f)
+            except ExactDivisionError:
+                left[f] = e - i
+                break
+    return num, left
+
+
+def _expand_factors(scale: Scalar, factors: Mapping[MultiPoly, int]) -> "RatFunc":
+    """The canonical RatFunc of scale * prod f^e over {f: e}, with no gcd.
+
+    The factors are distinct irreducibles, integer-primitive with positive
+    leading coefficients, and scale is nonzero.  Those with e > 0 make a
+    numerator coprime to the product of the others, which is
+    integer-primitive with positive leading coefficient (Gauss's lemma).
+    """
+    num, den = MultiPoly.const(1), MultiPoly.const(1)
+    for f, e in factors.items():
+        if e > 0:
+            num = num * (f if e == 1 else f ** e)
+        elif e < 0:
+            den = den * (f if e == -1 else f ** -e)
+    return RatFunc._raw(num._scaled(scale), den)
+
+
 def _eval_over_common_den(p: MultiPoly, values: Mapping[str, "RatFunc"]
                           ) -> Tuple[MultiPoly, MultiPoly]:
     """p with each symbol s of `values` set to values[s] = a_s/b_s, as an
@@ -888,6 +926,11 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other and self:
+            # a unit over a reduced quotient is reduced: only the signed
+            # content of the new denominator moves to the numerator
+            c, den = self.num.primitive()
+            return RatFunc._raw(self.den._scaled(_coeff(Fraction(other) / c)), den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -20,16 +20,22 @@ intertwines L with the exponential-coordinate operator
 and check_diagram verifies that square exactly.
 
 The rescaling map theta multiplies the p_mu coefficient by k^(-#parts).
-Composing the map at coupling v with the map at 1/v is the identity, and
-conjugating L by it inverts the coupling:
+Conjugating L by it inverts the coupling:
 
     theta o L_{k, p0} o theta^(-1) = k * L_{1/k, k*p0}.
 
 Note the transformed scalar is k*p0, not p0/k; the one-dimensional degree-1
 component already forces that form, and check_conjugation pins it for every
-degree.  The same map sends the eigenfunction of lambda at coupling k to a
-multiple of the eigenfunction of the transposed diagram at coupling 1/k;
-macdonald_duality computes the multiplier and verifies exact proportionality.
+degree.  The same map sends the eigenfunction of lambda at coupling k to
+c(lambda) times the eigenfunction of the transposed diagram at coupling
+1/k, with the closed form (Macdonald, VI.10; Stanley 1989)
+
+    c(lambda) = (-1)^|lambda| prod_s (a(s) + 1 - k*l(s)) / (a(s) - k*(l(s) + 1))
+
+over the boxes s, a(s) the arm and l(s) the leg.  macdonald_duality builds
+c from its linear factors in k and checks every power-sum coordinate of the
+two eigenfunctions against it by cross-multiplication, so a normalisation
+error that keeps them proportional still fails.
 
 The Jack path runs in integers.  S, the power-sum-to-monomial matrix, is
 counted, d! * S^-1 is an integer matrix, and the operator in the monomial
@@ -51,6 +57,9 @@ from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
     RatFunc,
+    _cancel,
+    _coeff,
+    _expand_factors,
     poly_exact_div,
     ratfunc_equal,
 )
@@ -71,6 +80,7 @@ Coeff = Union[MultiPoly, RatFunc]
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
+_ZERO = RatFunc.const(0)
 
 
 def _as_value(v: Coupling, default: RatFunc = K) -> RatFunc:
@@ -138,14 +148,6 @@ class PExpr(_Expr):
     def scale(self, c) -> "PExpr":
         c = RatFunc.const(c)
         return PExpr(self.degree, {mu: v * c for mu, v in self.terms.items()})
-
-    def __add__(self, other: "PExpr") -> "PExpr":
-        if self.degree != other.degree:
-            raise ValueError("cannot add expressions of different degree")
-        merged = dict(self.terms)
-        for mu, v in other.terms.items():
-            merged[mu] = merged.get(mu, RatFunc.const(0)) + v
-        return PExpr(self.degree, merged)
 
 
 class MExpr(_Expr):
@@ -236,8 +238,7 @@ def operator_matrix(d: int, k: Coupling = None,
         raise ValueError("degree must be at least 1")
     basis = degree_basis(d)
     images = [apply_L_inf(p_basis_element(mu), k, p0).terms for mu in basis]
-    zero = RatFunc.const(0)
-    return [[image.get(nu, zero) for image in images] for nu in basis]
+    return [[image.get(nu, _ZERO) for image in images] for nu in basis]
 
 
 # -- basis change -----------------------------------------------------------
@@ -361,29 +362,6 @@ class JackFunction:
         return str(self.m_expansion)
 
 
-def _cancel(num, gaps: Mapping[MultiPoly, int]):
-    """(num', left) with num / prod g^e over gaps = num' / prod g^e over left
-    and num' coprime to every g left, by trial division alone.
-
-    In jack() num is N(u, w) for an integer binary form N, and each gap is
-    the primitive part of L(u, w) for a linear form L, at the coupling u/w
-    in lowest terms.  An irreducible factor of both vanishes where u and w
-    do not both vanish (they are coprime), so there (u : w) is the one zero
-    of L, and N, a product of linear forms over the algebraic closure, has
-    L as a factor.  So a gap divides num wholly or is coprime to it, at any
-    coupling, and no gcd is needed.
-    """
-    left: Dict[MultiPoly, int] = {}
-    for g, e in gaps.items():
-        for i in range(e):
-            try:
-                num = poly_exact_div(num, g)
-            except ExactDivisionError:
-                left[g] = e - i
-                break
-    return num, left
-
-
 def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     """Solve the triangular eigenproblem for the monic eigenfunction of lam.
 
@@ -401,6 +379,10 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     that stay.  A product of primitive gaps with positive leading
     coefficients is one too (Gauss's lemma), so the scalar moves to the
     numerator and the form is canonical, with no gcd at any coupling.
+    A gap divides a numerator wholly or is coprime to it, as _cancel needs:
+    the numerator is N(u, w) for a binary form N and the gap L(u, w) for a
+    linear form L, u and w coprime, so a common factor vanishes only where
+    (u : w) is the zero of L, and then L divides N.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
@@ -473,19 +455,6 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
 # -- the coupling-inversion map ---------------------------------------------
 
 
-def theta(x: PExpr, k: Coupling = None) -> PExpr:
-    """Scale the p_mu coefficient by k^(-#parts of mu), k the coupling value.
-
-    The map is linear over the coefficient field: coefficients are not
-    rewritten.  Applying it at coupling v and then at 1/v is the identity.
-    """
-    kv = _as_value(k)
-    if kv.is_zero():
-        raise ZeroDivisionError("the rescaling map needs a nonzero coupling")
-    return PExpr(x.degree,
-                 {mu: coeff * kv ** (-len(mu)) for mu, coeff in x.terms.items()})
-
-
 def check_conjugation(d: int) -> CheckResult:
     """Conjugating the degree-d block by the rescaling map inverts the coupling.
 
@@ -511,37 +480,47 @@ def check_conjugation(d: int) -> CheckResult:
     )
 
 
-def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
-    """Proportionality scalar between the rescaled eigenfunction of lam and
-    the eigenfunction of the transposed diagram at inverted coupling.
+def _duality_scalar(lam: Partition) -> RatFunc:
+    """The closed form c(lam) at symbolic k, from its linear factors."""
+    conj, k = transpose(lam), K.num
+    scale, factors = Fraction((-1) ** weight(lam)), {}
+    for i, row in enumerate(lam):
+        for j in range(row):
+            arm, leg = row - j - 1, conj[j] - i - 1
+            for form, e in ((arm + 1 - leg * k, 1), (arm - (leg + 1) * k, -1)):
+                content, part = form.primitive()
+                scale *= Fraction(content) ** e
+                if part.symbols:
+                    factors[part] = factors.get(part, 0) + e
+    return _expand_factors(_coeff(scale), factors)
 
-    Raises ArithmeticError if the two are not exactly proportional (they
-    always are; a failure would falsify the construction).
+
+def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
+    """The scalar c with theta(P(lam, k)) = c * P(lam', 1/k), checked.
+
+    c is the closed form of the module docstring, built at symbolic k and
+    substituted once both eigenfunctions are solved.  The duality holds
+    when P(lam, k)[mu] * k^-len(mu) = c * P(lam', 1/k)[mu] for every mu,
+    cross-multiplied as polynomials at k = u/w, so nothing is divided.
+    Raises ArithmeticError naming lam and the first mu where it fails.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("coupling inversion needs k != 0")
-    p_lam = jack(lam, kv)
-    q_mu = jack(transpose(lam), 1 / kv)
-    lhs = theta(p_lam.p_expansion, kv)
-    rhs = q_mu.p_expansion
-
-    c = next((lhs.terms[mu] / coeff for mu, coeff in rhs.terms.items()
-              if mu in lhs.terms), None)
-    if c is None:
-        raise ArithmeticError(
-            f"no common power-sum term between the images for "
-            f"{format_partition(lam)}")
-    indices = set(lhs.terms) | set(rhs.terms)
-    zero = RatFunc.const(0)
-    for mu in indices:
-        left = lhs.terms.get(mu, zero)
-        right = rhs.terms.get(mu, zero)
-        if not ratfunc_equal(left, c * right):
+    lhs = jack(lam, kv).p_expansion.terms
+    rhs = jack(transpose(lam), 1 / kv).p_expansion.terms
+    c = _duality_scalar(lam)
+    if k is not None:
+        c = c.substitute({"k": kv})
+    for mu in degree_basis(weight(lam)):
+        left, right = lhs.get(mu, _ZERO), rhs.get(mu, _ZERO)
+        if (left.num * right.den * c.den * kv.den ** len(mu)
+                != right.num * left.den * c.num * kv.num ** len(mu)):
             raise ArithmeticError(
-                f"images are not proportional for {format_partition(lam)}: "
-                f"term {format_partition(mu)} gives {left} vs {c * right}")
+                f"duality fails for {format_partition(lam)}: the first "
+                f"mismatch is p[{format_partition(mu)}], with {left} in "
+                f"P(lambda, k) and {right} in P(lambda', 1/k), against c = {c}")
     return c
 
 
@@ -650,8 +629,7 @@ def verify_duality(max_weight: int = 6) -> VerificationReport:
         if not lam:
             continue
         try:
-            c = macdonald_duality(lam, None)
-            holds, notes = not c.is_zero(), f"c = {c}"
+            holds, notes = True, f"c = {macdonald_duality(lam)}"
         except ArithmeticError as exc:
             holds, notes = False, str(exc)
         report.add(CheckResult(

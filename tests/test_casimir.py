@@ -486,3 +486,37 @@ def test_row_m_values_are_int_when_integral(family):
                            for m in values)
             else:
                 assert all(type(m) is int for m in values)
+
+
+# -- a differential test against sympy -------------------------------------------
+
+
+def _sympy_poly(sympy, p):
+    syms = [sympy.Symbol(s) for s in p.symbols]
+    return sum((sympy.Rational(c)
+                * sympy.Mul(*(x ** e for x, e in zip(syms, exps)))
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+def _sympy_ladder(sympy, ladder):
+    """prod (1 - z*m)**e with m = a/n + b + c*n, for the ladder {(a, b, c): e}."""
+    n, z = sympy.symbols("n z")
+    return sympy.Mul(*(
+        (1 - z * (sympy.Rational(a) / n + sympy.Rational(b) + c * n)) ** e
+        for (a, b, c), e in ladder.items()))
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_generating_function_matches_sympy(family):
+    # sympy's cancel of fm * (1 - pi) / z, built from the ladders, against
+    # the gcd-free expansion; the latter must also be reduced by sympy's gcd
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    fm = _sympy_ladder(sympy, casimir._first_multiplier(family))
+    for lam in partitions_up_to_weight(5):
+        pi = _sympy_ladder(sympy, casimir._block_factors(family, lam))
+        expected = sympy.cancel(fm * (1 - pi) / z)
+        gf = generating_function(family, lam).gf
+        num, den = _sympy_poly(sympy, gf.num), _sympy_poly(sympy, gf.den)
+        assert sympy.cancel(num / den - expected) == 0, lam
+        assert sympy.gcd(num, den).is_number, lam

@@ -267,6 +267,8 @@ def test_parser_builds():
      "ae1145c51875b21e0b05251d7bc4e87287fb1125"),
     (("jack", "compute", "--lambda", "3,1,1", "--json"),
      "d94c0730aa234585fee6d4716b58746dfe747121"),
+    (("jack", "verify-duality", "--max-weight", "8", "--json"),
+     "9ed23b674476baea42d9a225584543aa652623c5"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1

@@ -501,6 +501,32 @@ def test_product_with_unit_stays_reduced(f, c):
         assert product.num == expected.num and product.den == expected.den
 
 
+@given(ratfuncs().filter(bool),
+       st.one_of(fractions, st.integers(-9, 9)).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_unit_over_quotient_stays_reduced(f, c):
+    expected = RatFunc(f.den * c, f.num)
+    got = c / f
+    assert got.num == expected.num and got.den == expected.den
+
+
+def test_factor_form_needs_no_gcd(monkeypatch):
+    f, g, n = 2 * N.num - 3 * Z.num, N.num + 1, N.num
+    quotient = RatFunc(f - 4, -6 * g)
+    calls = _count_gcds(monkeypatch)
+    made = []
+    inner = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda *args: made.append(1) or inner(*args))
+    expanded = exact_algebra._expand_factors(Fraction(-3, 2), {f: 2, g: -1, n: 0})
+    reduced = exact_algebra._cancel(f ** 3 * g, {g: 2, f: 1, n: 1})
+    inverse = 1 / quotient
+    assert not calls and not made
+    assert expanded == RatFunc(f ** 2 * Fraction(-3, 2), g)
+    assert reduced == (f ** 2, {g: 1, n: 1})
+    assert inverse == RatFunc(-6 * g, f - 4)
+
+
 def test_product_with_unit_needs_no_gcd(monkeypatch):
     f = (N ** 2 - Z) / (N * Z + 3)
     calls = _count_gcds(monkeypatch)
@@ -530,10 +556,10 @@ def test_work_counts_stay_within_budget(monkeypatch):
                             counted(name, getattr(exact_algebra, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
-    assert calls["poly_gcd"] <= 101  # recursive calls included
-    assert calls["RatFunc"] <= 1022
+    assert calls["poly_gcd"] <= 85  # recursive calls included
+    assert calls["RatFunc"] <= 905
     assert calls["_gcd_interpolated"] <= 17
-    assert calls["_gcd_univariate"] <= 51
+    assert calls["_gcd_univariate"] <= 35
 
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):

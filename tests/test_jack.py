@@ -1,5 +1,6 @@
 """Jack eigenfunctions, the transpose duality and the projection diagram."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -7,6 +8,7 @@ from math import factorial, prod
 import pytest
 
 from negdim import exact_algebra
+from negdim import jack as jack_module
 from negdim.exact_algebra import RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          SingularCouplingError, _monomial_matrices,
@@ -15,7 +17,7 @@ from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          check_schur, check_triangularity, degree_basis, jack,
                          kostka_number, m_to_p, macdonald_duality,
                          operator_matrix, p_basis_element, p_to_m, phi_N,
-                         schur_m_expansion, theta)
+                         schur_m_expansion, verify_duality)
 from negdim.partitions import (partitions_of_weight, partitions_up_to_weight,
                                transpose, weight)
 
@@ -337,24 +339,6 @@ def test_incomparable_degeneracy_is_harmless():
     assert b.m_expansion.terms[(3, 3)] == ONE
 
 
-def test_theta_examples():
-    x = p_basis_element((1,))
-    assert theta(x) == PExpr(1, {(1,): 1 / K})
-    y = p_basis_element((2, 1))
-    assert theta(y) == PExpr(3, {(2, 1): 1 / (K * K)})
-
-
-def test_theta_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        theta(p_basis_element((1,)), 0)
-
-
-def test_theta_involution():
-    y = PExpr(3, {(2, 1): RatFunc.const(3), (1, 1, 1): RatFunc.const(-2)})
-    kv = RatFunc.const(Fraction(5, 7))
-    assert theta(theta(y, kv), 1 / kv) == y
-
-
 def test_conjugation_low_degrees():
     for d in range(1, 5):
         assert check_conjugation(d).holds
@@ -367,11 +351,11 @@ def test_macdonald_coefficient_single_box():
 def test_macdonald_at_schur_point():
     c = macdonald_duality((2,), -1)
     assert not c.is_zero()
-    # theta(s_2) at k=-1 scales p_mu by (-1)^{-len(mu)}; compare by hand
+    # at k = -1 the rescaling multiplies p_mu by (-1)^len(mu); compare by hand
     s2 = jack((2,), -1).p_expansion
-    image = theta(s2, -1)
+    lhs = {mu: v * (-1) ** len(mu) for mu, v in s2.terms.items()}
     s11 = jack((1, 1), -1).p_expansion
-    lhs = {mu: v for mu, v in image.terms.items()}
+    assert lhs.keys() == s11.terms.keys()
     for mu, v in s11.terms.items():
         assert ratfunc_equal(lhs[mu], c * v)
 
@@ -380,6 +364,82 @@ def test_macdonald_symbolic_weight_four():
     for lam in partitions_of_weight(4):
         c = macdonald_duality(lam)
         assert not c.is_zero()
+
+
+@pytest.mark.parametrize("w", range(1, 8))
+def test_macdonald_scalar_matches_division_route(w):
+    # the closed-form c against P(lam, k)[mu] * k^-len(mu) / P(lam', 1/k)[mu],
+    # the proportionality scalar read off each coordinate by division
+    for lam in partitions_of_weight(w):
+        c = macdonald_duality(lam)
+        lhs = jack(lam).p_expansion.terms
+        rhs = jack(transpose(lam), 1 / K).p_expansion.terms
+        assert lhs.keys() == rhs.keys()
+        for mu, v in lhs.items():
+            assert ratfunc_equal(c, v * K ** -len(mu) / rhs[mu]), (lam, mu)
+
+
+def test_macdonald_duality_makes_no_gcd(monkeypatch):
+    # c comes from its linear factors and the check cross-multiplies, so
+    # beyond its two jack() calls the duality builds no normal form; the
+    # matrices are built before counting
+    lams = [lam for lam in partitions_up_to_weight(6) if lam]
+    inverse = 1 / K
+    for lam in lams:
+        jack(lam)
+    made = {"poly_gcd": 0, "RatFunc": 0}
+
+    def counted(key, inner):
+        def wrapped(*args, **kwargs):
+            made[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd",
+                        counted("poly_gcd", exact_algebra.poly_gcd))
+    monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
+    for lam in lams:
+        jack(lam), jack(transpose(lam), inverse)
+    by_jack = dict(made)
+    for lam in lams:
+        macdonald_duality(lam)
+    assert made == {key: 2 * v for key, v in by_jack.items()}
+    assert made["poly_gcd"] == 0
+
+
+def test_duality_catches_a_common_normalisation_error(monkeypatch):
+    # P(lam, k) * (1 + k) and P(lam', 1/k) * (1 + 1/k) stay proportional,
+    # with c * k in place of c; checking against the closed form sees it
+    inner = jack_module.jack
+
+    def scaled(lam, k=None):
+        jf = inner(lam, k)
+        return replace(jf, p_expansion=jf.p_expansion.scale(1 + jf.coupling))
+
+    monkeypatch.setattr(jack_module, "jack", scaled)
+    report = verify_duality(4)
+    assert len(report.cases) == 11
+    assert not any(case.holds for case in report.cases)
+
+
+def test_duality_names_the_first_mismatching_term(monkeypatch):
+    inner = jack_module.jack
+
+    def perturbed(lam, k=None):
+        jf = inner(lam, k)
+        if (lam, jf.coupling) != ((3, 1), K):
+            return jf
+        terms = dict(jf.p_expansion.terms)
+        for mu in ((1, 1, 1, 1), (2, 1, 1)):  # p[2,1,1] comes first
+            terms[mu] = terms[mu] + 1
+        return replace(jf, p_expansion=PExpr(4, terms))
+
+    monkeypatch.setattr(jack_module, "jack", perturbed)
+    report = verify_duality(4)
+    failed = [case for case in report.cases if not case.holds]
+    assert [case.check_id for case in failed] == ["jack/macdonald/3,1"]
+    assert "duality fails for 3,1" in failed[0].notes
+    assert "mismatch is p[2,1,1]" in failed[0].notes
 
 
 def test_schur_oracle_basics():
