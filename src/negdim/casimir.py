@@ -382,40 +382,10 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
     return list(series_expand(gf, "z", order))
 
 
-_NEGATE = {
-    "n": -RatFunc.symbol("n"),
-    "z": -RatFunc.symbol("z"),
-}
-
-
-def check_sp_so_duality(lam: Partition) -> CheckResult:
-    """C_sp(lambda, z) against -C_so(lambda', -z) at negated rank."""
-    lam = check_partition(lam)
-    lhs = generating_function("c", lam).gf
-    rhs = -generating_function("d", transpose(lam)).gf.substitute(_NEGATE)
-    holds = ratfunc_equal(lhs, rhs)
-    return CheckResult(
-        check_id=f"casimir/sp-so/{format_partition(lam)}",
-        holds=holds,
-        inputs=(("lambda", format_partition(lam)),),
-        lhs=str(lhs),
-        rhs=str(rhs),
-    )
-
-
-def check_u_selfduality(lam: Partition) -> CheckResult:
-    """C_u(lambda, z) against -C_u(lambda', -z) at negated rank."""
-    lam = check_partition(lam)
-    lhs = generating_function("u", lam).gf
-    rhs = -generating_function("u", transpose(lam)).gf.substitute(_NEGATE)
-    holds = ratfunc_equal(lhs, rhs)
-    return CheckResult(
-        check_id=f"casimir/u-self/{format_partition(lam)}",
-        holds=holds,
-        inputs=(("lambda", format_partition(lam)),),
-        lhs=str(lhs),
-        rhs=str(rhs),
-    )
+def _mirror(ladder: Ladder) -> Ladder:
+    """The ladder under {n -> -n, z -> -z}: 1 - z*m(a, b, c) becomes
+    1 - z*m(a, -b, c)."""
+    return {(a, -b, c): e for (a, b, c), e in ladder.items()}
 
 
 def _first_difference(left: Ladder, right: Ladder) -> Key:
@@ -433,32 +403,73 @@ def _format_value(key: Key) -> str:
     return str(MultiPoly(("n",), {(1,): c, (0,): b}))
 
 
+def _witness(lhs: Ladder, rhs: Ladder) -> str:
+    """The first value whose exponents in two unequal ladders differ."""
+    key = _first_difference(lhs, rhs)
+    return (f"m={_format_value(key)} has exponent {lhs.get(key, 0)} "
+            f"in lhs and {rhs.get(key, 0)} in rhs")
+
+
 def _ladder_check(check_id: str, inputs: Tuple[Tuple[str, str], ...],
                   lhs: Ladder, rhs: Ladder) -> CheckResult:
     """Two ladders as functions: equal exactly when equal maps.  A check
     that holds expands once, since equal functions have one canonical form."""
     holds = lhs == rhs
     text = str(_expand(lhs))
-    notes = ""
-    if not holds:
-        key = _first_difference(lhs, rhs)
-        notes = (f"m={_format_value(key)} has exponent {lhs.get(key, 0)} "
-                 f"in lhs and {rhs.get(key, 0)} in rhs")
     return CheckResult(check_id=check_id, holds=holds, inputs=inputs,
                        lhs=text, rhs=text if holds else str(_expand(rhs)),
-                       notes=notes)
+                       notes="" if holds else _witness(lhs, rhs))
+
+
+def _negation_check(name: str, left: str, right: str,
+                    lam: Partition) -> CheckResult:
+    """C_left(lam, z) against -C_right(lam', -z) at negated rank.
+
+    With C = fm * (1 - pi) / z, negating n and z mirrors both ladders and
+    the sign of z cancels the outer sign, so the rhs is
+    mirror(fm) * (1 - mirror(pi)) / z.  Equal ladder pairs are the same
+    function and expand once; unequal ones are expanded and compared
+    exactly, and a failure names the first value where they differ.
+    """
+    lam = check_partition(lam)
+    fm, pi = _first_multiplier(left), _block_factors(left, lam)
+    fm_r = _mirror(_first_multiplier(right))
+    pi_r = _mirror(_block_factors(right, transpose(lam)))
+    lhs = _gf_from_factors(fm, pi)[1]
+    holds, rhs, notes = True, lhs, ""
+    if (fm, pi) != (fm_r, pi_r):
+        rhs = _gf_from_factors(fm_r, pi_r)[1]
+        holds = ratfunc_equal(lhs, rhs)
+        if not holds:
+            notes = (f"product: {_witness(pi, pi_r)}" if pi != pi_r
+                     else f"prefactor: {_witness(fm, fm_r)}")
+    return CheckResult(
+        check_id=f"casimir/{name}/{format_partition(lam)}",
+        holds=holds,
+        inputs=(("lambda", format_partition(lam)),),
+        lhs=str(lhs),
+        rhs=str(rhs),
+        notes=notes,
+    )
+
+
+def check_sp_so_duality(lam: Partition) -> CheckResult:
+    """C_sp(lambda, z) against -C_so(lambda', -z) at negated rank."""
+    return _negation_check("sp-so", "c", "d", lam)
+
+
+def check_u_selfduality(lam: Partition) -> CheckResult:
+    """C_u(lambda, z) against -C_u(lambda', -z) at negated rank."""
+    return _negation_check("u-self", "u", "u", lam)
 
 
 def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
-    """The traceless rectangle product is fixed by {n -> -n, p <-> q, z -> -z}.
-
-    The involution sends 1 - z*m(a, b, c) to 1 - z*m(a, -b, c), so the rhs
-    is the (q, p) ladder with each b negated."""
-    mirror = _block_factors("su", rectangle(q, p))
+    """The traceless rectangle product is fixed by {n -> -n, p <-> q, z -> -z}:
+    the rhs is the mirrored (q, p) ladder."""
     return _ladder_check(
         f"casimir/su-rect/{p}x{q}", (("p", str(p)), ("q", str(q))),
         _block_factors("su", rectangle(p, q)),
-        {(a, -b, c): e for (a, b, c), e in mirror.items()})
+        _mirror(_block_factors("su", rectangle(q, p))))
 
 
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:

@@ -30,16 +30,14 @@ the factor form, a scale times known irreducible factors with signed
 exponents: _expand_factors multiplies it out into the canonical RatFunc,
 and _cancel reduces a numerator over it by trial division.  The Casimir
 products (factors 1 - z*m), the Jack coordinates (eigenvalue gaps) and the
-Jack duality scalar (linear factors in k) take it.  A substitution mapping
-symbols to distinct signed symbols is an automorphism, so it too keeps a
-reduced quotient reduced.
+Jack duality scalar (linear factors in k) take it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from negdim import kernels
 
@@ -748,39 +746,6 @@ def _eval_over_common_den(p: MultiPoly, values: Mapping[str, "RatFunc"]
     return num, den
 
 
-def _signed_images(values: Mapping[str, "RatFunc"], free: set
-                   ) -> Optional[Dict[str, Tuple[str, int]]]:
-    """{s: (t, sign)} when every value is sign*t for a symbol t and the
-    images are distinct from each other and from the free symbols; else None."""
-    images = {}
-    for s, v in values.items():
-        if v.den.symbols or v.den.terms[()] != 1 or len(v.num.terms) != 1:
-            return None
-        ((exps, c),) = v.num.terms.items()
-        if len(exps) != 1 or exps[0] != 1 or c not in (1, -1):
-            return None
-        images[s] = (v.num.symbols[0], c)
-    targets = {t for t, _ in images.values()}
-    if len(targets) != len(images) or targets & free:
-        return None
-    return images
-
-
-def _signed_permutation(p: MultiPoly, images: Mapping[str, Tuple[str, int]]
-                        ) -> MultiPoly:
-    """p with each symbol s of `images` replaced by sign*t, (t, sign) =
-    images[s]; the images are distinct and none is another symbol of p."""
-    names = [images[s][0] if s in images else s for s in p.symbols]
-    flips = [i for i, s in enumerate(p.symbols) if s in images and images[s][1] < 0]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    terms = {}
-    for e, c in p.terms.items():
-        if sum(e[i] for i in flips) & 1:
-            c = -c
-        terms[tuple(e[i] for i in order)] = c
-    return MultiPoly._raw(tuple(names[i] for i in order), terms, prune=False)
-
-
 # -- rational functions --------------------------------------------------------
 
 
@@ -837,7 +802,8 @@ class RatFunc:
             return value
         if isinstance(value, MultiPoly):
             return cls(value)
-        return cls(MultiPoly.const(value))
+        # a constant over 1 is already in normal form
+        return cls._raw(MultiPoly.const(value), MultiPoly.const(1))
 
     @classmethod
     def symbol(cls, name: str) -> "RatFunc":
@@ -954,16 +920,6 @@ class RatFunc:
         values = {s: RatFunc.const(v) for s, v in bindings.items() if s in syms}
         if not values:
             return self
-        images = _signed_images(values, set(syms) - set(values))
-        if images is not None:
-            # a signed permutation of the symbols is a ring automorphism: the
-            # image stays reduced and integer-primitive, only the sign of the
-            # denominator's leading coefficient can change
-            num = _signed_permutation(self.num, images)
-            den = _signed_permutation(self.den, images)
-            if den.leading()[1] < 0:
-                num, den = -num, -den
-            return RatFunc._raw(num, den)
         num_num, num_den = _eval_over_common_den(self.num, values)
         den_num, den_den = _eval_over_common_den(self.den, values)
         if den_num.is_zero():

@@ -419,11 +419,15 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
         r0, r1 = m0[row], m1[row]
         s = sum((entry(r0[col], r1[col]) * c for col, c in nums.items()
                  if r0[col] or r1[col]), 0)
+        gap = entry(a_top - r0[row], b_top - r1[row])
+        if not gap:
+            # below lam the coordinate is s/0 or 0/0, undetermined either
+            # way; an incomparable row with s = 0 is harmless
+            if s or dominance_leq(basis[row], lam):
+                raise SingularCouplingError(kv, lam, basis[row])
+            continue
         if not s:
             continue
-        gap = w * (a_top - r0[row]) + u * (b_top - r1[row])
-        if not gap:
-            raise SingularCouplingError(kv, lam, basis[row])
         content, g = (gap, 1) if type(gap) is int else gap.primitive()
         s, left = _cancel(s, {**den, g: den.get(g, 0) + 1} if g != 1 else den)
         scale *= content

@@ -14,12 +14,15 @@ from negdim.casimir import (BLOCK_FAMILIES, FAMILIES, block_product,
                             row_m_values, row_product, spectrum_coefficients)
 from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.partitions import (block_param, partitions_of_weight,
-                               partitions_up_to_weight, rectangle, weight)
+                               partitions_up_to_weight, rectangle, transpose,
+                               weight)
 
 N = RatFunc.symbol("n")
 Z = RatFunc.symbol("z")
 ONE = RatFunc.const(1)
 TWO = RatFunc.const(2)
+# the rank negation as a substitution, the oracle for the ladder mirror
+NEGATE = {"n": -N, "z": -Z}
 
 
 def lin(c):
@@ -129,6 +132,72 @@ def test_sp_so_duality_small():
 def test_u_selfduality_small():
     for lam in [(), (1,), (3, 1)]:
         assert check_u_selfduality(lam).holds
+
+
+def _negation_oracle(left, right, lam):
+    """C_left(lam, z) and -C_right(lam', -z) at negated rank, by expanding
+    both generating functions and substituting."""
+    return (generating_function(left, lam).gf,
+            -generating_function(right, transpose(lam)).gf.substitute(NEGATE))
+
+
+@pytest.mark.parametrize("check, left, right", [
+    (check_sp_so_duality, "c", "d"), (check_u_selfduality, "u", "u")])
+def test_negation_checks_match_substitution_oracle(check, left, right):
+    for lam in partitions_up_to_weight(6):
+        lhs, rhs = _negation_oracle(left, right, lam)
+        result = check(lam)
+        assert result.holds and ratfunc_equal(lhs, rhs), lam
+        assert (result.lhs, result.rhs) == (str(lhs), str(rhs)), lam
+
+
+def test_unequal_ladders_are_decided_as_the_oracle_decides(monkeypatch):
+    # with the symplectic ladder in place of the orthogonal one every
+    # diagram's ladders differ; the expanded sides still match the oracle
+    real = casimir._block_factors
+    monkeypatch.setattr(casimir, "_block_factors", lambda family, lam:
+                        real("c" if family == "d" else family, lam))
+    for lam in partitions_up_to_weight(6):
+        lhs, rhs = _negation_oracle("c", "d", lam)
+        result = check_sp_so_duality(lam)
+        assert not result.holds and not ratfunc_equal(lhs, rhs), lam
+        assert (result.lhs, result.rhs) == (str(lhs), str(rhs)), lam
+        assert result.notes.startswith("product: m="), lam
+
+
+def test_negation_check_reports_first_differing_value(monkeypatch):
+    real = casimir._block_factors
+    lam = (3, 1)
+
+    def shifted(family, mu):
+        # move the factor with the smallest b of so's (2, 1, 1) to b + 1
+        ladder = real(family, mu)
+        if family == "d" and mu == transpose(lam):
+            a, b, c = min(ladder, key=lambda k: k[1])
+            casimir._mul(ladder, (a, b, c), -1)
+            casimir._mul(ladder, (a, b + 1, c))
+        return ladder
+
+    monkeypatch.setattr(casimir, "_block_factors", shifted)
+    # so's 1 - z*(2n - 4) and 1/(1 - z*(2n - 3)) cancel into the factor 1;
+    # mirrored they were sp's 1 - z*(2n + 4) and 1/(1 - z*(2n + 3))
+    result = check_sp_so_duality(lam)
+    lhs, rhs = _negation_oracle("c", "d", lam)
+    assert not result.holds and not ratfunc_equal(lhs, rhs)
+    assert (result.lhs, result.rhs) == (str(lhs), str(rhs))
+    assert result.notes == ("product: m=2*n + 3 has exponent -1 in lhs "
+                            "and 0 in rhs")
+    # u's ladders are not touched
+    assert check_u_selfduality(lam).holds
+    # with the odd orthogonal prefactor (2 - z*(2n - 1))/(2 - 2*n*z) for so's,
+    # the mirrored rhs has 1/(1 - z*n) where sp's has none
+    monkeypatch.setattr(casimir, "_block_factors", real)
+    first = casimir._first_multiplier
+    monkeypatch.setattr(casimir, "_first_multiplier",
+                        lambda family: first("b" if family == "d" else family))
+    result = check_sp_so_duality(lam)
+    assert not result.holds
+    assert result.notes == "prefactor: m=n has exponent 0 in lhs and -1 in rhs"
 
 
 def test_su_rectangle_invariance_examples():
@@ -384,7 +453,7 @@ def test_rectangle_checks_agree_with_expanded_route():
     for p in sides:
         for q in sides:
             lhs = block_product("su", rectangle(p, q))
-            rhs = block_product("su", rectangle(q, p)).substitute(casimir._NEGATE)
+            rhs = block_product("su", rectangle(q, p)).substitute(NEGATE)
             result = check_su_rectangle_invariance(p, q)
             assert result.holds == ratfunc_equal(lhs, rhs)
             assert (result.lhs, result.rhs) == (str(lhs), str(rhs))
@@ -438,7 +507,7 @@ def test_rectangle_checks_report_first_differing_value(monkeypatch):
                             "and 1 in rhs")
     assert result.lhs == str(block_product("su", shifted_lam))
     assert result.rhs == str(block_product("su", rectangle(3, 2))
-                             .substitute(casimir._NEGATE))
+                             .substitute(NEGATE))
 
 
 # -- the integer row ladder ---------------------------------------------------

@@ -116,6 +116,15 @@ def test_jack_singular_coupling_exits_one(capsys):
     assert "singular" in err.lower() or "k = 1" in err
 
 
+def test_jack_collision_below_a_zero_row_exits_one(capsys):
+    # e(5) = e(2,1,1,1) at k = 3/2, where that row's sum vanishes as well
+    code, out, err = run(capsys, "jack", "compute", "--lambda", "5", "--k=3/2")
+    assert code == 1 and out == ""
+    assert err == ("error: eigenvalue collision at coupling k = 3/2: "
+                   "partitions 5 and 2,1,1,1 share an eigenvalue, so the "
+                   "eigenfunction is not determined\n")
+
+
 def test_jack_bad_coupling_is_usage_error(capsys):
     code, _, err = run(capsys, "jack", "compute", "--lambda", "2", "--k", "w")
     assert code == 2 and "--k" in err

@@ -18,8 +18,8 @@ from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          kostka_number, m_to_p, macdonald_duality,
                          operator_matrix, p_basis_element, p_to_m, phi_N,
                          schur_m_expansion, verify_duality)
-from negdim.partitions import (partitions_of_weight, partitions_up_to_weight,
-                               transpose, weight)
+from negdim.partitions import (dominance_leq, partitions_of_weight,
+                               partitions_up_to_weight, transpose, weight)
 
 ONE = RatFunc.const(1)
 
@@ -188,11 +188,13 @@ def _jack_by_substitution(lam, k):
         s = RatFunc.const(0)
         for col, c in coords.items():
             s = s + mm[row][col] * c
-        if s.is_zero():
-            continue
         gap = mm[top][top] - mm[row][row]
         if gap.is_zero():
-            raise SingularCouplingError(kv, lam, basis[row])
+            if s or dominance_leq(basis[row], lam):
+                raise SingularCouplingError(kv, lam, basis[row])
+            continue
+        if s.is_zero():
+            continue
         coords[row] = s / gap
     m_exp = MExpr(d, {basis[i]: c for i, c in coords.items()})
     return m_exp, m_to_p(m_exp), mm[top][top] + kv * (-d) * P0
@@ -328,6 +330,22 @@ def test_singular_coupling_reported():
     with pytest.raises(SingularCouplingError) as err:
         jack((2,), 1)
     assert "k = 1" in str(err.value)
+
+
+@pytest.mark.parametrize("lam, k, other", [
+    ((5,), Fraction(3, 2), (2, 1, 1, 1)),
+    ((6, 1), Fraction(3, 2), (2, 2, 2, 1)),
+    ((5, 1, 1), Fraction(3, 2), (3, 2, 1, 1)),
+    ((4, 1, 1), Fraction(1, 2), (1, 1, 1, 1, 1, 1)),
+], ids=str)
+def test_vanishing_gap_below_lam_is_singular_even_with_zero_sum(lam, k, other):
+    # the row's sum is zero too, so its coordinate is 0/0: the symbolic
+    # coefficient need not vanish at k, and the solve must not drop it
+    symbolic = jack(lam).m_expansion.terms[other]
+    assert symbolic.substitute({"k": RatFunc.const(k)})
+    with pytest.raises(SingularCouplingError) as err:
+        jack(lam, k)
+    assert (err.value.top, err.value.other) == (lam, other)
 
 
 def test_incomparable_degeneracy_is_harmless():
