@@ -287,13 +287,13 @@ def dual_space(label: str, m: Optional[int] = None,
             continue
         target = tabulated_kpq(cand) or to_kpq(cand)
         variants = [(target, False)]
-        if len(cand.size_params) == 2:
-            variants.append((_swap_mn(target), True))
-        if bindings and len(cand.size_params) == 2 and "m" in bindings:
+        if len(cand.size_params) == 2 and "m" in bindings:
             # numeric source: instantiate the candidate at both labelings
             mv, nv = bindings["m"], bindings[s.size_params[-1]]
             variants = [(_bind_kpq(target, {"m": mv, "n": nv}), False),
                         (_bind_kpq(target, {"m": nv, "n": mv}), True)]
+        elif len(cand.size_params) == 2:
+            variants.append((_swap_mn(target), True))
         for cand_kpq, swapped in variants:
             if _triples_equal(image, cand_kpq):
                 matched = True
