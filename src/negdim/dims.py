@@ -1,15 +1,15 @@
 """Dimension polynomials of tensor representations and their rank-negation pairing.
 
 The dimension of the irreducible tensor representation lambda of each
-classical series is a polynomial in the rank N of degree at most |lambda|.
-It is produced here by exact interpolation of the Weyl product at |lambda|+1
-consecutive admissible ranks, then confirmed at one extra rank; that keeps
-the construction anchored to a formula that can be tested independently.
+classical series is prod (alpha*N + t) / h over the boxes of lambda, h the
+hook length, alpha = 1 for U(N) and 2 otherwise (El Samra and King 1979,
+J. Phys. A 12, 2317).  It is held as the map {t: e} and proved against the
+Weyl product at |lambda|+2 ranks, enough for a polynomial of degree |lambda|.
 
 The pairing verified by king_check: the symplectic dimension at rank N
 equals (-1)^|lambda| times the even orthogonal dimension of the transposed
-diagram at rank -N.  The sign is forced already by the fundamental pair
-(both dimensions are 2N, and 2N = -(-2N)).
+diagram at rank -N.  Box by box, each Sp factor 2N + t of lambda is minus an
+O factor 2N - t of the transpose (King 1971, J. Phys. A 4, 2305).
 
 The universal three-parameter dimension formula and the parameter triples
 of the classical algebras live here too; triples are projective and
@@ -18,14 +18,17 @@ unordered, so equivalence testing scales and permutes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Tuple
+from itertools import permutations
+from typing import Dict, List, Tuple
 
 from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.partitions import (
     Partition,
     check_partition,
     format_partition,
+    partitions_up_to_weight,
     transpose,
     weight,
 )
@@ -83,60 +86,80 @@ def weyl_dim(family: str, lam: Partition, n: int) -> int:
     return result
 
 
-def _interpolate(points) -> MultiPoly:
-    """Lagrange interpolation through integer points, exact."""
-    var = MultiPoly.symbol("N")
-    total = MultiPoly.const(0)
-    for j, (xj, yj) in enumerate(points):
-        basis = MultiPoly.const(1)
-        denom = Fraction(1)
-        for i, (xi, _) in enumerate(points):
-            if i != j:
-                basis = basis * (var - xi)
-                denom *= xj - xi
-        total = total + basis * (Fraction(yj) / denom)
-    return total
+def _shift(family: str, lam: Partition, conj: Partition, i: int, j: int) -> int:
+    """t of the box (i, j), 1-indexed: the content j - i for a, r(i, j) of
+    El Samra and King for c, their s(i, j) for d and s(i, j) + 1 for b."""
+    if family == "a":
+        return j - i
+    if family == "c":
+        return (lam[i - 1] + lam[j - 1] - i - j + 2 if i > j
+                else i + j - conj[i - 1] - conj[j - 1])
+    return (family == "b") + (lam[i - 1] + lam[j - 1] - i - j if i >= j
+                              else i + j - conj[i - 1] - conj[j - 1] - 2)
+
+
+def _shift_map(family: str, lam: Partition) -> Tuple[int, Dict[int, int]]:
+    """(hooks, {t: e}) with dim = prod (alpha*N + t)^e / hooks, checked as
+    prod (alpha*n + t)^e == hooks * weyl_dim(n) at the |lam| + 2 ranks
+    n = len(lam) .. len(lam) + |lam| + 1; a mismatch aborts loudly."""
+    ranks = range(len(lam), len(lam) + weight(lam) + 2)
+    weyl = [weyl_dim(family, lam, n) for n in ranks]  # rejects a bad family
+    alpha, conj = 2 - (family == "a"), transpose(lam)
+    hooks, shifts = 1, {}
+    for i, row in enumerate(lam, 1):
+        for j in range(1, row + 1):
+            hooks *= row - j + conj[j - 1] - i + 1
+            t = _shift(family, lam, conj, i, j)
+            shifts[t] = shifts.get(t, 0) + 1
+    for n, value in zip(ranks, weyl):
+        product = math.prod((alpha * n + t) ** e for t, e in shifts.items())
+        if product != hooks * value:
+            raise ArithmeticError(f"shift map of ({family}, {format_partition(lam)}) "
+                                  f"fails at N={n}: the product gives "
+                                  f"{Fraction(product, hooks)}, the Weyl product {value}")
+    return hooks, shifts
+
+
+def _expand(alpha: int, hooks: int, shifts: Dict[int, int]) -> MultiPoly:
+    """prod (alpha*N + t)^e / hooks as a polynomial in N."""
+    return math.prod((MultiPoly.linear(t, N=alpha) ** e for t, e in shifts.items()),
+                     start=MultiPoly.const(Fraction(1, hooks)))
 
 
 def dim_poly(family: str, lam: Partition) -> MultiPoly:
-    """Dimension as a polynomial in the formal rank symbol N.
-
-    Interpolates weyl_dim at N = #rows .. #rows + |lambda| and verifies the
-    degree bound at one further rank; a mismatch there would mean the
-    dimension is not a polynomial of degree <= |lambda| and aborts loudly.
-    """
-    family = family.lower()
-    lam = check_partition(lam)
-    if not lam:
-        return MultiPoly.const(1)
-    start = len(lam)
-    w = weight(lam)
-    points = [(n, weyl_dim(family, lam, n)) for n in range(start, start + w + 1)]
-    poly = _interpolate(points)
-    probe = start + w + 1
-    predicted = poly.eval_fractions({"N": Fraction(probe)})
-    actual = weyl_dim(family, lam, probe)
-    if predicted != actual:
-        raise ArithmeticError(
-            f"degree bound failed for ({family}, {format_partition(lam)}): "
-            f"interpolant gives {predicted} at N={probe}, Weyl product gives {actual}")
-    return poly
+    """Dimension as a polynomial in the formal rank symbol N, expanded from
+    the checked shift map; an unknown family raises ValueError."""
+    family, lam = family.lower(), check_partition(lam)
+    return _expand(2 - (family == "a"), *_shift_map(family, lam))
 
 
 def king_check(lam: Partition) -> CheckResult:
-    """Symplectic dimension vs sign-corrected orthogonal dimension at -N."""
+    """Symplectic dimension vs sign-corrected orthogonal dimension at -N.
+
+    (-1)^|lam| prod (-2N + s)^e = prod (2N - s)^e: the rhs is the negated O
+    map of the transpose.  Distinct shifts are distinct irreducible factors,
+    so equal functions are equal (hooks, map) pairs.  A check that holds
+    expands once; a failure names the first differing factor."""
     lam = check_partition(lam)
-    lhs = RatFunc(dim_poly("c", lam))
-    rhs = RatFunc(dim_poly("d", transpose(lam))).substitute({"N": -RatFunc.symbol("N")})
-    if weight(lam) % 2:
-        rhs = -rhs
-    holds = lhs == rhs
+    hooks, sp = _shift_map("c", lam)
+    hooks_t, o = _shift_map("d", transpose(lam))
+    mirrored = {-t: e for t, e in o.items()}
+    lhs = str(_expand(2, hooks, sp))
+    holds, rhs, notes = True, lhs, ""
+    if (hooks, sp) != (hooks_t, mirrored):
+        holds, rhs = False, str(_expand(2, hooks_t, mirrored))
+        t = min((t for t in sp.keys() | mirrored.keys()
+                 if sp.get(t) != mirrored.get(t)), default=None)
+        notes = (f"hooks {hooks} in lhs and {hooks_t} in rhs" if t is None else
+                 f"factor {MultiPoly.linear(t, N=2)} has exponent "
+                 f"{sp.get(t, 0)} in lhs and {mirrored.get(t, 0)} in rhs")
     return CheckResult(
         check_id=f"dims/king/{format_partition(lam)}",
         holds=holds,
         inputs=(("lambda", format_partition(lam)),),
-        lhs=str(lhs),
-        rhs=str(rhs),
+        lhs=lhs,
+        rhs=rhs,
+        notes=notes,
     )
 
 
@@ -151,11 +174,10 @@ def vogel_classical(family: str) -> VogelTriple:
         "sln": (RatFunc.const(-2), RatFunc.const(2), n),
         "son": (RatFunc.const(-2), RatFunc.const(4), n - 4),
     }
-    try:
-        return table[family]
-    except KeyError:
+    if family not in table:
         known = ", ".join(sorted(table))
-        raise ValueError(f"unknown family {family!r} (expected one of {known})") from None
+        raise ValueError(f"unknown family {family!r} (expected one of {known})")
+    return table[family]
 
 
 def vogel_dim(triple: VogelTriple) -> RatFunc:
@@ -170,26 +192,13 @@ def vogel_dim(triple: VogelTriple) -> RatFunc:
 
 def vogel_equiv(a: VogelTriple, b: VogelTriple) -> bool:
     """Equality of parameter triples up to permutation and a common nonzero scale."""
-    from itertools import permutations
-
     a = tuple(RatFunc.const(x) for x in a)
     b = tuple(RatFunc.const(x) for x in b)
     for perm in permutations(a):
-        scale = None
-        for pi, bi in zip(perm, b):
-            if not bi.is_zero():
-                if pi.is_zero():
-                    break
-                scale = bi / pi
-                break
-            if not pi.is_zero():
-                break
-        else:
-            # b is all zero; match only against all-zero perm (excluded by contract)
-            scale = RatFunc.const(0)
-        if scale is None or scale.is_zero():
-            continue
-        if all(ratfunc_equal(scale * pi, bi) for pi, bi in zip(perm, b)):
+        # the scale is fixed by the first position where either is nonzero
+        p, q = next(((p, q) for p, q in zip(perm, b) if p or q), (None, None))
+        scale = q / p if p and q else None
+        if scale and all(ratfunc_equal(scale * x, y) for x, y in zip(perm, b)):
             return True
     return False
 
@@ -197,23 +206,14 @@ def vogel_equiv(a: VogelTriple, b: VogelTriple) -> bool:
 def check_vogel_dims() -> List[CheckResult]:
     """The three classical triples reproduce their dimension polynomials."""
     n = RatFunc.symbol("n")
-    expected = {
-        "sp2n": n * (2 * n + 1),
-        "sln": n * n - 1,
-        "son": n * (n - 1) / 2,
-    }
-    results = []
-    for family in ("sln", "son", "sp2n"):
-        value = vogel_dim(vogel_classical(family))
-        holds = ratfunc_equal(value, expected[family])
-        results.append(CheckResult(
-            check_id=f"dims/vogel-dim/{family}",
-            holds=holds,
-            inputs=(("family", family),),
-            lhs=str(value),
-            rhs=str(expected[family]),
-        ))
-    return results
+    expected = {"sln": n * n - 1, "son": n * (n - 1) / 2, "sp2n": n * (2 * n + 1)}
+    values = {family: vogel_dim(vogel_classical(family)) for family in expected}
+    return [CheckResult(check_id=f"dims/vogel-dim/{family}",
+                        holds=ratfunc_equal(value, expected[family]),
+                        inputs=(("family", family),),
+                        lhs=str(value),
+                        rhs=str(expected[family]))
+            for family, value in values.items()]
 
 
 def check_vogel_sp_so() -> CheckResult:
@@ -221,20 +221,16 @@ def check_vogel_sp_so() -> CheckResult:
     the orthogonal triple at doubled negated rank."""
     a, b, c = vogel_classical("sp2n")
     scaled = (-2 * b, -2 * a, -2 * c)
-    son = vogel_classical("son")
     minus_2n = {"n": -2 * RatFunc.symbol("n")}
-    son_neg = tuple(x.substitute(minus_2n) for x in son)
-    holds = vogel_equiv(scaled, son_neg)
+    son_neg = tuple(x.substitute(minus_2n) for x in vogel_classical("son"))
     return CheckResult(
         check_id="dims/vogel-sp-so",
-        holds=holds,
+        holds=vogel_equiv(scaled, son_neg),
         inputs=(),
         lhs="(" + ", ".join(str(x) for x in scaled) + ")",
         rhs="(" + ", ".join(str(x) for x in son_neg) + ")",
         notes="sp triple scaled by -2 vs orthogonal triple at n -> -2n",
     )
-
-# -- sweep drivers -----------------------------------------------------------
 
 
 def check_vogel_invariance() -> CheckResult:
@@ -256,13 +252,13 @@ def check_vogel_invariance() -> CheckResult:
     )
 
 
-def verify_king(max_weight: int = 6) -> VerificationReport:
-    from negdim.partitions import partitions_up_to_weight
+# -- sweep drivers -----------------------------------------------------------
 
+
+def verify_king(max_weight: int = 6) -> VerificationReport:
     report = VerificationReport(suite="dims-king",
                                 config={"maxWeight": max_weight})
-    for lam in partitions_up_to_weight(max_weight):
-        report.add(king_check(lam))
+    report.extend(king_check(lam) for lam in partitions_up_to_weight(max_weight))
     report.sort()
     return report
 
@@ -283,21 +279,13 @@ def verify_fundamental_constants() -> VerificationReport:
     from negdim.casimir import generating_function
 
     n = RatFunc.symbol("n")
-    expectations = (
-        ("u", n, "a"),
-        ("c", 2 * n, "c"),
-        ("d", 2 * n, "d"),
-    )
     report = VerificationReport(suite="dims-fundamental", config={})
-    for family, expected, weyl_family in expectations:
+    for family, expected, weyl_family in (("u", n, "a"), ("c", 2 * n, "c"),
+                                          ("d", 2 * n, "d")):
         gf = generating_function(family, ()).gf
         symbolic_ok = ratfunc_equal(gf, expected)
-        points_ok = True
-        for rank in range(1, 6):
-            value = gf.eval_fractions({"n": Fraction(rank)})
-            if value != weyl_dim(weyl_family, (1,), rank):
-                points_ok = False
-                break
+        points_ok = all(gf.eval_fractions({"n": Fraction(rank)})
+                        == weyl_dim(weyl_family, (1,), rank) for rank in range(1, 6))
         report.add(CheckResult(
             check_id=f"dims/fundamental/{family}",
             holds=symbolic_ok and points_ok,

@@ -25,10 +25,12 @@ Conjugating L by it inverts the coupling:
     theta o L_{k, p0} o theta^(-1) = k * L_{1/k, k*p0}.
 
 Note the transformed scalar is k*p0, not p0/k; the one-dimensional degree-1
-component already forces that form, and check_conjugation pins it for every
-degree.  The same map sends the eigenfunction of lambda at coupling k to
-c(lambda) times the eigenfunction of the transposed diagram at coupling
-1/k, with the closed form (Macdonald, VI.10; Stanley 1989)
+component already forces that form.  Every entry of L is a polynomial in k
+and p0, so check_conjugation compares maps from exponents to coefficients:
+the lhs shifts the power of k, the rhs sends k^i p0^j to k^(1-i+j) p0^j,
+with no substitution and no gcd.  The same map sends the eigenfunction of
+lambda at coupling k to c(lambda) times the eigenfunction of the transposed
+diagram at coupling 1/k, with the closed form (Macdonald, VI.10; Stanley 1989)
 
     c(lambda) = (-1)^|lambda| prod_s (a(s) + 1 - k*l(s)) / (a(s) - k*(l(s) + 1))
 
@@ -50,6 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -196,21 +199,13 @@ def apply_L_inf(x: PExpr, k: Coupling = None, p0: Coupling = None) -> PExpr:
         parts = list(mu)
         d = x.degree
         # merging term: pick two distinct positions, fuse them
-        for i in range(len(parts)):
-            for j in range(len(parts)):
-                if i == j:
-                    continue
-                rest = [parts[t] for t in range(len(parts)) if t not in (i, j)]
-                rest.append(parts[i] + parts[j])
-                add(tuple(sorted(rest, reverse=True)),
-                    c * (parts[i] * parts[j]))
+        for i, j in permutations(range(len(parts)), 2):
+            rest = [parts[t] for t in range(len(parts)) if t not in (i, j)]
+            add(tuple(sorted(rest + [parts[i] + parts[j]], reverse=True)),
+                c * (parts[i] * parts[j]))
         # splitting term: replace one part c0 by an ordered pair (a, c0-a)
-        seen = set()
-        for idx, c0 in enumerate(parts):
-            if c0 in seen:
-                continue
-            seen.add(c0)
-            mult = parts.count(c0)
+        for c0 in dict.fromkeys(parts):  # each distinct part once
+            mult, idx = parts.count(c0), parts.index(c0)
             base = parts[:idx] + parts[idx + 1:]
             for a in range(1, c0):
                 split = tuple(sorted(base + [a, c0 - a], reverse=True))
@@ -459,21 +454,44 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
 # -- the coupling-inversion map ---------------------------------------------
 
 
-def check_conjugation(d: int) -> CheckResult:
-    """Conjugating the degree-d block by the rescaling map inverts the coupling.
+def _entry_map(entry: RatFunc) -> Dict[Tuple[int, int], Fraction]:
+    """An operator entry, a polynomial at symbolic k and p0 (asserted), as
+    the map (i, j) -> coefficient of k^i * p0^j."""
+    num = entry.num
+    if entry.den != 1 or not set(num.symbols) <= {"k", "p0"}:
+        raise AssertionError(f"operator entry {entry} is not a polynomial in k and p0")
+    return {tuple(dict(zip(num.symbols, e)).get(s, 0) for s in ("k", "p0")): c
+            for e, c in num.terms.items()}
 
-    Verifies theta o L_{k, p0} o theta^(-1) = k * L_{1/k, k*p0} entrywise
-    with k and p0 symbolic.
-    """
+
+def _laurent(terms: Mapping[Tuple[int, int], Fraction]) -> RatFunc:
+    """sum c * k^i * p0^j in canonical form with no gcd: for low < 0 the
+    numerator over k^-low has a k-free term, so it is coprime to k."""
+    low = min((i for i, _ in terms if i < 0), default=0)
+    return RatFunc._raw(MultiPoly(("k", "p0"), {(i - low, j): c for (i, j), c
+                                                in terms.items()}), K.num ** -low)
+
+
+def _conjugation_sides(d: int):
+    """(nu, mu, lhs, rhs) for each entry L[nu][mu] of the degree-d block:
+    lhs = L * k^(len(mu) - len(nu)) shifts the power of k, and
+    rhs = k * L(1/k, k*p0) sends k^i * p0^j to k^(1 - i + j) * p0^j."""
     basis = degree_basis(d)
-    mat = operator_matrix(d)
-    inverted = {"k": 1 / K, "p0": K * P0}
-    sides = ((nu, mu, mat[i][j] * K ** (len(mu) - len(nu)),
-              K * mat[i][j].substitute(inverted))
-             for i, nu in enumerate(basis) for j, mu in enumerate(basis))
+    for nu, row in zip(basis, operator_matrix(d)):
+        for mu, entry in zip(basis, row):
+            terms, shift = _entry_map(entry), len(mu) - len(nu)
+            yield (nu, mu,
+                   _laurent({(i + shift, j): c for (i, j), c in terms.items()}),
+                   _laurent({(1 - i + j, j): c for (i, j), c in terms.items()}))
+
+
+def check_conjugation(d: int) -> CheckResult:
+    """Conjugating the degree-d block by the rescaling map inverts the coupling:
+    theta o L_{k, p0} o theta^(-1) = k * L_{1/k, k*p0}, entry by entry with k
+    and p0 symbolic, both sides read off the entry's map."""
     witness = next((f"entry ({format_partition(nu)}, {format_partition(mu)}): "
-                    f"{lhs} != {rhs}" for nu, mu, lhs, rhs in sides
-                    if not ratfunc_equal(lhs, rhs)), "")
+                    f"{lhs} != {rhs}" for nu, mu, lhs, rhs in _conjugation_sides(d)
+                    if lhs != rhs), "")
     return CheckResult(
         check_id=f"jack/conjugation/d={d}",
         holds=not witness,
@@ -688,13 +706,9 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     def count(shape: Partition, entries: Partition) -> int:
         if not entries:
             return 1 if not shape else 0
-        last = entries[-1]
-        rest = entries[:-1]
-        total = 0
-        for inner, removed in _horizontal_strips(shape):
-            if removed == last:
-                total += count(inner, rest)
-        return total
+        return sum(count(inner, entries[:-1])
+                   for inner, removed in _horizontal_strips(shape)
+                   if removed == entries[-1])
 
     return count(lam, mu)
 
@@ -744,14 +758,12 @@ def check_triangularity(d: int) -> CheckResult:
 
 
 def check_p0_scalar(d: int) -> CheckResult:
-    """The p0 dependence of the degree-d block is the scalar -k*d*p0."""
-    with_p0 = operator_matrix(d)
-    without = operator_matrix(d, None, 0)
-    size = len(degree_basis(d))
-    scalar = K * (-d) * P0
-    holds = all(ratfunc_equal(with_p0[i][j] - without[i][j],
-                              scalar if i == j else RatFunc.const(0))
-                for i in range(size) for j in range(size))
+    """The p0 dependence of the degree-d block is the scalar -k*d*p0: the
+    p0 terms of the entry maps are {(1, 1): -d} on the diagonal, none off it."""
+    holds = all({e: c for e, c in _entry_map(entry).items() if e[1]}
+                == ({(1, 1): -d} if i == j else {})
+                for i, row in enumerate(operator_matrix(d))
+                for j, entry in enumerate(row))
     return CheckResult(
         check_id=f"jack/p0-scalar/d={d}",
         holds=holds,

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from negdim import dims
 from negdim.dims import (check_vogel_dims, check_vogel_invariance,
                          check_vogel_sp_so, dim_poly, king_check,
                          verify_fundamental_constants, vogel_classical,
                          vogel_dim, vogel_equiv, weyl_dim)
-from negdim.exact_algebra import RatFunc, ratfunc_equal
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.partitions import partitions_up_to_weight, transpose, weight
 
 N = RatFunc.symbol("N")
@@ -53,6 +54,23 @@ def test_dim_poly_empty():
     assert str(dim_poly("a", ())) == "1"
 
 
+@pytest.mark.parametrize("lam", [(), (1,)])
+def test_dim_poly_rejects_unknown_family(lam):
+    # the empty diagram goes through the same Weyl check as any other
+    with pytest.raises(ValueError, match="unknown family"):
+        dim_poly("x", lam)
+
+
+def test_wrong_sp_shift_fails_the_weyl_check(monkeypatch):
+    real = dims._shift
+    # the Sp box (2, 1) of (2, 1) gets the shift 1 instead of 0
+    monkeypatch.setattr(dims, "_shift", lambda family, lam, conj, i, j: real(
+        family, lam, conj, i, j) + (family == "c" and (i, j) == (2, 1)))
+    with pytest.raises(ArithmeticError, match=r"\(c, 2,1\) fails at N=2"):
+        dim_poly("c", (2, 1))
+    assert str(dim_poly("d", (2, 1))) == "8/3*N^3 - 8/3*N"
+
+
 def hook_content_dim(lam, n):
     """Independent oracle for the A family: prod (n + j - i) / hook(i, j)."""
     value = Fraction(1)
@@ -83,10 +101,52 @@ def test_king_examples():
     assert king_check((3, 1)).holds
 
 
-def test_king_adjoint_instance():
-    lhs = RatFunc(dim_poly("c", (2,)))
-    rhs = RatFunc(dim_poly("d", (1, 1))).substitute({"N": -N})
-    assert ratfunc_equal(lhs, rhs)
+def lagrange(points):
+    """The polynomial in N through integer points, exact."""
+    total = MultiPoly.const(0)
+    for xj, yj in points:
+        basis = MultiPoly.const(yj)
+        for xi, _ in points:
+            if xi != xj:
+                basis = basis * (MultiPoly.symbol("N") - xi) * Fraction(1, xj - xi)
+        total = total + basis
+    return total
+
+
+def interpolated_dim(family, lam):
+    start = len(lam)
+    return lagrange([(n, weyl_dim(family, lam, n))
+                     for n in range(start, start + weight(lam) + 1)])
+
+
+def test_shift_maps_match_interpolation_and_substitution():
+    # the route the shift maps replaced: interpolate the Weyl product and
+    # substitute N -> -N into the orthogonal side of King's identity
+    for lam in partitions_up_to_weight(6):
+        for family in "abcd":
+            assert str(dim_poly(family, lam)) == str(interpolated_dim(family, lam))
+        lhs = RatFunc(interpolated_dim("c", lam))
+        rhs = RatFunc(interpolated_dim("d", transpose(lam))).substitute({"N": -N})
+        rhs = -rhs if weight(lam) % 2 else rhs
+        result = king_check(lam)
+        assert result.holds and lhs == rhs
+        assert (result.lhs, result.rhs) == (str(lhs), str(rhs))
+
+
+def test_king_names_first_differing_factor(monkeypatch):
+    real = dims._shift_map
+
+    def perturbed(family, lam):
+        hooks, shifts = real(family, lam)
+        if family == "c":  # the factor 2N + 1 becomes 2N + 3
+            shifts = {**shifts, 1: shifts[1] - 1, 3: shifts.get(3, 0) + 1}
+        return hooks, shifts
+
+    monkeypatch.setattr(dims, "_shift_map", perturbed)
+    result = king_check((2,))
+    assert not result.holds
+    assert result.notes == "factor 2*N + 1 has exponent 0 in lhs and 1 in rhs"
+    assert (result.lhs, result.rhs) == ("2*N^2 + 3*N", "2*N^2 + N")
 
 
 def test_vogel_classical_table():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import casimir, exact_algebra, jack
+from negdim import casimir, dims, exact_algebra, jack
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
@@ -543,10 +543,10 @@ def test_work_counts_stay_within_budget(monkeypatch):
                             counted(name, getattr(exact_algebra, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
-    assert calls["poly_gcd"] <= 85  # recursive calls included
-    assert calls["RatFunc"] <= 487
-    assert calls["_gcd_interpolated"] <= 17
-    assert calls["_gcd_univariate"] <= 35
+    assert calls["poly_gcd"] <= 49  # recursive calls included
+    assert calls["RatFunc"] <= 383
+    assert calls["_gcd_interpolated"] <= 11
+    assert calls["_gcd_univariate"] <= 23
 
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):
@@ -589,3 +589,23 @@ def test_casimir_suites_make_no_gcd_call(monkeypatch):
             assert casimir.check_rows_vs_blocks(family, lam,
                                                 range(start, start + 5)).holds
     assert made == {"RatFunc": 0, "MultiPoly": 0}
+
+
+def test_king_conjugation_and_structure_make_no_gcd_call(monkeypatch):
+    # King compares shift maps, and the conjugation and the p0 scalar read
+    # the exponent maps of the operator entries: none substitutes, takes a
+    # gcd or falls back to cross-multiplication; jack's caches start cold
+    for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices):
+        cached.cache_clear()
+    calls = _count_gcds(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a map comparison substituted or cross-multiplied")
+
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    monkeypatch.setattr(dims, "ratfunc_equal", refuse)
+    monkeypatch.setattr(jack, "ratfunc_equal", refuse)
+    assert dims.verify_king(6).all_ok
+    assert jack.verify_conjugation(6).all_ok
+    assert jack.verify_structure(6).all_ok
+    assert not calls  # recursive calls included

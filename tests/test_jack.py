@@ -362,6 +362,60 @@ def test_conjugation_low_degrees():
         assert check_conjugation(d).holds
 
 
+def test_conjugation_sides_match_substitution_route():
+    # the route the entry maps replaced: multiply by a power of K and
+    # substitute k -> 1/k, p0 -> k*p0 into every entry, with gcd reduction
+    for d in range(1, 6):
+        basis = degree_basis(d)
+        mat = operator_matrix(d)
+        sides = list(jack_module._conjugation_sides(d))
+        assert len(sides) == len(basis) ** 2
+        for nu, mu, lhs, rhs in sides:
+            entry = mat[basis.index(nu)][basis.index(mu)]
+            assert lhs == entry * K ** (len(mu) - len(nu))
+            assert rhs == K * entry.substitute({"k": 1 / K, "p0": K * P0})
+            assert ratfunc_equal(lhs, rhs)
+
+
+def _with_entry(monkeypatch, d, row, col, change):
+    real = jack_module.operator_matrix
+
+    def broken(degree, *args):
+        mat = real(degree, *args)
+        if degree == d:
+            mat[row][col] = change(mat[row][col])
+        return mat
+
+    monkeypatch.setattr(jack_module, "operator_matrix", broken)
+
+
+def test_conjugation_names_entry_with_flipped_sign(monkeypatch):
+    # L[(2)][(2)] = 4 + 4*k - 2*k*p0; its constant term flips sign
+    _with_entry(monkeypatch, 2, 0, 0, lambda e: e - 8)
+    assert check_conjugation(1).holds
+    result = check_conjugation(2)
+    assert not result.holds
+    assert result.notes == ("entry (2, 2): -2*k*p0 + 4*k - 4 != "
+                            "-2*k*p0 - 4*k + 4")
+
+
+def test_conjugation_clears_negative_powers_of_k(monkeypatch):
+    # a k^2 term sends k^2 to k^-1 on the rhs, rendered over k as the
+    # substitution route renders it
+    _with_entry(monkeypatch, 2, 0, 0, lambda e: e + K ** 2)
+    entry = jack_module.operator_matrix(2)[0][0]
+    rhs = K * entry.substitute({"k": 1 / K, "p0": K * P0})
+    result = check_conjugation(2)
+    assert not result.holds and rhs.den == K.num
+    assert result.notes == f"entry (2, 2): {entry} != {rhs}"
+
+
+def test_p0_scalar_fails_off_the_diagonal(monkeypatch):
+    _with_entry(monkeypatch, 3, 0, 1, lambda e: e + K * P0)
+    assert check_p0_scalar(2).holds
+    assert not check_p0_scalar(3).holds
+
+
 def test_macdonald_coefficient_single_box():
     assert ratfunc_equal(macdonald_duality((1,)), 1 / K)
 
