@@ -14,6 +14,12 @@ The rank-negation identities verified here: the symplectic and even
 orthogonal series exchange under {n -> -n, transpose, z -> -z}, and the
 unitary series is fixed by that involution.
 
+The Taylor coefficients C_p (spectrum_coefficients) are read off the two
+ladders, prefactor and product, as truncated power series multiplied out
+factor by factor; they never expand the generating function, divide a
+series or take a gcd.  exact_algebra.series_expand of generating_function
+is their test oracle.
+
 Convention notes, forced by cross-checking against the row product:
 
 * the prefactor is 1 + beta*z/(2 - (2*alpha+1)*z); writing the inner
@@ -26,11 +32,14 @@ Convention notes, forced by cross-checking against the row product:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from negdim import kernels
 from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
@@ -40,7 +49,6 @@ from negdim.exact_algebra import (
     _coeff,
     _expand_factors,
     ratfunc_equal,
-    series_expand,
 )
 from negdim.partitions import (
     Partition,
@@ -346,13 +354,13 @@ def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
     return product, RatFunc._raw(num * rest.num, rest.den)
 
 
-def generating_function(family: str, lam: Partition, mode: str = "blocks",
-                        n: Optional[int] = None) -> CasimirGF:
-    """C(lambda, z) = prefactor * (1 - product) / z, exactly.
+def _ladders(family: str, lam: Partition, mode: str,
+             n: Optional[int]) -> Tuple[Ladder, Ladder]:
+    """(fm, pi): the prefactor and spectral-product ladders of a family,
+    with the rank set to n when one is given, after every argument check.
 
     mode "blocks" keeps the rank symbolic, or evaluates at n when one is
-    given; mode "rows" needs an integer rank n >= #rows and returns a
-    function of z alone.
+    given; mode "rows" needs an integer rank n >= #rows.
     """
     lam = check_partition(lam)
     if mode == "blocks":
@@ -371,15 +379,110 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
         fm = _ladder_at(_first_multiplier(family), n)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected blocks or rows)")
+    return fm, pi
+
+
+def generating_function(family: str, lam: Partition, mode: str = "blocks",
+                        n: Optional[int] = None) -> CasimirGF:
+    """C(lambda, z) = prefactor * (1 - product) / z, exactly.
+
+    mode "blocks" keeps the rank symbolic, or evaluates at n when one is
+    given; mode "rows" needs an integer rank n >= #rows and returns a
+    function of z alone.
+    """
+    lam = check_partition(lam)
+    fm, pi = _ladders(family, lam, mode, n)
     product, gf = _gf_from_factors(fm, pi)
     return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=product, gf=gf)
 
 
+def _denominator(*ladders: Ladder) -> int:
+    """The least common denominator of the a, b and c of every key."""
+    d = 1
+    for ladder in ladders:
+        for key in ladder:
+            for x in key:
+                d = math.lcm(d, x.denominator)
+    return d
+
+
+# The coefficient rings of the series, as (zero, one, add, sub, mul): the
+# integers at an integer rank, and at the symbolic rank the integer
+# polynomials in n, held as MultiPoly terms and run through the kernels.
+Ring = Tuple[object, object, Callable, Callable, Callable]
+_INTEGERS: Ring = (0, 1, operator.add, operator.sub, operator.mul)
+_POLYNOMIALS: Ring = ({}, {(0,): 1}, kernels.poly_add, kernels.poly_sub,
+                      kernels.poly_mul)
+
+
+@lru_cache(maxsize=None)
+def _scaled_terms(key: Key, d: int):
+    """The terms of d*(a + b*n + c*n^2) = d*n*m, integral when d clears
+    the key."""
+    return {(i,): _coeff(d * x) for i, x in enumerate(key) if x}
+
+
+def _series(ladder: Ladder, order: int, value: Callable, ring: Ring) -> list:
+    """The Taylor coefficients s_0..s_order in x of prod (1 - x*v)**e over
+    the ladder, with v = value(key), updated in place factor by factor."""
+    zero, one, add, sub, mul = ring
+    s = [one] + [zero] * order
+    for key, e in ladder.items():
+        v = value(key)
+        for _ in range(abs(e)):
+            if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
+                for k in range(order, 0, -1):
+                    if s[k - 1]:
+                        s[k] = sub(s[k], mul(v, s[k - 1]))
+            else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
+                for k in range(1, order + 1):
+                    if s[k - 1]:
+                        s[k] = add(s[k], mul(v, s[k - 1]))
+    return s
+
+
 def spectrum_coefficients(family: str, lam: Partition, order: int,
                           mode: str = "blocks", n: Optional[int] = None) -> List[RatFunc]:
-    """[C_0, ..., C_order] of the generating function."""
-    gf = generating_function(family, lam, mode=mode, n=n).gf
-    return list(series_expand(gf, "z", order))
+    """[C_0, ..., C_order] of the generating function, read off the ladders.
+
+    With F and P the series of fm and pi, C = F*(1 - P)/z gives
+    C_p = -sum_i F_i * P_(p+1-i); P_0 = 1, so (1 - P)/z is a series.  With
+    d the common denominator of the keys, the series run in x = z/d at an
+    integer rank, where every factor is 1 - x*(d*m) with d*m an integer, so
+    C_p = -N_p / d^(p+1) with N_p an integer.  At the symbolic rank,
+    x = z/(d*n) makes every factor 1 - x*d*(a + b*n + c*n^2), so N_p is an
+    integer polynomial in n and C_p = -N_p / (d*n)^(p+1).  The only factor
+    of that denominator N_p can share is a power of n, so cancelling it
+    gives the canonical form: no gcd and no series division.
+    """
+    fm, pi = _ladders(family, lam, mode, n)
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    d = _denominator(fm, pi)
+    if n is None:
+        value, ring = (lambda key: _scaled_terms(key, d)), _POLYNOMIALS
+    else:
+        value, ring = (lambda key: int(d * key[1])), _INTEGERS
+    zero, _, add, _, mul = ring
+    f, p = _series(fm, order, value, ring), _series(pi, order + 1, value, ring)
+    coeffs = []
+    for i in range(order + 1):
+        num = zero  # N_i = sum_j F_j * P_(i+1-j), in x
+        for j in range(i + 1):
+            if f[j] and p[i + 1 - j]:
+                num = add(num, mul(f[j], p[i + 1 - j]))
+        scale = Fraction(-1, d ** (i + 1))
+        if n is not None:
+            coeffs.append(RatFunc.const(num * scale))
+        elif not num:
+            coeffs.append(RatFunc.const(0))
+        else:
+            # cancel the lowest power of n, at most the i+1 of the denominator
+            low = min(min(num)[0], i + 1)
+            num = MultiPoly._raw(("n",), {(e - low,): c for (e,), c in num.items()})
+            den = MultiPoly._raw(("n",), {(i + 1 - low,): 1})
+            coeffs.append(RatFunc._raw(num._scaled(scale), den))
+    return coeffs
 
 
 def _mirror(ladder: Ladder) -> Ladder:

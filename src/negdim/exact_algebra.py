@@ -11,7 +11,9 @@ fields, dimension polynomials) runs on two types defined here:
   coefficient, so structural equality is mathematical equality.
 
 series_expand gives the truncated Taylor coefficients of a RatFunc in one
-symbol.
+symbol, by series division with a normal form per step.  It is a public
+helper and the test oracle for the Casimir coefficients, which are read
+off their factored form instead; no command runs it.
 
 No floating point anywhere.  A coefficient is an int when it is integral
 and a fractions.Fraction (re-exported as Rational; gcd-reduced with positive
@@ -341,14 +343,14 @@ class MultiPoly:
         if missing:
             raise ValueError(f"no value supplied for symbols {missing}")
         vals = [_coeff(bindings[s]) for s in self.symbols]
-        total = Fraction(0)
+        total = 0  # an int while every value and coefficient is one
         for e, c in self.terms.items():
             term = c
             for v, p in zip(vals, e):
                 if p:
                     term *= v ** p
             total += term
-        return total
+        return Fraction(total)
 
     # -- rendering ----------------------------------------------------------
 
@@ -930,7 +932,8 @@ class RatFunc:
         den = self.den.eval_fractions(bindings)
         if not den:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval_fractions(bindings) / den
+        num = self.num.eval_fractions(bindings)
+        return num if den == 1 else num / den
 
     # -- rendering -------------------------------------------------------------
 

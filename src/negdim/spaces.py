@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from negdim.exact_algebra import RatFunc, ratfunc_equal
@@ -163,22 +164,36 @@ def tabulated_kpq(s: SpaceSpec) -> Optional[KPQ]:
     return KPQ(k, p, q, _rank_symbol(s))
 
 
+@lru_cache(maxsize=None)
+def _reference(key: str) -> KPQ:
+    """The triple a catalogue row is matched by: the tabulated one where
+    the catalogue fixes one, else the one derived from the multiplicities."""
+    s = _BY_KEY[key]
+    return tabulated_kpq(s) or to_kpq(s)
+
+
+def _exact(x):
+    """x with an int made a Fraction, so that dividing by it stays exact."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def bc_dual(x: KPQ) -> KPQ:
-    """(k, p, q, N) -> (1/k, p/k, ((2q+1)/k - 1)/2, N/k); an involution."""
-    if x.k.is_zero():
+    """(k, p, q, N) -> (1/k, p/k, ((2q+1)/k - 1)/2, N/k); an involution.
+
+    The fields may be RatFuncs or, at integer sizes, rationals."""
+    if not x.k:
         raise ZeroDivisionError("duality needs k != 0")
-    k = 1 / x.k
-    p = x.p / x.k
-    q = ((2 * x.q + 1) / x.k - 1) / 2
-    return KPQ(k, p, q, x.n / x.k)
+    k = _exact(x.k)
+    return KPQ(1 / k, x.p / k, ((2 * x.q + 1) / k - 1) / 2, x.n / k)
 
 
-def a_dual(k: RatFunc, n: RatFunc) -> Tuple[RatFunc, RatFunc]:
-    """(k, N) -> (1/k, N/k) for the A-type rescaling; an involution."""
-    k = RatFunc.const(k)
-    n = RatFunc.const(n)
-    if k.is_zero():
+def a_dual(k, n):
+    """(k, N) -> (1/k, N/k) for the A-type rescaling; an involution.
+
+    RatFunc arguments give RatFuncs, int and Fraction ones Fractions."""
+    if not k:
         raise ZeroDivisionError("duality needs k != 0")
+    k = _exact(k)
     return 1 / k, n / k
 
 
@@ -189,18 +204,35 @@ def _dual_image(s: SpaceSpec, x: KPQ) -> KPQ:
     return bc_dual(x)
 
 
-def _bind_kpq(x: KPQ, bindings: Mapping[str, RatFunc]) -> KPQ:
-    return KPQ(x.k.substitute(bindings), x.p.substitute(bindings),
-               x.q.substitute(bindings), x.n.substitute(bindings))
-
-
 def _swap_mn(x: KPQ) -> KPQ:
-    return _bind_kpq(x, {"m": _SMALL_N, "n": _M})
+    swap = {"m": _SMALL_N, "n": _M}
+    return KPQ(x.k.substitute(swap), x.p.substitute(swap),
+               x.q.substitute(swap), x.n.substitute(swap))
 
 
 def _triples_equal(a: KPQ, b: KPQ) -> bool:
     return (ratfunc_equal(a.k, b.k) and ratfunc_equal(a.p, b.p)
             and ratfunc_equal(a.q, b.q))
+
+
+def _at_sizes(x: KPQ, sizes: Mapping[str, int]) -> KPQ:
+    """x with every size symbol set to an integer, as rationals."""
+    return KPQ(x.k.eval_fractions(sizes), x.p.eval_fractions(sizes),
+               x.q.eval_fractions(sizes), x.n.eval_fractions(sizes))
+
+
+def _triple_at(x: KPQ, sizes: Mapping[str, int]) -> Optional[Tuple[Fraction, ...]]:
+    """(k, p, q) of x at the sizes as rationals, or None when a size symbol
+    is left free (then no rational triple equals it)."""
+    fields = (x.k, x.p, x.q)
+    if any(sym not in sizes for f in fields for sym in f.symbols()):
+        return None
+    return tuple(f.eval_fractions(sizes) for f in fields)
+
+
+def _as_ratfuncs(x: KPQ) -> KPQ:
+    return KPQ(RatFunc.const(x.k), RatFunc.const(x.p), RatFunc.const(x.q),
+               RatFunc.const(x.n))
 
 
 @dataclass(frozen=True)
@@ -229,24 +261,66 @@ class SpaceMatch:
         }
 
 
-def _tabulated_vs_derived(s: SpaceSpec, bindings: Mapping[str, RatFunc]) -> Tuple[Dict[str, str], ...]:
+def _tabulated_vs_derived(s: SpaceSpec, sizes: Mapping[str, int]) -> Tuple[Dict[str, str], ...]:
     shown = tabulated_kpq(s)
     if shown is None:
         return ()
     derived = to_kpq(s)
     out: List[Dict[str, str]] = []
     for name in ("k", "p", "q"):
-        a = getattr(derived, name).substitute(bindings)
-        b = getattr(shown, name).substitute(bindings)
-        if not ratfunc_equal(a, b):
+        a, b = getattr(derived, name), getattr(shown, name)
+        same = (a.eval_fractions(sizes) == b.eval_fractions(sizes) if sizes
+                else ratfunc_equal(a, b))
+        if not same:
             out.append({
                 "id": f"{s.key.lower()}-{name}-normalization",
                 "field": name,
-                "derived": str(getattr(derived, name)),
-                "tabulated": str(getattr(shown, name)),
+                "derived": str(a),
+                "tabulated": str(b),
                 "expected": "true",
             })
     return tuple(out)
+
+
+def _candidates(s: SpaceSpec):
+    """The catalogue rows an image of s may match, in matching order."""
+    return (c for c in CATALOGUE if c.in_matching
+            and (c.root_system == "A") == (s.root_system == "A"))
+
+
+def _match_at_sizes(s: SpaceSpec, image: KPQ, sizes: Mapping[str, int]
+                    ) -> Tuple[Optional[SpaceSpec], bool]:
+    """(partner, relabeled) for the rational image of s at integer sizes.
+    A two-parameter candidate is set to the source's sizes under both
+    labelings; any other is compared as it is."""
+    triple = (image.k, image.p, image.q)
+    for cand in _candidates(s):
+        target = _reference(cand.key)
+        if len(cand.size_params) == 2 and "m" in sizes:
+            m, n = sizes["m"], sizes["n"]
+            labelings = (({"m": m, "n": n}, False), ({"m": n, "n": m}, True))
+        else:
+            labelings = (({}, False),)
+        for at, swapped in labelings:
+            if _triple_at(target, at) == triple:
+                return cand, swapped
+    return None, False
+
+
+def _match_symbolic(s: SpaceSpec, image: KPQ) -> Tuple[Optional[SpaceSpec], bool]:
+    """(partner, relabeled) for a symbolic image.  The m <-> n relabeling
+    of a two-parameter candidate is tried only when the image's triple has
+    a symbol, since a constant triple cannot equal either labeling of one
+    that has."""
+    symbolic = not all(f.is_const() for f in (image.k, image.p, image.q))
+    for cand in _candidates(s):
+        target = _reference(cand.key)
+        if _triples_equal(image, target):
+            return cand, False
+        if (symbolic and len(cand.size_params) == 2
+                and _triples_equal(image, _swap_mn(target))):
+            return cand, True
+    return None, False
 
 
 def dual_space(label: str, m: Optional[int] = None,
@@ -254,66 +328,45 @@ def dual_space(label: str, m: Optional[int] = None,
     """Apply the duality to a catalogue space and match the image.
 
     Optional m, n pin the size parameters to integers (n binds the single
-    parameter of one-parameter spaces).  Matching compares (k, p, q); for
+    parameter of one-parameter spaces); the triples are then evaluated as
+    rationals, with no substitution.  Matching compares (k, p, q); for
     two-parameter candidates the m <-> n relabeling is also tried, and a
     successful relabel is reported.
     """
     s = space(label)
-    bindings: Dict[str, RatFunc] = {}
+    sizes: Dict[str, int] = {}
     if m is not None:
         if "m" not in s.size_params:
             raise ValueError(f"{s.key} has no m parameter")
-        bindings["m"] = RatFunc.const(m)
+        sizes["m"] = m
     if n is not None:
-        bindings[s.size_params[-1]] = RatFunc.const(n)
+        sizes[s.size_params[-1]] = n
     if len(s.size_params) == 2 and (m is None) != (n is None):
         given, missing = ("--m", "--n") if n is None else ("--n", "--m")
         raise ValueError(f"{s.key} has size parameters m and n: "
                          f"{given} needs {missing} as well")
 
-    base = tabulated_kpq(s) or to_kpq(s)
-    kpq = _bind_kpq(base, bindings)
-    derived = _bind_kpq(to_kpq(s), bindings)
-    image = _dual_image(s, kpq)
-
-    matched = False
-    partner = None
-    partner_desc = None
-    relabeled = False
-    for cand in CATALOGUE:
-        if not cand.in_matching:
-            continue
-        if (cand.root_system == "A") != (s.root_system == "A"):
-            continue
-        target = tabulated_kpq(cand) or to_kpq(cand)
-        variants = [(target, False)]
-        if len(cand.size_params) == 2 and "m" in bindings:
-            # numeric source: instantiate the candidate at both labelings
-            mv, nv = bindings["m"], bindings[s.size_params[-1]]
-            variants = [(_bind_kpq(target, {"m": mv, "n": nv}), False),
-                        (_bind_kpq(target, {"m": nv, "n": mv}), True)]
-        elif len(cand.size_params) == 2:
-            variants.append((_swap_mn(target), True))
-        for cand_kpq, swapped in variants:
-            if _triples_equal(image, cand_kpq):
-                matched = True
-                partner = cand.key
-                partner_desc = cand.description
-                relabeled = swapped
-                break
-        if matched:
-            break
+    if sizes:
+        kpq = _at_sizes(_reference(s.key), sizes)
+        image = _dual_image(s, kpq)
+        partner, relabeled = _match_at_sizes(s, image, sizes)
+        kpq, image = _as_ratfuncs(kpq), _as_ratfuncs(image)
+        derived = _as_ratfuncs(_at_sizes(to_kpq(s), sizes))
+    else:
+        kpq, derived = _reference(s.key), to_kpq(s)
+        image = _dual_image(s, kpq)
+        partner, relabeled = _match_symbolic(s, image)
 
     return SpaceMatch(
         source=s,
         kpq=kpq,
         derived=derived,
         image=image,
-        matched=matched,
-        partner=partner,
-        partner_description=partner_desc,
+        matched=partner is not None,
+        partner=partner.key if partner else None,
+        partner_description=partner.description if partner else None,
         relabeled=relabeled,
-        discrepancies=_tabulated_vs_derived(s, bindings),
+        discrepancies=_tabulated_vs_derived(s, sizes),
     )
 
 
@@ -330,8 +383,7 @@ def verify_table() -> VerificationReport:
             holds=ok,
             inputs=(("space", source),),
             lhs=str(result.image),
-            rhs=f"{expected_partner}: "
-                f"{tabulated_kpq(space(expected_partner)) or to_kpq(space(expected_partner))}",
+            rhs=f"{expected_partner}: {_reference(expected_partner)}",
             notes=("matched after m<->n relabeling" if result.relabeled else ""),
         ))
 

@@ -12,7 +12,7 @@ from negdim.casimir import (BLOCK_FAMILIES, FAMILIES, block_product,
                             check_u_selfduality, first_multiplier,
                             generating_function, group_spec, rectangle_product,
                             row_m_values, row_product, spectrum_coefficients)
-from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal, series_expand
 from negdim.partitions import (block_param, partitions_of_weight,
                                partitions_up_to_weight, rectangle, transpose,
                                weight)
@@ -393,6 +393,85 @@ def test_unit_first_multiplier_needs_no_normal_form(monkeypatch):
         fm = first_multiplier(family)
         assert fm.num == MultiPoly.const(1) and fm.den == MultiPoly.const(1)
     assert not calls
+
+
+# -- coefficients read off the ladders ----------------------------------------
+
+
+def _coefficient_cases():
+    """(family, lam, mode, n) over the block families, symbolic and at
+    ranks, and every family in rows mode, lam to weight 5 and n from
+    max(len(lam), 1) to len(lam) + 2."""
+    for lam in partitions_up_to_weight(5):
+        ranks = range(max(len(lam), 1), len(lam) + 3)
+        for family in BLOCK_FAMILIES:
+            yield family, lam, "blocks", None
+            for n in ranks:
+                yield family, lam, "blocks", n
+        for family in sorted(FAMILIES):
+            for n in ranks:
+                yield family, lam, "rows", n
+
+
+def _coefficient_mismatches(max_order=5):
+    """The cases where spectrum_coefficients differs from the Taylor
+    expansion of the generating function, at any order to max_order."""
+    bad = []
+    for family, lam, mode, n in _coefficient_cases():
+        gf = generating_function(family, lam, mode=mode, n=n).gf
+        expected = series_expand(gf, "z", max_order)
+        for order in range(max_order + 1):
+            got = spectrum_coefficients(family, lam, order, mode=mode, n=n)
+            if got != list(expected[:order + 1]):
+                bad.append((family, lam, mode, n, order))
+    return bad
+
+
+def test_coefficients_match_series_expansion():
+    # series_expand divides the expanded generating function; the ladder
+    # route multiplies out the two ladders' series and shares no step with it
+    assert _coefficient_mismatches() == []
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda ladder: {k: (-e if i == 0 else e)
+                    for i, (k, e) in enumerate(ladder.items())},
+    lambda ladder: {(a, -b, c): e for (a, b, c), e in ladder.items()},
+], ids=["flipped-exponent", "negated-b"])
+def test_coefficient_comparison_catches_a_wrong_ladder(monkeypatch, mutate):
+    real = casimir._series
+    monkeypatch.setattr(casimir, "_series", lambda ladder, *args:
+                        real(mutate(ladder), *args))
+    assert _coefficient_mismatches(max_order=2)
+
+
+@pytest.mark.parametrize("args", [
+    ("u", (1,), "columns", None),
+    ("u", (1,), "rows", None),
+    ("c", (2, 1), "blocks", 0),
+    ("c", (2, 1), "rows", -1),
+    ("d", (1, 1, 1), "blocks", 2),
+    ("su", (2, 1, 1), "rows", 2),
+    ("b", (1,), "blocks", None),
+    ("b", (1,), "blocks", 3),
+    ("e", (1,), "blocks", None),
+    ("e", (1,), "rows", 2),
+    ("u", (1, 2), "blocks", None),
+])
+def test_coefficients_reject_what_the_generating_function_rejects(args):
+    family, lam, mode, n = args
+    with pytest.raises(ValueError) as gf_error:
+        generating_function(family, lam, mode=mode, n=n)
+    with pytest.raises(ValueError) as coeffs_error:
+        spectrum_coefficients(family, lam, 3, mode=mode, n=n)
+    assert str(coeffs_error.value) == str(gf_error.value)
+
+
+def test_negative_order_is_rejected():
+    with pytest.raises(ValueError, match="series order must be nonnegative"):
+        spectrum_coefficients("u", (1,), -1)
+    with pytest.raises(ValueError, match="series order must be nonnegative"):
+        spectrum_coefficients("b", (1,), -1, mode="rows", n=2)
 
 
 # -- ladders: the rows-against-blocks comparison ------------------------------

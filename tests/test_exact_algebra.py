@@ -544,7 +544,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] <= 49  # recursive calls included
-    assert calls["RatFunc"] <= 383
+    assert calls["RatFunc"] <= 351
     assert calls["_gcd_interpolated"] <= 11
     assert calls["_gcd_univariate"] <= 23
 
@@ -589,6 +589,30 @@ def test_casimir_suites_make_no_gcd_call(monkeypatch):
             assert casimir.check_rows_vs_blocks(family, lam,
                                                 range(start, start + 5)).holds
     assert made == {"RatFunc": 0, "MultiPoly": 0}
+
+
+def test_casimir_coefficients_make_no_gcd_call(monkeypatch):
+    # the coefficients are read off the ladders' series: the only common
+    # factor of a numerator and its denominator (d*n)**(p+1) is a power of
+    # n, so no gcd, normal form or series division is needed
+    casimir._scaled_terms.cache_clear()
+    calls = _count_gcds(monkeypatch)
+    made = []
+
+    def refuse(*args):
+        raise AssertionError("the coefficients took a series division")
+
+    inner = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda *args: made.append(1) or inner(*args))
+    monkeypatch.setattr(exact_algebra, "series_expand", refuse)
+    monkeypatch.setattr(casimir, "generating_function", refuse)
+    for family in ("su", "c", "d"):
+        for lam in partitions_up_to_weight(3):
+            coeffs = casimir.spectrum_coefficients(family, lam, 4)
+            assert len(coeffs) == 5
+    assert not calls  # recursive calls included
+    assert not made
 
 
 def test_king_conjugation_and_structure_make_no_gcd_call(monkeypatch):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from negdim import spaces
 from negdim.exact_algebra import RatFunc, ratfunc_equal
-from negdim.spaces import (EXPECTED_PAIRS, KPQ, a_dual, bc_dual, catalogue,
-                           dual_space, tabulated_kpq, space, to_kpq,
+from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, a_dual, bc_dual,
+                           catalogue, dual_space, tabulated_kpq, space, to_kpq,
                            verify_table)
 
 N = RatFunc.symbol("N")
@@ -150,3 +151,117 @@ def test_verify_table_green():
     assert report.all_ok
     assert report.failed == 0
     assert report.expected == 1  # exactly the BDI normalization
+
+
+# -- integer sizes against the substitution route -----------------------------
+
+
+def _bind(x, bindings):
+    return KPQ(*(f.substitute(bindings) for f in (x.k, x.p, x.q, x.n)))
+
+
+def _triples_equal(a, b):
+    return all(ratfunc_equal(getattr(a, f), getattr(b, f)) for f in "kpq")
+
+
+def _oracle_dual(label, m=None, n=None):
+    """dual_space by substituting the sizes into every RatFunc, then
+    applying the duality and matching in RatFunc arithmetic:
+    (kpq, derived, image, partner, relabeled, discrepancies)."""
+    s = space(label)
+    bindings = {}
+    if m is not None:
+        bindings["m"] = RatFunc.const(m)
+    if n is not None:
+        bindings[s.size_params[-1]] = RatFunc.const(n)
+    kpq = _bind(tabulated_kpq(s) or to_kpq(s), bindings)
+    derived = _bind(to_kpq(s), bindings)
+    if s.root_system == "A":
+        k = RatFunc.const(1) / kpq.k
+        image = KPQ(k, kpq.p, kpq.q, kpq.n / kpq.k)
+    else:
+        k = kpq.k
+        image = KPQ(1 / k, kpq.p / k, ((2 * kpq.q + 1) / k - 1) / 2, kpq.n / k)
+    partner, relabeled = None, False
+    for cand in CATALOGUE:
+        if not cand.in_matching or (cand.root_system == "A") != (s.root_system == "A"):
+            continue
+        target = tabulated_kpq(cand) or to_kpq(cand)
+        variants = [(target, False)]
+        if len(cand.size_params) == 2 and "m" in bindings:
+            mv, nv = bindings["m"], bindings["n"]
+            variants = [(_bind(target, {"m": mv, "n": nv}), False),
+                        (_bind(target, {"m": nv, "n": mv}), True)]
+        elif len(cand.size_params) == 2:
+            variants.append((_bind(target, {"m": RatFunc.symbol("n"),
+                                            "n": RatFunc.symbol("m")}), True))
+        hit = [swapped for v, swapped in variants if _triples_equal(image, v)]
+        if hit:
+            partner, relabeled = cand.key, hit[0]
+            break
+    discrepancies = []
+    shown = tabulated_kpq(s)
+    for name in ("k", "p", "q") if shown else ():
+        a, b = getattr(to_kpq(s), name), getattr(shown, name)
+        if not ratfunc_equal(a.substitute(bindings), b.substitute(bindings)):
+            discrepancies.append(f"{s.key.lower()}-{name}-normalization")
+    return (str(kpq), str(derived), str(image), partner, relabeled,
+            discrepancies)
+
+
+def _size_cases():
+    labels = [s.key for s in CATALOGUE] + ["DIII"]
+    for label in labels:
+        yield label, None, None
+        for n in range(-2, 7):
+            if len(space(label).size_params) == 2:
+                for m in range(-2, 7):
+                    yield label, m, n
+            else:
+                yield label, None, n
+
+
+def test_dual_space_at_integer_sizes_matches_substitution_route():
+    for label, m, n in _size_cases():
+        got = dual_space(label, m=m, n=n)
+        assert (str(got.kpq), str(got.derived), str(got.image), got.partner,
+                got.relabeled, [d["id"] for d in got.discrepancies]) \
+            == _oracle_dual(label, m, n), (label, m, n)
+        assert got.matched == (got.partner is not None)
+        for x in (got.kpq, got.derived, got.image):
+            assert all(isinstance(f, RatFunc) for f in (x.k, x.p, x.q, x.n))
+
+
+def test_numeric_sizes_take_no_substitution(monkeypatch):
+    def refuse(self, bindings):
+        raise AssertionError("a numeric dual substituted into a RatFunc")
+
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    for label, m, n in _size_cases():
+        if n is not None:
+            dual_space(label, m=m, n=n)
+
+
+def test_symbolic_relabeling_only_for_symbolic_images(monkeypatch):
+    swaps = []
+    real = spaces._swap_mn
+    monkeypatch.setattr(spaces, "_swap_mn", lambda x: swaps.append(1) or real(x))
+    for s in CATALOGUE:
+        del swaps[:]
+        dual_space(s.key)
+        # a one-parameter space has a constant triple, and so its image
+        assert bool(swaps) == (len(s.size_params) == 2), s.key
+
+
+def test_duality_maps_stay_exact_on_integers():
+    k, n = a_dual(2, 3)
+    assert (k, n) == (Fraction(1, 2), Fraction(3, 2))
+    assert type(k) is Fraction and type(n) is Fraction
+    image = bc_dual(KPQ(-2, 1, 0, 3))
+    assert (image.k, image.p, image.q, image.n) == (
+        Fraction(-1, 2), Fraction(-1, 2), Fraction(-3, 4), Fraction(-3, 2))
+    assert all(type(f) is Fraction for f in (image.k, image.p, image.q, image.n))
+    with pytest.raises(ZeroDivisionError):
+        a_dual(0, 3)
+    with pytest.raises(ZeroDivisionError):
+        bc_dual(KPQ(0, 1, 1, 3))
