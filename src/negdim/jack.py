@@ -39,11 +39,12 @@ c from its linear factors in k and checks every power-sum coordinate of the
 two eigenfunctions against it by cross-multiplication, so a normalisation
 error that keeps them proportional still fails.
 
-The Jack path runs in integers.  S, the power-sum-to-monomial matrix, is
-counted, d! * S^-1 is an integer matrix, and the operator in the monomial
-basis is the integer pair M0 + k*M1.  jack() keeps each denominator as a
-multiset of primitive eigenvalue gaps and cancels them by trial division,
-so it takes no gcd.
+L is counted once, in integers, as L0 + k*L1 + k*p0*L2 on the power sums;
+the conjugation and p0 checks read its exponent maps, check_diagram its
+columns, and jack() the pair M0 + k*M1 that S, the counted
+power-sum-to-monomial matrix, makes of L0 and L1 (d! * S^-1 is an integer
+matrix).  jack() keeps each denominator as a multiset of primitive
+eigenvalue gaps and cancels them by trial division, so it takes no gcd.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -63,8 +64,7 @@ from negdim.exact_algebra import (
     _cancel,
     _coeff,
     _expand_factors,
-    poly_exact_div,
-    ratfunc_equal,
+    _grlex,
 )
 from negdim.partitions import (
     Partition,
@@ -186,40 +186,56 @@ def format_expr(terms: Mapping[Partition, RatFunc], letter: str) -> str:
 # -- the infinite-variable operator ----------------------------------------
 
 
-def apply_L_inf(x: PExpr, k: Coupling = None, p0: Coupling = None) -> PExpr:
-    """Apply the deformed Laplacian; degree is preserved term by term."""
-    kv = _as_value(k)
-    pv = _as_value(p0, P0)
-    out: Dict[Partition, RatFunc] = {}
-
-    def add(mu: Partition, coeff: RatFunc):
-        out[mu] = out[mu] + coeff if mu in out else coeff
-
-    for mu, c in x.terms.items():
-        parts = list(mu)
-        d = x.degree
-        # merging term: pick two distinct positions, fuse them
-        for i, j in permutations(range(len(parts)), 2):
-            rest = [parts[t] for t in range(len(parts)) if t not in (i, j)]
-            add(tuple(sorted(rest + [parts[i] + parts[j]], reverse=True)),
-                c * (parts[i] * parts[j]))
-        # splitting term: replace one part c0 by an ordered pair (a, c0-a)
-        for c0 in dict.fromkeys(parts):  # each distinct part once
-            mult, idx = parts.count(c0), parts.index(c0)
-            base = parts[:idx] + parts[idx + 1:]
-            for a in range(1, c0):
-                split = tuple(sorted(base + [a, c0 - a], reverse=True))
-                add(split, c * kv * (-c0 * mult))
-        # scalar part: degree operator twice over
-        scalar = kv * (-d) * pv + (1 + kv) * sum(p * p for p in parts)
-        add(mu, c * scalar)
-
-    return PExpr(x.degree, out)
-
-
 def degree_basis(d: int) -> Tuple[Partition, ...]:
     """Partitions of d in descending lexicographic order (refines dominance)."""
     return tuple(partitions_of_weight(d))
+
+
+@lru_cache(maxsize=None)
+def _operator_count(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """(L0, L1, L2), the one count of L = L0 + k*L1 + k*p0*L2 on the degree-d
+    power-sum basis: integer matrices indexed by degree_basis(d), column mu
+    the image of p_mu.  On p_mu the four terms of the module docstring give
+    a*b per ordered pair of parts a, b fused (L0), -c per ordered split of a
+    part c (L1), -c per part (L2) and c^2 per part (L0 and L1).
+    """
+    basis = degree_basis(d)
+    index = {mu: i for i, mu in enumerate(basis)}
+    count = [[[0] * len(basis) for _ in basis] for _ in range(3)]
+    for j, mu in enumerate(basis):
+        count[0][j][j] = count[1][j][j] = sum(part * part for part in mu)
+        count[2][j][j] = -sum(mu)
+        for i, part in enumerate(mu):
+            rest = mu[:i] + mu[i + 1:]
+            for t, other in enumerate(rest):  # fuse two parts
+                fused = sorted(rest[:t] + rest[t + 1:] + (part + other,), reverse=True)
+                count[0][index[tuple(fused)]][j] += part * other
+            for a in range(1, part):  # split one part in an ordered pair
+                split = sorted(rest + (a, part - a), reverse=True)
+                count[1][index[tuple(split)]][j] -= part
+    return tuple(tuple(map(tuple, mat)) for mat in count)
+
+
+def _entry_maps(d: int) -> List[List[Dict[Tuple[int, int], int]]]:
+    """Entry L[nu][mu] of the degree-d block as the map (i, j) -> nonzero
+    coefficient of k^i * p0^j, read off the count."""
+    return [[{e: c for e, c in zip(((0, 0), (1, 0), (1, 1)), entry) if c}
+             for entry in zip(*rows)] for rows in zip(*_operator_count(d))]
+
+
+def apply_L_inf(x: PExpr, k: Coupling = None, p0: Coupling = None) -> PExpr:
+    """Apply the deformed Laplacian; degree is preserved term by term.  Only
+    the nonzero entries of each column are rendered from their maps."""
+    kv, pv = _as_value(k), _as_value(p0, P0)
+    basis, maps = degree_basis(x.degree), _entry_maps(x.degree)
+    out: Dict[Partition, RatFunc] = {}
+    for mu, c in x.terms.items():
+        j = basis.index(mu)
+        for nu, terms in zip(basis, (row[j] for row in maps)):
+            if terms:
+                entry = sum((kv ** i * pv ** e * v for (i, e), v in terms.items()), _ZERO)
+                out[nu] = out[nu] + c * entry if nu in out else c * entry
+    return PExpr(x.degree, out)
 
 
 def operator_matrix(d: int, k: Coupling = None,
@@ -313,31 +329,21 @@ def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """(M0, M1): M0 + k*M1 is the operator in the degree-d monomial basis at
     p0 = 0 (the p0 part is the scalar -k*d*p0), indexed by degree_basis(d).
 
-    The power-sum matrix L0 + k*L1 is counted in int arithmetic, apart from
-    apply_L_inf; M_i = S . L_i . (d! S^-1) / d! divides exactly, as every
-    entry of the conjugate is an integer polynomial a + b*k.
+    M_i = S . L_i . (d! S^-1) / d! conjugates the count's L0 and L1.  Every
+    entry of the conjugate is an integer polynomial a + b*k, so the division
+    is exact; a remainder means a miscounted operator and raises.
     """
-    basis = degree_basis(d)
-    index = {mu: i for i, mu in enumerate(basis)}
-    pair = [[[0] * len(basis) for _ in basis] for _ in range(2)]
-    for j, mu in enumerate(basis):
-        pair[0][j][j] = pair[1][j][j] = sum(p * p for p in mu)
-        for i, part in enumerate(mu):
-            rest = mu[:i] + mu[i + 1:]
-            for t, other in enumerate(rest):  # fuse two parts
-                fused = sorted(rest[:t] + rest[t + 1:] + (part + other,), reverse=True)
-                pair[0][index[tuple(fused)]][j] += part * other
-            for a in range(1, part):  # split one part in an ordered pair
-                split = sorted(rest + (a, part - a), reverse=True)
-                pair[1][index[tuple(split)]][j] -= part
 
-    def times(a, b, div=1):
+    def times(a, b):
         cols = tuple(zip(*b))
-        return tuple(tuple(sum(x * y for x, y in zip(row, col) if x) // div
+        return tuple(tuple(sum(x * y for x, y in zip(row, col) if x)
                            for col in cols) for row in a)
 
-    s, sinv = _s_matrix(d), _s_inverse(d)
-    return tuple(times(s, times(lmat, sinv), factorial(d)) for lmat in pair)
+    s, sinv, scale = _s_matrix(d), _s_inverse(d), factorial(d)
+    pair = [times(s, times(lmat, sinv)) for lmat in _operator_count(d)[:2]]
+    if any(v % scale for mat in pair for row in mat for v in row):
+        raise ArithmeticError(f"degree-{d} operator not integral in the monomial basis")
+    return tuple(tuple(tuple(v // scale for v in row) for row in mat) for mat in pair)
 
 
 # -- Jack functions ----------------------------------------------------------
@@ -454,16 +460,6 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
 # -- the coupling-inversion map ---------------------------------------------
 
 
-def _entry_map(entry: RatFunc) -> Dict[Tuple[int, int], Fraction]:
-    """An operator entry, a polynomial at symbolic k and p0 (asserted), as
-    the map (i, j) -> coefficient of k^i * p0^j."""
-    num = entry.num
-    if entry.den != 1 or not set(num.symbols) <= {"k", "p0"}:
-        raise AssertionError(f"operator entry {entry} is not a polynomial in k and p0")
-    return {tuple(dict(zip(num.symbols, e)).get(s, 0) for s in ("k", "p0")): c
-            for e, c in num.terms.items()}
-
-
 def _laurent(terms: Mapping[Tuple[int, int], Fraction]) -> RatFunc:
     """sum c * k^i * p0^j in canonical form with no gcd: for low < 0 the
     numerator over k^-low has a k-free term, so it is coprime to k."""
@@ -473,16 +469,15 @@ def _laurent(terms: Mapping[Tuple[int, int], Fraction]) -> RatFunc:
 
 
 def _conjugation_sides(d: int):
-    """(nu, mu, lhs, rhs) for each entry L[nu][mu] of the degree-d block:
-    lhs = L * k^(len(mu) - len(nu)) shifts the power of k, and
-    rhs = k * L(1/k, k*p0) sends k^i * p0^j to k^(1 - i + j) * p0^j."""
+    """(nu, mu, lhs, rhs) for each entry L[nu][mu] of the degree-d block, as
+    exponent maps: lhs = L * k^(len(mu) - len(nu)) shifts the power of k,
+    and rhs = k * L(1/k, k*p0) sends k^i * p0^j to k^(1 - i + j) * p0^j."""
     basis = degree_basis(d)
-    for nu, row in zip(basis, operator_matrix(d)):
-        for mu, entry in zip(basis, row):
-            terms, shift = _entry_map(entry), len(mu) - len(nu)
-            yield (nu, mu,
-                   _laurent({(i + shift, j): c for (i, j), c in terms.items()}),
-                   _laurent({(1 - i + j, j): c for (i, j), c in terms.items()}))
+    for nu, row in zip(basis, _entry_maps(d)):
+        for mu, terms in zip(basis, row):
+            shift = len(mu) - len(nu)
+            yield (nu, mu, {(i + shift, j): c for (i, j), c in terms.items()},
+                   {(1 - i + j, j): c for (i, j), c in terms.items()})
 
 
 def check_conjugation(d: int) -> CheckResult:
@@ -490,8 +485,8 @@ def check_conjugation(d: int) -> CheckResult:
     theta o L_{k, p0} o theta^(-1) = k * L_{1/k, k*p0}, entry by entry with k
     and p0 symbolic, both sides read off the entry's map."""
     witness = next((f"entry ({format_partition(nu)}, {format_partition(mu)}): "
-                    f"{lhs} != {rhs}" for nu, mu, lhs, rhs in _conjugation_sides(d)
-                    if lhs != rhs), "")
+                    f"{_laurent(lhs)} != {_laurent(rhs)}"
+                    for nu, mu, lhs, rhs in _conjugation_sides(d) if lhs != rhs), "")
     return CheckResult(
         check_id=f"jack/conjugation/d={d}",
         holds=not witness,
@@ -553,21 +548,54 @@ def _zvars(n: int) -> List[str]:
     return [f"z{i}" for i in range(1, n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _p_of_z(mu: Partition, n: int) -> MultiPoly:
+    """p_mu(z_1, ..., z_n), memoised along the prefixes of mu."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if not mu:
+        return MultiPoly.const(1)
+    return _p_of_z(mu[:-1], n) * MultiPoly(
+        _zvars(n), {tuple(mu[-1] * (i == j) for i in range(n)): 1 for j in range(n)})
+
+
 def phi_N(x: PExpr, n: int) -> RatFunc:
     """Substitute each p_l by the n-variable power sum z_1^l + ... + z_n^l."""
     if n < 1:
         raise ValueError("need at least one variable")
-    names = _zvars(n)
-    sums = {l: MultiPoly(names, {tuple(l if i == j else 0 for i in range(n)): 1
-                                 for j in range(n)})
-            for l in {part for mu in x.terms for part in mu}}
-    total = RatFunc.const(0)
-    for mu, coeff in x.terms.items():
-        poly = MultiPoly.const(1)
-        for part in mu:
-            poly = poly * sums[part]
-        total = total + coeff * poly
-    return total
+    return sum((coeff * _p_of_z(mu, n) for mu, coeff in x.terms.items()), _ZERO)
+
+
+def _euler_and_pairs(num: MultiPoly, n: int) -> Tuple[MultiPoly, MultiPoly]:
+    """(E, P) with L_N num = E - k*P for a polynomial num in z_1..z_n:
+    E = sum_i (z_i d/dz_i)^2 num and P = sum_{i<j} (z_i + z_j) * q, where
+    q = g / (z_i - z_j) and g = (z_i d/dz_i - z_j d/dz_j) num.  The division
+    is done in closed form: at fixed other exponents and a + b = s, the
+    coefficient of z_i^(a-1) z_j^(s-a) in q is the sum of the coefficients
+    of z_i^t z_j^(s-t) in g over t >= a, and a nonzero sum over all t is a
+    remainder, which raises ExactDivisionError."""
+    # aligned with z_1 * ... * z_n, every z has a position
+    syms, terms, _ = MultiPoly._aligned(num, MultiPoly(_zvars(n), {(1,) * n: 1}))
+    pos = sorted((syms.index(name), name) for name in _zvars(n))
+    euler = {e: c * sum(e[i] ** 2 for i, _ in pos) for e, c in terms.items()}
+    pairs = {}
+    for (i, x), (j, y) in combinations(pos, 2):  # i < j
+        rows = {}  # g by the other exponents and s, as {a: coefficient}
+        for e, c in terms.items():
+            if e[i] != e[j]:
+                row = rows.setdefault((e[:i], e[i + 1:j], e[j + 1:], e[i] + e[j]), {})
+                row[e[i]] = c * (e[i] - e[j])
+        for (head, mid, tail, s), row in rows.items():
+            acc = 0
+            for a in range(s, 0, -1):  # acc: coefficient of z_i^(a-1) z_j^(s-a) in q
+                acc += row.get(a, 0)
+                for t in (a, a - 1) if acc else ():  # times z_i + z_j
+                    key = head + (t,) + mid + (s - t,) + tail
+                    pairs[key] = pairs.get(key, 0) + acc
+            if acc + row.get(0, 0):
+                raise ExactDivisionError(f"pairwise term not divisible by {x} - "
+                                         f"{y}; the input is not symmetric")
+    return MultiPoly(syms, euler), MultiPoly(syms, pairs)
 
 
 def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
@@ -575,60 +603,45 @@ def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
 
     The input must be polynomial in the z variables (denominator free of
     them); the pairwise term divides by z_i - z_j exactly, and a division
-    failure signals a non-symmetric input.
+    failure signals a non-symmetric input.  With k = u/w the image is
+    (w*E - u*P) / (w * f.den), reduced once.
     """
     kv = _as_value(k)
-    names = _zvars(n)
-    if any(s in f.den.symbols for s in names):
+    if any(s in f.den.symbols for s in _zvars(n)):
         raise ValueError("coefficients must be polynomial in the z variables")
-    num = f.num
-    index = {s: i for i, s in enumerate(num.symbols)}
-    pos = [index.get(name) for name in names]
-
-    def euler_square(p: MultiPoly) -> MultiPoly:
-        terms = {}
-        for exps, c in p.terms.items():
-            w = sum(exps[t] ** 2 for t in pos if t is not None)
-            if w:
-                terms[exps] = c * w
-        return MultiPoly(p.symbols, terms)
-
-    result = RatFunc(euler_square(num), f.den)
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = {}
-            for exps, c in num.terms.items():
-                ei = exps[pos[i]] if pos[i] is not None else 0
-                ej = exps[pos[j]] if pos[j] is not None else 0
-                if ei != ej:
-                    terms[exps] = c * (ei - ej)
-            g = MultiPoly(num.symbols, terms)
-            if g.is_zero():
-                continue
-            diff = MultiPoly.linear(0, **{names[i]: 1, names[j]: -1})
-            try:
-                quot = poly_exact_div(g, diff)
-            except ExactDivisionError as exc:
-                raise ExactDivisionError(
-                    f"pairwise term not divisible by {names[i]} - {names[j]}; "
-                    f"the input is not symmetric") from exc
-            summ = MultiPoly.linear(0, **{names[i]: 1, names[j]: 1})
-            result = result - kv * RatFunc(quot * summ, f.den)
-    return result
+    euler, pairs = _euler_and_pairs(f.num, n)
+    return RatFunc(euler * kv.den - pairs * kv.num, f.den * kv.den)
 
 
 def check_diagram(mu: Partition, k: Coupling = None, n: int = 1) -> CheckResult:
-    """Projecting to n variables commutes with the operator at p0 = n."""
+    """Projecting to n variables commutes with the operator at p0 = n.
+
+    At k = u/w both sides are integer polynomials in k and z_1..z_n over w:
+    down sums column mu of the count at p0 = n against p_nu(z), across
+    applies L_N to p_mu(z).  A failure names the first differing monomial.
+    """
     mu = check_partition(mu)
-    kv = _as_value(k)
-    down = phi_N(apply_L_inf(p_basis_element(mu), kv, n), n)
-    across = apply_L_N(phi_N(p_basis_element(mu), n), kv, n)
+    kv, d = _as_value(k), weight(mu)
+    basis = degree_basis(d)
+    j = basis.index(mu)
+    down = MultiPoly.const(0)
+    for nu, l0, l1, l2 in zip(basis, *_operator_count(d)):
+        if l0[j] or l1[j] or l2[j]:
+            down = down + _p_of_z(nu, n) * (kv.den * l0[j] + kv.num * (l1[j] + n * l2[j]))
+    euler, pairs = _euler_and_pairs(_p_of_z(mu, n), n)
+    across = euler * kv.den - pairs * kv.num
+    syms, left, right = MultiPoly._aligned(down, across)
+    e = max((e for e in left.keys() | right.keys()
+             if left.get(e, 0) != right.get(e, 0)), key=_grlex, default=None)
     return CheckResult(
         check_id=f"jack/diagram/{format_partition(mu)}/N={n}",
-        holds=ratfunc_equal(down, across),
+        holds=e is None,
         inputs=(("mu", format_partition(mu)), ("N", str(n))),
-        lhs=str(down),
-        rhs=str(across),
+        lhs=str(RatFunc(down, kv.den)),
+        rhs=str(RatFunc(across, kv.den)),
+        notes="" if e is None else (
+            f"{MultiPoly._raw(syms, {e: 1})} has coefficient {left.get(e, 0)} "
+            f"in lhs and {right.get(e, 0)} in rhs"),
     )
 
 
@@ -760,10 +773,10 @@ def check_triangularity(d: int) -> CheckResult:
 def check_p0_scalar(d: int) -> CheckResult:
     """The p0 dependence of the degree-d block is the scalar -k*d*p0: the
     p0 terms of the entry maps are {(1, 1): -d} on the diagonal, none off it."""
-    holds = all({e: c for e, c in _entry_map(entry).items() if e[1]}
+    holds = all({e: c for e, c in terms.items() if e[1]}
                 == ({(1, 1): -d} if i == j else {})
-                for i, row in enumerate(operator_matrix(d))
-                for j, entry in enumerate(row))
+                for i, row in enumerate(_entry_maps(d))
+                for j, terms in enumerate(row))
     return CheckResult(
         check_id=f"jack/p0-scalar/d={d}",
         holds=holds,

@@ -528,7 +528,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     # where the time bounds of a noisy machine cannot); jack's caches and
     # the Casimir ladder factors start cold, as in a fresh interpreter
     for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices,
-                   casimir._factor):
+                   jack._operator_count, jack._p_of_z, casimir._factor):
         cached.cache_clear()
     calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
 
@@ -544,7 +544,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] <= 49  # recursive calls included
-    assert calls["RatFunc"] <= 351
+    assert calls["RatFunc"] <= 245
     assert calls["_gcd_interpolated"] <= 11
     assert calls["_gcd_univariate"] <= 23
 
@@ -619,7 +619,8 @@ def test_king_conjugation_and_structure_make_no_gcd_call(monkeypatch):
     # King compares shift maps, and the conjugation and the p0 scalar read
     # the exponent maps of the operator entries: none substitutes, takes a
     # gcd or falls back to cross-multiplication; jack's caches start cold
-    for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices):
+    for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices,
+                   jack._operator_count):
         cached.cache_clear()
     calls = _count_gcds(monkeypatch)
 
@@ -628,7 +629,7 @@ def test_king_conjugation_and_structure_make_no_gcd_call(monkeypatch):
 
     monkeypatch.setattr(RatFunc, "substitute", refuse)
     monkeypatch.setattr(dims, "ratfunc_equal", refuse)
-    monkeypatch.setattr(jack, "ratfunc_equal", refuse)
+    monkeypatch.setattr(exact_algebra, "ratfunc_equal", refuse)
     assert dims.verify_king(6).all_ok
     assert jack.verify_conjugation(6).all_ok
     assert jack.verify_structure(6).all_ok

@@ -9,7 +9,7 @@ import pytest
 
 from negdim import exact_algebra
 from negdim import jack as jack_module
-from negdim.exact_algebra import RatFunc, ratfunc_equal
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          SingularCouplingError, _monomial_matrices,
                          _s_inverse, _s_matrix, apply_L_N, apply_L_inf,
@@ -371,6 +371,7 @@ def test_conjugation_sides_match_substitution_route():
         sides = list(jack_module._conjugation_sides(d))
         assert len(sides) == len(basis) ** 2
         for nu, mu, lhs, rhs in sides:
+            lhs, rhs = jack_module._laurent(lhs), jack_module._laurent(rhs)
             entry = mat[basis.index(nu)][basis.index(mu)]
             assert lhs == entry * K ** (len(mu) - len(nu))
             assert rhs == K * entry.substitute({"k": 1 / K, "p0": K * P0})
@@ -378,20 +379,21 @@ def test_conjugation_sides_match_substitution_route():
 
 
 def _with_entry(monkeypatch, d, row, col, change):
-    real = jack_module.operator_matrix
+    # the exponent map of one entry, read off the count, is changed
+    real = jack_module._entry_maps
 
-    def broken(degree, *args):
-        mat = real(degree, *args)
+    def broken(degree):
+        maps = real(degree)
         if degree == d:
-            mat[row][col] = change(mat[row][col])
-        return mat
+            maps[row][col] = change(maps[row][col])
+        return maps
 
-    monkeypatch.setattr(jack_module, "operator_matrix", broken)
+    monkeypatch.setattr(jack_module, "_entry_maps", broken)
 
 
 def test_conjugation_names_entry_with_flipped_sign(monkeypatch):
     # L[(2)][(2)] = 4 + 4*k - 2*k*p0; its constant term flips sign
-    _with_entry(monkeypatch, 2, 0, 0, lambda e: e - 8)
+    _with_entry(monkeypatch, 2, 0, 0, lambda m: {**m, (0, 0): m[(0, 0)] - 8})
     assert check_conjugation(1).holds
     result = check_conjugation(2)
     assert not result.holds
@@ -402,7 +404,7 @@ def test_conjugation_names_entry_with_flipped_sign(monkeypatch):
 def test_conjugation_clears_negative_powers_of_k(monkeypatch):
     # a k^2 term sends k^2 to k^-1 on the rhs, rendered over k as the
     # substitution route renders it
-    _with_entry(monkeypatch, 2, 0, 0, lambda e: e + K ** 2)
+    _with_entry(monkeypatch, 2, 0, 0, lambda m: {**m, (2, 0): 1})
     entry = jack_module.operator_matrix(2)[0][0]
     rhs = K * entry.substitute({"k": 1 / K, "p0": K * P0})
     result = check_conjugation(2)
@@ -411,9 +413,121 @@ def test_conjugation_clears_negative_powers_of_k(monkeypatch):
 
 
 def test_p0_scalar_fails_off_the_diagonal(monkeypatch):
-    _with_entry(monkeypatch, 3, 0, 1, lambda e: e + K * P0)
+    _with_entry(monkeypatch, 3, 0, 1, lambda m: {**m, (1, 1): 1})
     assert check_p0_scalar(2).holds
     assert not check_p0_scalar(3).holds
+
+
+def _derivative(f, a):
+    """D_a f = a * df/dp_a for a polynomial f in p1, p2, ..."""
+    name = f"p{a}"
+    if name not in f.symbols:
+        return MultiPoly.const(0)
+    i = f.symbols.index(name)
+    return MultiPoly(f.symbols, {e[:i] + (e[i] - 1,) + e[i + 1:]: a * e[i] * c
+                                 for e, c in f.terms.items() if e[i]})
+
+
+def _by_partition(f):
+    """A polynomial in p1, p2, ... as the map partition -> coefficient."""
+    out = {}
+    for e, c in f.terms.items():
+        parts = [int(s[1:]) for s, m in zip(f.symbols, e) for _ in range(m)]
+        out[tuple(sorted(parts, reverse=True))] = c
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_operator_count_matches_the_differential_operator(d):
+    # the oracle applies the four terms of L literally to p_mu, with
+    # D_a = a*d/dp_a on polynomials in p1..pd: L0 is the fusing term plus
+    # sum a*p_a*D_a, L1 the splitting term plus the same, L2 -sum p_a*D_a
+    p = {a: MultiPoly.symbol(f"p{a}") for a in range(1, d + 1)}
+    zero = MultiPoly.const(0)
+    basis = degree_basis(d)
+    count = jack_module._operator_count(d)
+    for j, mu in enumerate(basis):
+        f = prod((p[part] for part in mu), start=MultiPoly.const(1))
+        fuse = sum((p[a + b] * _derivative(_derivative(f, a), b)
+                    for a in p for b in p if a + b <= d), zero)
+        split = sum((p[a] * p[b] * _derivative(f, a + b)
+                     for a in p for b in p if a + b <= d), zero)
+        degree = sum((p[a] * _derivative(f, a) for a in p), zero)
+        euler = sum((p[a] * _derivative(f, a) * a for a in p), zero)
+        for mat, image in zip(count, (fuse + euler, euler - split, -degree)):
+            column = {nu: mat[i][j] for i, nu in enumerate(basis) if mat[i][j]}
+            assert column == _by_partition(image), mu
+
+
+@pytest.fixture
+def miscount(monkeypatch):
+    """Installs a count with one entry moved by delta; the monomial-basis
+    matrices built from it are dropped on the way in and out."""
+    real = jack_module._operator_count
+
+    def install(d, which, row, col, delta):
+        def broken(degree):
+            count = real(degree)
+            if degree != d:
+                return count
+            mats = [list(map(list, mat)) for mat in count]
+            mats[which][row][col] += delta
+            return tuple(tuple(map(tuple, mat)) for mat in mats)
+
+        monkeypatch.setattr(jack_module, "_operator_count", broken)
+        _monomial_matrices.cache_clear()
+
+    yield install
+    _monomial_matrices.cache_clear()
+
+
+def test_diagram_guards_the_count_jack_solves_with(miscount):
+    # one fusing count of degree 3 off by one, p_(2,1) -> p_(3) (4 -> 5):
+    # the diagram reports it, and jack() refuses the monomial-basis
+    # conjugate, which is no longer integral
+    miscount(3, 0, 0, 1, 1)
+    assert not jack_module.verify_diagram(3, 2).all_ok
+    with pytest.raises(ArithmeticError, match="not integral"):
+        jack_module.verify_schur(3)
+
+
+def test_diagram_names_the_first_differing_monomial(miscount):
+    # the fusing count of p_(1,1) -> p_(2) (2 -> 3) adds p_2(z) to the
+    # constant term in k of the down side
+    miscount(2, 0, 0, 1, 1)
+    report = jack_module.verify_diagram(2, 2)
+    failed = [case for case in report.cases if not case.holds]
+    assert [case.check_id for case in failed] == ["jack/diagram/1,1/N=1",
+                                                  "jack/diagram/1,1/N=2"]
+    assert [case.notes for case in failed] == [
+        "z1^2 has coefficient 5 in lhs and 4 in rhs"] * 2
+    assert not any(case.notes for case in report.cases if case.holds)
+
+
+def test_operator_checks_build_no_normal_form(monkeypatch):
+    # structure and conjugation compare the count's maps and build no
+    # RatFunc; the diagram compares integer polynomials and renders each
+    # side over 1, so it takes no gcd and no exact division; caches cold
+    for cached in (_s_matrix, _s_inverse, _monomial_matrices,
+                   jack_module._operator_count, jack_module._p_of_z):
+        cached.cache_clear()
+    made = {"RatFunc": 0, "poly_gcd": 0, "poly_exact_div": 0}
+
+    def counted(key, inner):
+        def wrapped(*args, **kwargs):
+            made[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
+    for name in ("poly_gcd", "poly_exact_div"):
+        monkeypatch.setattr(exact_algebra, name,
+                            counted(name, getattr(exact_algebra, name)))
+    assert jack_module.verify_structure(6).all_ok
+    assert jack_module.verify_conjugation(6).all_ok
+    assert made == {"RatFunc": 0, "poly_gcd": 0, "poly_exact_div": 0}
+    assert jack_module.verify_diagram(5, 4).all_ok
+    assert made["poly_gcd"] == made["poly_exact_div"] == 0
 
 
 def test_macdonald_coefficient_single_box():
@@ -552,6 +666,24 @@ def test_apply_L_N_rejects_nonsymmetric():
     z2 = RatFunc.symbol("z2")
     with pytest.raises(ArithmeticError):
         apply_L_N(z1 * z1 + z2, n=2)
+
+
+def test_apply_L_N_divides_nonsymmetric_input_when_it_can():
+    # z1^3 + 3*z1*z2^2 is not symmetric, but its pairwise numerator
+    # 3*z1^3 - 3*z1*z2^2 = 3*z1*(z1 - z2)*(z1 + z2) divides exactly, so the
+    # image is E - k*3*z1*(z1 + z2)^2 with E = 9*z1^3 + 15*z1*z2^2
+    z1, z2 = RatFunc.symbol("z1"), RatFunc.symbol("z2")
+    image = apply_L_N(z1 ** 3 + 3 * z1 * z2 ** 2, n=2)
+    assert image == 9 * z1 ** 3 + 15 * z1 * z2 ** 2 - K * 3 * z1 * (z1 + z2) ** 2
+    # and with a coefficient in k, over a denominator, against poly_exact_div
+    z = MultiPoly.symbol
+    num = (z("z1") ** 3 + z("z1") * z("z2") ** 2 * 3) * (z("k") + 2) + z("z1") * z("z2")
+    pair = MultiPoly(num.symbols, {e: c * (e[1] - e[2]) for e, c in num.terms.items()})
+    euler = MultiPoly(num.symbols, {e: c * (e[1] ** 2 + e[2] ** 2)
+                                    for e, c in num.terms.items()})
+    quot = exact_algebra.poly_exact_div(pair, z("z1") - z("z2"))
+    expected = RatFunc(euler - z("k") * quot * (z("z1") + z("z2")), z("k") + 1)
+    assert apply_L_N(RatFunc(num, z("k") + 1), n=2) == expected
 
 
 def test_diagram_examples():
