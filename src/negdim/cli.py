@@ -8,6 +8,14 @@ output; text and JSON are byte-stable for a fixed config and version.
 Exit codes: 0 when everything asked for holds (expected discrepancies do
 not fail a run), 1 on an unexpected failure or computational error, or
 when the reader of the output goes away early, 2 on usage errors.
+
+Every command is one entry of the table COMMANDS: its words, its help line,
+a function that adds its arguments, and its handler.  A command line that
+starts with a command's words is parsed by that command's own parser, built
+on first use.  The full argparse tree (build_parser) is built from the same
+table only when it is needed: for help above a command, for an unknown
+command, and for the top-level "unrecognized arguments" error, so help and
+error text read as they would from the tree alone.
 """
 
 from __future__ import annotations
@@ -301,124 +309,142 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
+def _sizes(*flags):
+    """Arguments of a sweep: each (flag, default) is a nonnegative size."""
+    def add(p: argparse.ArgumentParser) -> None:
+        for flag, default in flags:
+            p.add_argument(flag, type=_nonnegative_int, default=default)
+    return add
+
+
+def _casimir_gf_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
+    p.add_argument("--lambda", dest="lam", required=True,
+                   help='partition, e.g. "3,2,1" ("0" for empty)')
+    p.add_argument("--n", type=int,
+                   help="integer rank; selects rows mode unless --mode says otherwise")
+    p.add_argument("--mode", choices=("blocks", "rows"))
+
+
+def _casimir_coeffs_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--mode", choices=("blocks", "rows"))
+
+
+def _jack_compute_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--k", default="symbolic",
+                   help="coupling: a rational, or 'symbolic'; write "
+                        "negative values as --k=-1/2")
+
+
+def _spaces_dual_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--label", required=True,
+                   help="catalogue key, e.g. BDI or group-C")
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+
+
+def _dims_poly_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=("a", "b", "c", "d"))
+    p.add_argument("--lambda", dest="lam", required=True)
+
+
+def _dims_vogel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=("sp2n", "sln", "son"))
+
+
+_MODULES = {
+    "casimir": "Casimir spectrum generating functions",
+    "jack": "Jack symmetric functions",
+    "spaces": "symmetric-space coupling triples",
+    "dims": "dimension polynomials",
+}
+
+# every command: its words on the command line -> (help, a function adding
+# its arguments before --json, handler), in the order help lists them
+COMMANDS = {
+    ("casimir", "gf"): ("print C(lambda, z)", _casimir_gf_args,
+                        _cmd_casimir_gf),
+    ("casimir", "coeffs"): ("spectrum coefficients C_0..C_order",
+                            _casimir_coeffs_args, _cmd_casimir_coeffs),
+    ("casimir", "verify-duality"): ("rank-negation duality sweeps",
+                                    _sizes(("--max-weight", 6)),
+                                    _cmd_casimir_verify),
+    ("jack", "compute"): ("eigenfunction of one partition",
+                          _jack_compute_args, _cmd_jack_compute),
+    ("jack", "verify-duality"): ("transpose duality sweep",
+                                 _sizes(("--max-weight", 6)), _cmd_jack_duality),
+    ("jack", "verify-diagram"): ("finite-variable projection square",
+                                 _sizes(("--max-weight", 5), ("--max-n", 4)),
+                                 _cmd_jack_diagram),
+    ("spaces", "table"): ("catalogue and dual pairs", _sizes(),
+                          _cmd_spaces_table),
+    ("spaces", "dual"): ("dualize one space", _spaces_dual_args,
+                         _cmd_spaces_dual),
+    ("dims", "king"): ("transposition duality sweep",
+                       _sizes(("--max-weight", 6)), _cmd_dims_king),
+    ("dims", "poly"): ("dimension as a polynomial in N", _dims_poly_args,
+                       _cmd_dims_poly),
+    ("dims", "vogel"): ("universal dimension formula", _dims_vogel_args,
+                        _cmd_dims_vogel),
+    ("dims", "vogel-sp-so"): ("scaled symplectic triple vs orthogonal at -2n",
+                              _sizes(), _cmd_dims_vogel_sp_so),
+    ("verify-all",): ("run every verification sweep",
+                      _sizes(("--max-weight", 6), ("--max-degree", 6),
+                             ("--max-n", 4)), _cmd_verify_all),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, key) -> argparse.ArgumentParser:
+    _, add_arguments, handler = COMMANDS[key]
+    add_arguments(p)
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
+    p.set_defaults(func=handler)
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(key) -> argparse.ArgumentParser:
+    """One command's own parser, with the prog and arguments it has in the
+    full tree; built on first use, and callers must not modify it."""
+    return _add_command(argparse.ArgumentParser(prog=" ".join(("negdim",) + key)),
+                        key)
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process and shared by every
-    call of main; parsing does not modify it, and callers must not either."""
+    """The CLI's full argument parser, built once per process from COMMANDS
+    and used for help, unknown commands and the top-level error; parsing does
+    not modify it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="negdim",
         description="Exact verification of rank-negation dualities for "
                     "classical groups, symmetric functions and symmetric spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cas = sub.add_parser("casimir", help="Casimir spectrum generating functions")
-    casv = cas.add_subparsers(dest="verb", required=True)
-
-    gf = casv.add_parser("gf", help="print C(lambda, z)")
-    gf.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
-    gf.add_argument("--lambda", dest="lam", required=True,
-                    help='partition, e.g. "3,2,1" ("0" for empty)')
-    gf.add_argument("--n", type=int,
-                    help="integer rank; selects rows mode unless --mode says otherwise")
-    gf.add_argument("--mode", choices=("blocks", "rows"))
-    _add_json(gf)
-    gf.set_defaults(func=_cmd_casimir_gf)
-
-    co = casv.add_parser("coeffs", help="spectrum coefficients C_0..C_order")
-    co.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
-    co.add_argument("--lambda", dest="lam", required=True)
-    co.add_argument("--order", type=int, required=True)
-    co.add_argument("--n", type=int)
-    co.add_argument("--mode", choices=("blocks", "rows"))
-    _add_json(co)
-    co.set_defaults(func=_cmd_casimir_coeffs)
-
-    cvd = casv.add_parser("verify-duality",
-                          help="rank-negation duality sweeps")
-    cvd.add_argument("--max-weight", type=_nonnegative_int, default=6)
-    _add_json(cvd)
-    cvd.set_defaults(func=_cmd_casimir_verify)
-
-    ja = sub.add_parser("jack", help="Jack symmetric functions")
-    jav = ja.add_subparsers(dest="verb", required=True)
-
-    jc = jav.add_parser("compute", help="eigenfunction of one partition")
-    jc.add_argument("--lambda", dest="lam", required=True)
-    jc.add_argument("--k", default="symbolic",
-                    help="coupling: a rational, or 'symbolic'; write "
-                         "negative values as --k=-1/2")
-    _add_json(jc)
-    jc.set_defaults(func=_cmd_jack_compute)
-
-    jd = jav.add_parser("verify-duality", help="transpose duality sweep")
-    jd.add_argument("--max-weight", type=_nonnegative_int, default=6)
-    _add_json(jd)
-    jd.set_defaults(func=_cmd_jack_duality)
-
-    jg = jav.add_parser("verify-diagram",
-                        help="finite-variable projection square")
-    jg.add_argument("--max-weight", type=_nonnegative_int, default=5)
-    jg.add_argument("--max-n", type=_nonnegative_int, default=4)
-    _add_json(jg)
-    jg.set_defaults(func=_cmd_jack_diagram)
-
-    sp = sub.add_parser("spaces", help="symmetric-space coupling triples")
-    spv = sp.add_subparsers(dest="verb", required=True)
-
-    st = spv.add_parser("table", help="catalogue and dual pairs")
-    _add_json(st)
-    st.set_defaults(func=_cmd_spaces_table)
-
-    sd = spv.add_parser("dual", help="dualize one space")
-    sd.add_argument("--label", required=True,
-                    help="catalogue key, e.g. BDI or group-C")
-    sd.add_argument("--m", type=int)
-    sd.add_argument("--n", type=int)
-    _add_json(sd)
-    sd.set_defaults(func=_cmd_spaces_dual)
-
-    dm = sub.add_parser("dims", help="dimension polynomials")
-    dmv = dm.add_subparsers(dest="verb", required=True)
-
-    dk = dmv.add_parser("king", help="transposition duality sweep")
-    dk.add_argument("--max-weight", type=_nonnegative_int, default=6)
-    _add_json(dk)
-    dk.set_defaults(func=_cmd_dims_king)
-
-    dp = dmv.add_parser("poly", help="dimension as a polynomial in N")
-    dp.add_argument("--family", required=True, choices=("a", "b", "c", "d"))
-    dp.add_argument("--lambda", dest="lam", required=True)
-    _add_json(dp)
-    dp.set_defaults(func=_cmd_dims_poly)
-
-    dv = dmv.add_parser("vogel", help="universal dimension formula")
-    dv.add_argument("--family", choices=("sp2n", "sln", "son"))
-    _add_json(dv)
-    dv.set_defaults(func=_cmd_dims_vogel)
-
-    ds = dmv.add_parser("vogel-sp-so",
-                        help="scaled symplectic triple vs orthogonal at -2n")
-    _add_json(ds)
-    ds.set_defaults(func=_cmd_dims_vogel_sp_so)
-
-    va = sub.add_parser("verify-all", help="run every verification sweep")
-    va.add_argument("--max-weight", type=_nonnegative_int, default=6)
-    va.add_argument("--max-degree", type=_nonnegative_int, default=6)
-    va.add_argument("--max-n", type=_nonnegative_int, default=4)
-    _add_json(va)
-    va.set_defaults(func=_cmd_verify_all)
-
+    verbs = {name: sub.add_parser(name, help=help_text).add_subparsers(
+                 dest="verb", required=True)
+             for name, help_text in _MODULES.items()}
+    for key, (help_text, _, _) in COMMANDS.items():
+        _add_command(verbs.get(key[0], sub).add_parser(key[-1], help=help_text),
+                     key)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    key = next((tuple(argv[:n]) for n in (2, 1) if tuple(argv[:n]) in COMMANDS),
+               None)
+    if key is None:
+        args = build_parser().parse_args(argv)
+    else:
+        args, extra = _command_parser(key).parse_known_args(argv[len(key):])
+        if extra:
+            build_parser().error("unrecognized arguments: " + " ".join(extra))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -633,12 +633,15 @@ def check_diagram(mu: Partition, k: Coupling = None, n: int = 1) -> CheckResult:
     syms, left, right = MultiPoly._aligned(down, across)
     e = max((e for e in left.keys() | right.keys()
              if left.get(e, 0) != right.get(e, 0)), key=_grlex, default=None)
+    # a constant denominator is 1 in normal form: each side renders as itself
+    lhs, rhs = ((down, across) if kv.den.is_const()
+                else (RatFunc(down, kv.den), RatFunc(across, kv.den)))
     return CheckResult(
         check_id=f"jack/diagram/{format_partition(mu)}/N={n}",
         holds=e is None,
         inputs=(("mu", format_partition(mu)), ("N", str(n))),
-        lhs=str(RatFunc(down, kv.den)),
-        rhs=str(RatFunc(across, kv.den)),
+        lhs=str(lhs),
+        rhs=str(rhs),
         notes="" if e is None else (
             f"{MultiPoly._raw(syms, {e: 1})} has coefficient {left.get(e, 0)} "
             f"in lhs and {right.get(e, 0)} in rhs"),

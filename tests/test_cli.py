@@ -265,6 +265,85 @@ def test_parser_builds():
     assert parser.prog == "negdim"
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return f"{code}\n{captured.out}\n{captured.err}"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("-h",), "37b4f03c4f76ada0b1211e08af76d7302c6ddf2f"),
+    (("casimir", "-h"), "81b5d922168cc3905683c763e74e44dde82ff051"),
+    (("jack", "-h"), "6741633143715038366dab983fc52cb1be930ef2"),
+    (("spaces", "-h"), "5fb450e1bc323a4d36d13833c07042620043ad5e"),
+    (("dims", "-h"), "3a1d911e5ec77f617fddb69e6552df7dc677f88c"),
+    (("casimir", "gf", "-h"), "31ae3d37b05f6546591aaccb335b33ff7fea8eb3"),
+    (("casimir", "coeffs", "-h"), "9beee90ebaac394012f294e2f74f6a943fe87ac8"),
+    (("casimir", "verify-duality", "-h"),
+     "b5acb7c4dbc364e2c3d17c3eebb6aa988516a147"),
+    (("jack", "compute", "-h"), "158e6c50e02e319d54b11e063441802c7cce08a0"),
+    (("jack", "verify-duality", "-h"),
+     "ebd895269499247e0a2af5304a240fdbe713fcb2"),
+    (("jack", "verify-diagram", "-h"),
+     "59ad368f88f426a017c79e3889595d2e71ae4b24"),
+    (("spaces", "table", "-h"), "352dbf62d0c57fff86995a4a6cc67ea1a145d3a0"),
+    (("spaces", "dual", "-h"), "3c7ee43a55e045fb93018c3964b66ebb2c79acfd"),
+    (("dims", "king", "-h"), "249b78a01f8200e02ec6e8bd34e03a3e6874a952"),
+    (("dims", "poly", "-h"), "fa0c286917376401acecd19ad33a9e85ee2de9ba"),
+    (("dims", "vogel", "-h"), "d439a2e27570c0ba693c641874d5f81d04336454"),
+    (("dims", "vogel-sp-so", "-h"), "73e662245def4b88594bb11511db16971abe5857"),
+    (("verify-all", "-h"), "954269ca5fd68c8efc47529c9219c239a45f89db"),
+    (("casimir", "gf", "--group", "x", "--lambda", "1"),
+     "5341912b34d2e08812ead39f60b4144bd009dc00"),
+    (("dims", "poly", "--family", "e", "--lambda", "1"),
+     "5f6429b44cef1192e2879310a133f159d76ac074"),
+    (("casimir", "gf", "--group", "u"),
+     "3f83159cd1d3b219e28c7e5adc8bbf03384277bc"),
+    (("casimir", "coeffs", "--group", "u", "--lambda", "1", "--order", "x"),
+     "85cf4d5a095fd55c1d2ece29705094573143dba5"),
+    (("verify-all", "--max-weight", "-1"),
+     "6b18b6b9651c740004556e96cf2308f3ed352875"),
+    (("casimir", "gf", "--group", "u", "--lambda", "1", "junk"),
+     "76118c07d854166996ea48c4b83cf4ebb5935879"),
+    (("spaces", "table", "--bogus"), "f4fdcc59ea6ab0b9bc649fde8bd73b96234c14a6"),
+    (("algebra",), "e8c891a0ca8e6443942b435068e179c59b5caab0"),
+    (("casimir", "bogus"), "38015b89a3d37311a3e2cd16935b372a262ba677"),
+    (("casimir", "--json", "gf", "--group", "u", "--lambda", "1"),
+     "e6b175bc6bd6af2195682882714651f15b4470b7"),
+])
+def test_help_and_usage_errors_match_golden_digest(capsys, monkeypatch, argv,
+                                                   digest):
+    # argparse wraps help and usage lines to COLUMNS; the digests pin the
+    # exit code, stdout and stderr of the full parser tree in one piece
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = _outcome(capsys, argv)
+    assert hashlib.sha1(outcome.encode()).hexdigest() == digest, outcome
+
+
+def test_query_builds_no_full_parser(capsys):
+    # one query of each query form is parsed by its command's own parser;
+    # the full tree is built only for help and errors above a command
+    build_parser.cache_clear()
+    for argv in (("casimir", "gf", "--group", "u", "--lambda", "2,1"),
+                 ("casimir", "coeffs", "--group", "su", "--lambda", "2",
+                  "--order", "3"),
+                 ("casimir", "coeffs", "--group", "b", "--lambda", "1",
+                  "--order", "2", "--mode", "rows", "--n", "2"),
+                 ("jack", "compute", "--lambda", "2,1", "--k=-1/2"),
+                 ("dims", "poly", "--family", "c", "--lambda", "2,1"),
+                 ("spaces", "dual", "--label", "BDI", "--m", "2", "--n", "3")):
+        assert main(list(argv)) == 0
+    assert build_parser.cache_info().currsize == 0
+    outcome = _outcome(capsys, ("dims", "poly", "--family", "a", "--lambda",
+                                "1", "junk"))
+    assert outcome.startswith("2\n")
+    assert "negdim: error: unrecognized arguments: junk" in outcome
+    assert build_parser.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("verify-all", "--max-weight", "2", "--max-degree", "3", "--max-n", "2",
       "--json"), "d021a268da4047643012b282cf13573a28a84778"),

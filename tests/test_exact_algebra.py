@@ -544,7 +544,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] <= 49  # recursive calls included
-    assert calls["RatFunc"] <= 245
+    assert calls["RatFunc"] <= 233
     assert calls["_gcd_interpolated"] <= 11
     assert calls["_gcd_univariate"] <= 23
 
