@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from negdim import kernels
 from negdim.exact_algebra import (
@@ -63,8 +62,7 @@ from negdim.partitions import (
 from negdim.reporting import CheckResult, VerificationReport
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Weight-ladder data for one classical family.
 
     alpha and the index shift are linear in the rank: alpha = a1*n + a0,
@@ -313,8 +311,7 @@ def rectangle_product(family: str, p: int, q: int) -> RatFunc:
     return _expand(_rectangle_factors(family, p, q))
 
 
-@dataclass(frozen=True)
-class CasimirGF:
+class CasimirGF(NamedTuple):
     """Generating function together with the spectral product it came from."""
 
     family: str

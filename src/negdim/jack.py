@@ -50,12 +50,11 @@ eigenvalue gaps and cancels them by trial division, so it takes no gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from negdim.exact_algebra import (
     ExactDivisionError,
@@ -120,17 +119,15 @@ def _clean_terms(degree: int,
     return clean
 
 
-@dataclass(frozen=True, eq=False)
 class _Expr:
     """Homogeneous element of one basis: sum of coeff * <letter>_mu."""
 
+    __slots__ = ("degree", "terms")
     letter = ""  # the basis letter, set by each subclass
 
-    degree: int
-    terms: Mapping[Partition, RatFunc]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_terms(self.degree, self.terms))
+    def __init__(self, degree: int, terms: Mapping[Partition, RatFunc]):
+        self.degree = degree
+        self.terms = _clean_terms(degree, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -146,6 +143,7 @@ class _Expr:
 class PExpr(_Expr):
     """Homogeneous element in the power-sum basis: sum of coeff * p_mu."""
 
+    __slots__ = ()
     letter = "p"
 
     def scale(self, c) -> "PExpr":
@@ -156,6 +154,7 @@ class PExpr(_Expr):
 class MExpr(_Expr):
     """Homogeneous element in the monomial basis: sum of coeff * m_lambda."""
 
+    __slots__ = ()
     letter = "m"
 
 
@@ -349,8 +348,7 @@ def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
 # -- Jack functions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JackFunction:
+class JackFunction(NamedTuple):
     """Monic eigenfunction: m_lambda plus dominance-lower monomial terms."""
 
     lam: Partition

@@ -9,8 +9,7 @@ combinatorial heart of every rank-negation identity downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, NamedTuple, Tuple
 
 Partition = Tuple[int, ...]
 
@@ -85,8 +84,7 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockParam:
+class BlockParam(NamedTuple):
     """Run-length coordinates of a diagram.
 
     a[i] counts the rows in the i-th maximal run of equal row widths (top

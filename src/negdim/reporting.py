@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verified identity.
 
@@ -14,13 +12,20 @@ class CheckResult:
     the source material rather than a defect; such cases do not fail a run.
     """
 
-    check_id: str
-    holds: bool
-    inputs: Tuple[Tuple[str, str], ...] = ()
-    lhs: str = ""
-    rhs: str = ""
-    notes: str = ""
-    expected_discrepancy: bool = False
+    __slots__ = ("check_id", "holds", "inputs", "lhs", "rhs", "notes",
+                 "expected_discrepancy")
+
+    def __init__(self, check_id: str, holds: bool,
+                 inputs: Tuple[Tuple[str, str], ...] = (), lhs: str = "",
+                 rhs: str = "", notes: str = "",
+                 expected_discrepancy: bool = False):
+        self.check_id = check_id
+        self.holds = holds
+        self.inputs = inputs
+        self.lhs = lhs
+        self.rhs = rhs
+        self.notes = notes
+        self.expected_discrepancy = expected_discrepancy
 
     @property
     def ok(self) -> bool:
@@ -43,11 +48,12 @@ class CheckResult:
         return data
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    config: Dict[str, int] = field(default_factory=dict)
-    cases: List[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, config: Optional[Dict[str, int]] = None,
+                 cases: Optional[List[CheckResult]] = None):
+        self.suite = suite
+        self.config = {} if config is None else config
+        self.cases = [] if cases is None else cases
 
     def add(self, result: CheckResult) -> None:
         self.cases.append(result)

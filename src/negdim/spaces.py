@@ -31,10 +31,9 @@ Convention notes, applied uniformly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from negdim.exact_algebra import RatFunc, ratfunc_equal
 from negdim.reporting import CheckResult, VerificationReport
@@ -46,8 +45,7 @@ _SMALL_N = RatFunc.symbol("n")
 Triple = Tuple[RatFunc, RatFunc, RatFunc]
 
 
-@dataclass(frozen=True)
-class KPQ:
+class KPQ(NamedTuple):
     """Coupling triple plus the rank expression it travels with."""
 
     k: RatFunc
@@ -63,8 +61,7 @@ class KPQ:
         return (f"(k = {self.k}, p = {self.p}, q = {self.q}, N = {self.n})")
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple):
     """One catalogue row: a space, its root data and multiplicities."""
 
     key: str                 # catalogue key, e.g. "BDI", "DIII-even"
@@ -235,8 +232,7 @@ def _as_ratfuncs(x: KPQ) -> KPQ:
                RatFunc.const(x.n))
 
 
-@dataclass(frozen=True)
-class SpaceMatch:
+class SpaceMatch(NamedTuple):
     """Outcome of pushing one space through the duality and matching it."""
 
     source: SpaceSpec

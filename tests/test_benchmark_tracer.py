@@ -3,16 +3,21 @@
 negbench/tracer.py wraps negdim's public functions and a few methods by
 name; a renamed or deleted target would break only the traced benchmark
 run.  This installs it from outside negbench/ and checks that the traced
-output is byte-identical to the untraced one.
+output is byte-identical to the untraced one.  The benchmark's child also
+wraps ``CheckResult.__init__`` to stamp each check, which works only while
+CheckResult is a class whose own ``__init__`` sets its fields.
 """
 
+import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from negdim import cli
 from negdim.exact_algebra import RatFunc
+from negdim.reporting import CheckResult
 
 BENCH = Path(__file__).resolve().parents[1] / "negbench"
 ARGV = ["verify-all", "--max-weight", "2", "--max-degree", "3", "--max-n", "2",
@@ -57,3 +62,22 @@ def test_traced_output_is_byte_identical(capsys, tracer_class):
     metrics = tracer.metrics(1.0, len(traced.encode()))
     assert metrics["cli.output_bytes"] == len(plain.encode())
     assert _run(capsys) == plain
+
+
+def test_check_clock_stamps_every_case(capsys):
+    # the wrapper negbench/child.py installs: one clock read per check result
+    plain = _run(capsys)
+    init = CheckResult.__init__
+    marks = []
+
+    def stamped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        marks.append(perf_counter())
+
+    CheckResult.__init__ = stamped
+    try:
+        stamped_out = _run(capsys)
+    finally:
+        CheckResult.__init__ = init
+    assert stamped_out == plain
+    assert len(marks) == json.loads(plain)["summary"]["total"] == 153

@@ -1,6 +1,5 @@
 """Jack eigenfunctions, the transpose duality and the projection diagram."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -600,7 +599,7 @@ def test_duality_catches_a_common_normalisation_error(monkeypatch):
 
     def scaled(lam, k=None):
         jf = inner(lam, k)
-        return replace(jf, p_expansion=jf.p_expansion.scale(1 + jf.coupling))
+        return jf._replace(p_expansion=jf.p_expansion.scale(1 + jf.coupling))
 
     monkeypatch.setattr(jack_module, "jack", scaled)
     report = verify_duality(4)
@@ -618,7 +617,7 @@ def test_duality_names_the_first_mismatching_term(monkeypatch):
         terms = dict(jf.p_expansion.terms)
         for mu in ((1, 1, 1, 1), (2, 1, 1)):  # p[2,1,1] comes first
             terms[mu] = terms[mu] + 1
-        return replace(jf, p_expansion=PExpr(4, terms))
+        return jf._replace(p_expansion=PExpr(4, terms))
 
     monkeypatch.setattr(jack_module, "jack", perturbed)
     report = verify_duality(4)
