@@ -78,15 +78,15 @@ from negdim.partitions import (
 from negdim.reporting import CheckResult, VerificationReport
 
 Coupling = Union[None, int, Fraction, RatFunc]
-Coeff = Union[MultiPoly, RatFunc]
+Coeff = Union[int, MultiPoly]
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
 _ZERO = RatFunc.const(0)
 
 
-def _as_value(v: Coupling, default: RatFunc = K) -> RatFunc:
-    return default if v is None else RatFunc.const(v)
+def _as_value(v: Coupling) -> RatFunc:
+    return K if v is None else RatFunc.const(v)
 
 
 class SingularCouplingError(ArithmeticError):
@@ -146,21 +146,12 @@ class PExpr(_Expr):
     __slots__ = ()
     letter = "p"
 
-    def scale(self, c) -> "PExpr":
-        c = RatFunc.const(c)
-        return PExpr(self.degree, {mu: v * c for mu, v in self.terms.items()})
-
 
 class MExpr(_Expr):
     """Homogeneous element in the monomial basis: sum of coeff * m_lambda."""
 
     __slots__ = ()
     letter = "m"
-
-
-def p_basis_element(mu: Partition) -> PExpr:
-    mu = check_partition(mu)
-    return PExpr(weight(mu), {mu: RatFunc.const(1)})
 
 
 def format_expr(terms: Mapping[Partition, RatFunc], letter: str) -> str:
@@ -222,35 +213,6 @@ def _entry_maps(d: int) -> List[List[Dict[Tuple[int, int], int]]]:
              for entry in zip(*rows)] for rows in zip(*_operator_count(d))]
 
 
-def apply_L_inf(x: PExpr, k: Coupling = None, p0: Coupling = None) -> PExpr:
-    """Apply the deformed Laplacian; degree is preserved term by term.  Only
-    the nonzero entries of each column are rendered from their maps."""
-    kv, pv = _as_value(k), _as_value(p0, P0)
-    basis, maps = degree_basis(x.degree), _entry_maps(x.degree)
-    out: Dict[Partition, RatFunc] = {}
-    for mu, c in x.terms.items():
-        j = basis.index(mu)
-        for nu, terms in zip(basis, (row[j] for row in maps)):
-            if terms:
-                entry = sum((kv ** i * pv ** e * v for (i, e), v in terms.items()), _ZERO)
-                out[nu] = out[nu] + c * entry if nu in out else c * entry
-    return PExpr(x.degree, out)
-
-
-def operator_matrix(d: int, k: Coupling = None,
-                    p0: Coupling = None) -> List[List[RatFunc]]:
-    """Matrix of the operator on the degree-d power-sum basis.
-
-    Row and column order is degree_basis(d); column mu holds the coordinates
-    of the image of p_mu.
-    """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    basis = degree_basis(d)
-    images = [apply_L_inf(p_basis_element(mu), k, p0).terms for mu in basis]
-    return [[image.get(nu, _ZERO) for image in images] for nu in basis]
-
-
 # -- basis change -----------------------------------------------------------
 
 
@@ -300,7 +262,7 @@ def _s_inverse(d: int) -> Tuple[Tuple[int, ...], ...]:
 def _mat_vec(mat: Sequence[Sequence[int]], degree: int,
              coords: Mapping[Partition, Coeff]) -> Dict[Partition, Coeff]:
     """mat times a coordinate vector keyed by degree_basis(degree), skipping
-    zeros; int, MultiPoly or RatFunc coordinates give the same type."""
+    zeros; int or MultiPoly coordinates give the same type."""
     basis = degree_basis(degree)
     index = {mu: j for j, mu in enumerate(basis)}
     out: Dict[Partition, Coeff] = {}
@@ -311,16 +273,6 @@ def _mat_vec(mat: Sequence[Sequence[int]], degree: int,
                 term = c * row[j]
                 out[nu] = out[nu] + term if nu in out else term
     return out
-
-
-def p_to_m(x: PExpr) -> MExpr:
-    return MExpr(x.degree, _mat_vec(_s_matrix(x.degree), x.degree, x.terms))
-
-
-def m_to_p(x: MExpr) -> PExpr:
-    scale = Fraction(1, factorial(x.degree))
-    coords = _mat_vec(_s_inverse(x.degree), x.degree, x.terms)
-    return PExpr(x.degree, {mu: c * scale for mu, c in coords.items()})
 
 
 @lru_cache(maxsize=None)
@@ -692,7 +644,8 @@ def verify_diagram(max_weight: int = 5, max_n: int = 4) -> VerificationReport:
 # -- independent cross-checks --------------------------------------------------
 
 
-def _horizontal_strips(lam: Partition) -> List[Tuple[Partition, int]]:
+@lru_cache(maxsize=None)
+def _horizontal_strips(lam: Partition) -> Tuple[Tuple[Partition, int], ...]:
     """Inner shapes nu with lam/nu a horizontal strip, with the strip size."""
     bounds = list(zip(lam[1:] + (0,), lam))
     out: List[Tuple[Partition, int]] = []
@@ -706,7 +659,18 @@ def _horizontal_strips(lam: Partition) -> List[Tuple[Partition, int]]:
             rec(i + 1, acc + [v], removed + (high - v))
 
     rec(0, [], 0)
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _kostka_count(shape: Partition, entries: Partition) -> int:
+    """Fillings of shape with content entries, peeling the strip of the
+    largest entry; memoised across calls, as shape and entries recur."""
+    if not entries:
+        return 1 if not shape else 0
+    return sum(_kostka_count(inner, entries[:-1])
+               for inner, removed in _horizontal_strips(shape)
+               if removed == entries[-1])
 
 
 def kostka_number(lam: Partition, mu: Partition) -> int:
@@ -715,16 +679,7 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if weight(lam) != weight(mu):
         return 0
-
-    @lru_cache(maxsize=None)
-    def count(shape: Partition, entries: Partition) -> int:
-        if not entries:
-            return 1 if not shape else 0
-        return sum(count(inner, entries[:-1])
-                   for inner, removed in _horizontal_strips(shape)
-                   if removed == entries[-1])
-
-    return count(lam, mu)
+    return _kostka_count(lam, mu)
 
 
 def schur_m_expansion(lam: Partition) -> MExpr:

@@ -126,22 +126,6 @@ def block_param(lam: Partition) -> BlockParam:
                       A=tuple(prefix_a), B=tuple(prefix_b))
 
 
-def from_block_param(bp: BlockParam) -> Partition:
-    """Rebuild the partition; inverse of block_param."""
-    parts = []
-    for j in range(bp.count):
-        width = bp.B[bp.count - j]
-        parts.extend([width] * bp.a[j])
-    return tuple(parts)
-
-
-def block_transpose_swap(lam: Partition) -> bool:
-    """Does transposition exchange the A and B coordinates?  (It must.)"""
-    ours = block_param(lam)
-    flipped = block_param(transpose(lam))
-    return ours.A == flipped.B and ours.B == flipped.A
-
-
 def parse_partition(text: str) -> Partition:
     """Parse "3,2,1"; "" and "0" denote the empty diagram."""
     text = text.strip()

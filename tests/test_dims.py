@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from negdim import dims
+from negdim import casimir, cli, dims
 from negdim.dims import (check_vogel_dims, check_vogel_invariance,
                          check_vogel_sp_so, dim_poly, king_check,
                          verify_fundamental_constants, vogel_classical,
@@ -195,3 +195,70 @@ def test_vogel_sp_so_composite():
 def test_fundamental_constants_cross_check():
     report = verify_fundamental_constants()
     assert report.all_ok and len(report.cases) == 3
+
+
+# -- planted defects: every check group can fail ------------------------------
+
+
+def _failures(report):
+    return [(case.check_id, case.lhs, case.rhs) for case in report.cases
+            if not case.holds]
+
+
+def test_fundamental_constant_off_by_one_fails(monkeypatch):
+    real = casimir.generating_function
+
+    def off_by_one(family, lam, *args, **kwargs):
+        result = real(family, lam, *args, **kwargs)
+        return result._replace(gf=result.gf + 1) if (family, lam) == ("c", ()) else result
+
+    monkeypatch.setattr(casimir, "generating_function", off_by_one)
+    report = verify_fundamental_constants()
+    assert _failures(report) == [("dims/fundamental/c", "2*n + 1", "2*n")]
+    assert next(case for case in report.cases
+                if not case.holds).notes == "integer-rank cross-check failed"
+    assert len(report.cases) == 3
+
+
+@pytest.fixture
+def wrong_triple(monkeypatch):
+    """Installs a classical triple whose last entry is one too large."""
+    real = dims.vogel_classical
+
+    def install(family):
+        def wrong(f):
+            a, b, c = real(f)
+            return (a, b, c + 1) if f == family else (a, b, c)
+
+        monkeypatch.setattr(dims, "vogel_classical", wrong)
+
+    return install
+
+
+def test_wrong_sln_triple_fails_its_dimension_row(wrong_triple, capsys):
+    wrong_triple("sln")
+    report = dims.verify_vogel()
+    assert _failures(report) == [("dims/vogel-dim/sln", "n^2 + 2*n", "n^2 - 1")]
+    assert len(report.cases) == 5
+    assert cli.main(["dims", "vogel"]) == 1
+    assert "dims/vogel-dim/sln" in capsys.readouterr().out
+
+
+def test_wrong_sp_triple_fails_the_sp_so_row(wrong_triple):
+    # the sp2n triple feeds its own dimension row and the sp/so comparison
+    wrong_triple("sp2n")
+    report = dims.verify_vogel()
+    assert _failures(report) == [
+        ("dims/vogel-dim/sp2n", "2*n^2 + 5*n + 3", "2*n^2 + n"),
+        ("dims/vogel-sp-so", "(-2, 4, -2*n - 6)", "(-2, 4, -2*n - 4)")]
+
+
+def test_order_dependent_dimension_fails_invariance(monkeypatch):
+    # scaled by the first entry over -2: right on the classical triples,
+    # which all start with -2, and wrong once the triple is permuted
+    real = dims.vogel_dim
+    monkeypatch.setattr(dims, "vogel_dim",
+                        lambda triple: real(triple) * RatFunc.const(triple[0]) / -2)
+    report = dims.verify_vogel()
+    assert [case.check_id for case in report.cases if not case.holds] == [
+        "dims/vogel-invariance"]

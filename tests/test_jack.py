@@ -11,11 +11,10 @@ from negdim import jack as jack_module
 from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          SingularCouplingError, _monomial_matrices,
-                         _s_inverse, _s_matrix, apply_L_N, apply_L_inf,
-                         check_conjugation, check_diagram, check_p0_scalar,
-                         check_schur, check_triangularity, degree_basis, jack,
-                         kostka_number, m_to_p, macdonald_duality,
-                         operator_matrix, p_basis_element, p_to_m, phi_N,
+                         _s_inverse, _s_matrix, apply_L_N, check_conjugation,
+                         check_diagram, check_p0_scalar, check_schur,
+                         check_triangularity, degree_basis, jack,
+                         kostka_number, macdonald_duality, phi_N,
                          schur_m_expansion, verify_duality)
 from negdim.partitions import (dominance_leq, partitions_of_weight,
                                partitions_up_to_weight, transpose, weight)
@@ -28,27 +27,9 @@ def mexpr(*pairs):
     return MExpr(weight(next(iter(terms))), terms)
 
 
-def test_apply_on_p1():
-    image = apply_L_inf(p_basis_element((1,)))
-    assert image == PExpr(1, {(1,): ONE + K - K * P0})
-
-
-def test_operator_matrix_degree_one():
-    mat = operator_matrix(1)
-    assert len(mat) == 1 and len(mat[0]) == 1
-    assert ratfunc_equal(mat[0][0], ONE + K - K * P0)
-
-
-def test_apply_is_linear():
-    x = p_basis_element((2, 1))
-    c = RatFunc.const(Fraction(7, 3))
-    assert apply_L_inf(x.scale(c)) == apply_L_inf(x).scale(c)
-
-
-def test_apply_preserves_degree():
-    for d in range(1, 6):
-        for mu in partitions_of_weight(d):
-            assert apply_L_inf(p_basis_element(mu)).degree == d
+def _entry(terms, p0=P0):
+    """An operator entry's exponent map (i, j) -> c as sum c * k^i * p0^j."""
+    return sum((c * K ** i * p0 ** j for (i, j), c in terms.items()), RatFunc.const(0))
 
 
 def test_p0_dependence_is_scalar():
@@ -59,21 +40,6 @@ def test_p0_dependence_is_scalar():
 def test_triangular_in_monomial_basis():
     for d in range(1, 6):
         assert check_triangularity(d).holds
-
-
-def test_basis_change_examples():
-    assert p_to_m(p_basis_element((1,))) == mexpr(((1,), 1))
-    assert p_to_m(p_basis_element((2,))) == mexpr(((2,), 1))
-    assert p_to_m(p_basis_element((1, 1))) == mexpr(((2,), 1), ((1, 1), 2))
-
-
-@pytest.mark.parametrize("d", range(1, 8))
-def test_basis_change_roundtrip(d):
-    for mu in degree_basis(d):
-        x = p_basis_element(mu)
-        assert m_to_p(p_to_m(x)) == x
-        m_mu = MExpr(d, {mu: ONE})
-        assert p_to_m(m_to_p(m_mu)) == m_mu
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -136,13 +102,18 @@ def _mat_mul(a, b):
 
 
 @lru_cache(maxsize=None)
+def _pivoting_inverse(d):
+    return _gauss_jordan_inverse(_s_matrix(d))
+
+
+@lru_cache(maxsize=None)
 def _conjugated_operator(d):
-    """S . M_p . S^-1 in RatFunc arithmetic, M_p = operator_matrix(d, k, 0)
-    and S^-1 from a general pivoting inverse: shares no code with the
-    integer build but S itself."""
-    s = _s_matrix(d)
-    return _mat_mul(_mat_mul(s, operator_matrix(d, None, 0)),
-                    _gauss_jordan_inverse(s))
+    """S . M_p . S^-1 in RatFunc arithmetic, M_p the count's entries
+    rendered at p0 = 0 and S^-1 from a general pivoting inverse: shares the
+    count and S with the integer build, and none of its arithmetic."""
+    zero = RatFunc.const(0)
+    m_p = [[_entry(terms, zero) for terms in row] for row in jack_module._entry_maps(d)]
+    return _mat_mul(_mat_mul(_s_matrix(d), m_p), _pivoting_inverse(d))
 
 
 def _pair_entry(d, i, j):
@@ -150,7 +121,7 @@ def _pair_entry(d, i, j):
     return RatFunc.const(m0[i][j]) + m1[i][j] * K
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
     expected = _conjugated_operator(d)
     size = len(expected)
@@ -161,21 +132,15 @@ def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_monomial_matrix_entries_are_affine_in_k(d):
-    # the pair holds ints, and M0 + k*M1 is the image of each m_nu under
-    # p_to_m . L . m_to_p, column by column in RatFunc arithmetic
+    # the pair holds ints, so every entry M0 + k*M1 is affine in k
     m0, m1 = _monomial_matrices(d)
     assert all(type(v) is int for mat in (m0, m1) for row in mat for v in row)
-    basis = degree_basis(d)
-    for j, nu in enumerate(basis):
-        image = p_to_m(apply_L_inf(m_to_p(MExpr(d, {nu: ONE})), None, 0))
-        for i, mu in enumerate(basis):
-            assert _pair_entry(d, i, j) == image.terms.get(mu, 0), (mu, nu)
 
 
 def _jack_by_substitution(lam, k):
     """Reference route for jack(): substitute the coupling into every entry
     of the monomial-basis matrix S . M_p . S^-1, solve in RatFunc
-    arithmetic, and convert the monomial expansion with m_to_p."""
+    arithmetic, and convert the monomial expansion with the pivoting S^-1."""
     kv = K if k is None else RatFunc.const(k)
     d = weight(lam)
     basis = degree_basis(d)
@@ -196,7 +161,10 @@ def _jack_by_substitution(lam, k):
             continue
         coords[row] = s / gap
     m_exp = MExpr(d, {basis[i]: c for i, c in coords.items()})
-    return m_exp, m_to_p(m_exp), mm[top][top] + kv * (-d) * P0
+    sinv, zero = _pivoting_inverse(d), RatFunc.const(0)
+    p_exp = PExpr(d, {mu: sum((c * sinv[i][j] for j, c in coords.items()), zero)
+                      for i, mu in enumerate(basis)})
+    return m_exp, p_exp, mm[top][top] + kv * (-d) * P0
 
 
 @pytest.mark.parametrize("k", [None, 1 / K, K + 1, 0, 1, -1, 2, Fraction(1, 2),
@@ -366,12 +334,12 @@ def test_conjugation_sides_match_substitution_route():
     # substitute k -> 1/k, p0 -> k*p0 into every entry, with gcd reduction
     for d in range(1, 6):
         basis = degree_basis(d)
-        mat = operator_matrix(d)
+        maps = jack_module._entry_maps(d)
         sides = list(jack_module._conjugation_sides(d))
         assert len(sides) == len(basis) ** 2
         for nu, mu, lhs, rhs in sides:
             lhs, rhs = jack_module._laurent(lhs), jack_module._laurent(rhs)
-            entry = mat[basis.index(nu)][basis.index(mu)]
+            entry = _entry(maps[basis.index(nu)][basis.index(mu)])
             assert lhs == entry * K ** (len(mu) - len(nu))
             assert rhs == K * entry.substitute({"k": 1 / K, "p0": K * P0})
             assert ratfunc_equal(lhs, rhs)
@@ -404,7 +372,7 @@ def test_conjugation_clears_negative_powers_of_k(monkeypatch):
     # a k^2 term sends k^2 to k^-1 on the rhs, rendered over k as the
     # substitution route renders it
     _with_entry(monkeypatch, 2, 0, 0, lambda m: {**m, (2, 0): 1})
-    entry = jack_module.operator_matrix(2)[0][0]
+    entry = _entry(jack_module._entry_maps(2)[0][0])
     rhs = K * entry.substitute({"k": 1 / K, "p0": K * P0})
     result = check_conjugation(2)
     assert not result.holds and rhs.den == K.num
@@ -599,7 +567,9 @@ def test_duality_catches_a_common_normalisation_error(monkeypatch):
 
     def scaled(lam, k=None):
         jf = inner(lam, k)
-        return jf._replace(p_expansion=jf.p_expansion.scale(1 + jf.coupling))
+        p = jf.p_expansion
+        return jf._replace(p_expansion=PExpr(p.degree, {
+            mu: v * (1 + jf.coupling) for mu, v in p.terms.items()}))
 
     monkeypatch.setattr(jack_module, "jack", scaled)
     report = verify_duality(4)
@@ -640,13 +610,50 @@ def test_schur_specialization_sweep():
             assert check_schur(lam).holds
 
 
+def _failures(report):
+    return [(case.check_id, case.lhs, case.rhs, case.notes)
+            for case in report.cases if not case.holds]
+
+
+def test_triangularity_names_an_entry_above_dominance(monkeypatch):
+    # k at ((3), (2,1)) sends m_(2,1) up to m_(3); the matrices are wrapped,
+    # so their cache stays clean, and jack() never reads above the diagonal
+    real = jack_module._monomial_matrices
+
+    def broken(d):
+        m0, m1 = real(d)
+        if d == 3:
+            m1 = tuple(tuple(v + ((i, j) == (0, 1)) for j, v in enumerate(row))
+                       for i, row in enumerate(m1))
+        return m0, m1
+
+    monkeypatch.setattr(jack_module, "_monomial_matrices", broken)
+    report = jack_module.verify_structure(4)
+    assert len(report.cases) == 8
+    assert _failures(report) == [(
+        "jack/triangular/d=3", "support of the monomial-basis matrix",
+        "dominance-lower triangle", "entry (3, 2,1) = k")]
+    assert jack_module.verify_schur(4).all_ok
+
+
+def test_schur_row_shows_a_miscounted_kostka_number(monkeypatch):
+    # K((2,1), (1,1,1)) = 2 counted as 3: only the (2,1) row fails
+    real = jack_module.kostka_number
+    monkeypatch.setattr(jack_module, "kostka_number", lambda lam, mu: real(
+        lam, mu) + ((lam, mu) == ((2, 1), (1, 1, 1))))
+    report = jack_module.verify_schur(4)
+    assert len(report.cases) == 11
+    assert _failures(report) == [("jack/schur/2,1", "m[2,1] + (2)*m[1,1,1]",
+                                  "m[2,1] + (3)*m[1,1,1]", "")]
+
+
 def test_phi_examples():
     z1 = RatFunc.symbol("z1")
     z2 = RatFunc.symbol("z2")
-    assert ratfunc_equal(phi_N(p_basis_element((1,)), 2), z1 + z2)
+    assert ratfunc_equal(phi_N(PExpr(1, {(1,): ONE}), 2), z1 + z2)
     sq = PExpr(2, {(1, 1): ONE})
     assert ratfunc_equal(phi_N(sq, 2), (z1 + z2) * (z1 + z2))
-    assert ratfunc_equal(phi_N(p_basis_element((3,)), 1), z1 ** 3)
+    assert ratfunc_equal(phi_N(PExpr(3, {(3,): ONE}), 1), z1 ** 3)
 
 
 def test_apply_L_N_fundamental():

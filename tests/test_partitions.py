@@ -3,12 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim.partitions import (block_param, block_transpose_swap,
-                               check_partition, dominance_leq,
-                               format_partition, from_block_param,
-                               parse_partition, partitions_of_weight,
-                               partitions_up_to_weight, rectangle, transpose,
-                               weight)
+from negdim.partitions import (block_param, check_partition, dominance_leq,
+                               format_partition, parse_partition,
+                               partitions_of_weight, partitions_up_to_weight,
+                               rectangle, transpose, weight)
 
 
 @st.composite
@@ -47,14 +45,19 @@ def test_block_param_examples():
 
 
 def test_block_param_reconstructs():
+    # block j holds a[j] rows of width B[count - j], top to bottom
     for lam in partitions_up_to_weight(8):
-        assert from_block_param(block_param(lam)) == lam
+        bp = block_param(lam)
+        rebuilt = tuple(bp.B[bp.count - j] for j in range(bp.count)
+                        for _ in range(bp.a[j]))
+        assert rebuilt == lam
 
 
 def test_block_transpose_swap_exhaustive():
     # transposition exchanges the row and column run data
     for lam in partitions_up_to_weight(8):
-        assert block_transpose_swap(lam)
+        ours, flipped = block_param(lam), block_param(transpose(lam))
+        assert ours.A == flipped.B and ours.B == flipped.A
 
 
 def test_dominance_examples():

@@ -153,6 +153,58 @@ def test_verify_table_green():
     assert report.expected == 1  # exactly the BDI normalization
 
 
+# -- planted defects: every check group can fail ------------------------------
+
+
+def _unexpected_failures(report):
+    return [(case.check_id, case.lhs, case.rhs) for case in report.cases
+            if not case.ok]
+
+
+def test_wrong_expected_partner_fails_its_row(monkeypatch):
+    monkeypatch.setattr(spaces, "EXPECTED_PAIRS", tuple(
+        ("AI", "AI") if pair == ("AI", "AII") else pair for pair in EXPECTED_PAIRS))
+    assert _unexpected_failures(verify_table()) == [(
+        "spaces/dual/AI", "(k = -2, p = 0, q = 0, N = -2*N)",
+        "AI: (k = -1/2, p = 0, q = 0, N = N)")]
+
+
+def test_flipped_q_in_bc_dual_fails_the_involution(monkeypatch):
+    # the B/C/D/BC images move with it; the A-type rows and the census do not
+    real = spaces.bc_dual
+    monkeypatch.setattr(spaces, "bc_dual", lambda x: real(x)._replace(q=-real(x).q))
+    failed = _unexpected_failures(verify_table())
+    assert failed[0] == ("spaces/bc-involution", "(k = k, p = p, q = -k + q + 1, N = N)",
+                         "(k = k, p = p, q = q, N = N)")
+    assert [row[0] for row in failed[1:]] == [
+        "spaces/dual/AIII", "spaces/dual/BDI", "spaces/dual/CI",
+        "spaces/dual/group-D"]
+
+
+def test_broken_a_dual_fails_the_involution(monkeypatch):
+    # N shifted by one before the map: the A-type rows match on (k, p, q)
+    # and still hold
+    real = spaces.a_dual
+    monkeypatch.setattr(spaces, "a_dual", lambda k, n: real(k, n + 1))
+    assert _unexpected_failures(verify_table()) == [
+        ("spaces/a-involution", "(k, N + k + 1)", "(k, N)")]
+
+
+def test_second_tabulated_discrepancy_fails_the_census(monkeypatch):
+    # group-C's derived q doubled; it is matched by its tabulated triple,
+    # so only the census sees the new discrepancy
+    spec = spaces.space("group-C")
+    planted = spec._replace(mults=(const(2), const(0), const(4)))
+    monkeypatch.setattr(spaces, "CATALOGUE", tuple(
+        planted if s is spec else s for s in CATALOGUE))
+    monkeypatch.setattr(spaces, "_BY_KEY", {**spaces._BY_KEY, "group-C": planted})
+    report = verify_table()
+    assert _unexpected_failures(report) == [(
+        "spaces/discrepancy-census",
+        "group-c-q-normalization, bdi-p-normalization", "bdi-p-normalization")]
+    assert report.expected == 2
+
+
 # -- integer sizes against the substitution route -----------------------------
 
 
