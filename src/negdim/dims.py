@@ -11,9 +11,15 @@ equals (-1)^|lambda| times the even orthogonal dimension of the transposed
 diagram at rank -N.  Box by box, each Sp factor 2N + t of lambda is minus an
 O factor 2N - t of the transpose (King 1971, J. Phys. A 4, 2305).
 
-The universal three-parameter dimension formula and the parameter triples
-of the classical algebras live here too; triples are projective and
-unordered, so equivalence testing scales and permutes.
+The universal three-parameter dimension formula (Vogel; Landsberg and
+Manivel 2006, Adv. Math. 201) and the parameter triples of the classical
+algebras live here too.  Every factor of (a-2t)(b-2t)(c-2t)/(abc) is a
+linear form in the triple, so the formula is held as a factor map, a scale
+times linear forms with signed exponents, and expanded once with no gcd;
+permuting or rescaling the triple is checked by comparing maps.  Triples
+are projective and unordered, so equivalence testing scales and permutes,
+by cross-multiplication; the rank negation n -> -2n of the sp/so check
+scales each term of a linear form, with no substitution.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
+from negdim.exact_algebra import (MultiPoly, RatFunc, Scalar, _coeff, _expand_factors,
+                                  ratfunc_equal)
 from negdim.partitions import (
     Partition,
     check_partition,
@@ -180,25 +187,75 @@ def vogel_classical(family: str) -> VogelTriple:
     return table[family]
 
 
-def vogel_dim(triple: VogelTriple) -> RatFunc:
-    """dim = (a-2t)(b-2t)(c-2t)/(abc) with t = a+b+c."""
-    a, b, c = (RatFunc.const(x) for x in triple)
-    t = a + b + c
-    den = a * b * c
-    if den.is_zero():
+def _poly(x) -> MultiPoly:
+    """A parameter as a polynomial: the universal formula is homogeneous of
+    degree 0, so a triple of rational functions can always be scaled to one
+    of polynomials first."""
+    if isinstance(x, MultiPoly):
+        return x
+    x = RatFunc.const(x)
+    if not x.den.is_const():
+        raise ValueError(f"Vogel parameter {x} is not a polynomial")
+    return x.num
+
+
+def _factor_map(p: MultiPoly) -> Tuple[Scalar, Dict[MultiPoly, int]]:
+    """(c, {f: e}) with p = c * prod f^e for a nonzero p that is a monomial
+    times a linear form: each symbol dividing every term is a factor, and so
+    is the rest unless it is constant.  Every f is linear, hence irreducible,
+    and integer-primitive with a positive leading coefficient."""
+    low = tuple(map(min, zip(*p.terms)))
+    factors = {MultiPoly.symbol(s): e for s, e in zip(p.symbols, low) if e}
+    rest = MultiPoly._raw(p.symbols, {tuple(a - b for a, b in zip(e, low)): c
+                                      for e, c in p.terms.items()})
+    c, rest = rest.primitive()
+    if not rest.is_const():
+        if any(sum(e) > 1 for e in rest.terms):
+            raise ValueError(f"Vogel factor {p} is not a monomial times a linear form")
+        factors[rest] = 1
+    return c, factors
+
+
+def _vogel_map(triple: VogelTriple) -> Tuple[Scalar, Dict[MultiPoly, int]]:
+    """(scale, {f: e}) with dim = scale * prod f^e over linear forms f: each
+    x - 2t adds its factors, each x takes its own away, and a factor whose
+    exponents cancel is dropped.  Equal maps are equal functions (unique
+    factorisation); a zero dimension is (0, {})."""
+    xs = [_poly(x) for x in triple]
+    if any(x.is_zero() for x in xs):
         raise ZeroDivisionError("universal dimension needs all three parameters nonzero")
-    return (a - 2 * t) * (b - 2 * t) * (c - 2 * t) / den
+    t = xs[0] + xs[1] + xs[2]
+    tops = [x - 2 * t for x in xs]
+    if any(y.is_zero() for y in tops):
+        return 0, {}
+    scale, exps = Fraction(1), {}
+    for ys, sign in ((tops, 1), (xs, -1)):
+        for y in ys:
+            c, factors = _factor_map(y)
+            scale = scale * c if sign > 0 else scale / c
+            for f, e in factors.items():
+                exps[f] = exps.get(f, 0) + sign * e
+    return _coeff(scale), {f: e for f, e in exps.items() if e}
+
+
+def vogel_dim(triple: VogelTriple) -> RatFunc:
+    """dim = (a-2t)(b-2t)(c-2t)/(abc) with t = a+b+c, expanded once from
+    its factor map.  Each entry is a linear form, or a monomial times one
+    (a common scale of the triple)."""
+    scale, factors = _vogel_map(triple)
+    return _expand_factors(scale, factors) if scale else RatFunc.const(0)
 
 
 def vogel_equiv(a: VogelTriple, b: VogelTriple) -> bool:
-    """Equality of parameter triples up to permutation and a common nonzero scale."""
+    """Equality of parameter triples up to permutation and a common nonzero
+    scale: with (p, q) the first pair where either is nonzero, y = x*q/p for
+    every pair (x, y), compared as x*q == y*p by cross-multiplication."""
     a = tuple(RatFunc.const(x) for x in a)
     b = tuple(RatFunc.const(x) for x in b)
     for perm in permutations(a):
-        # the scale is fixed by the first position where either is nonzero
         p, q = next(((p, q) for p, q in zip(perm, b) if p or q), (None, None))
-        scale = q / p if p and q else None
-        if scale and all(ratfunc_equal(scale * x, y) for x, y in zip(perm, b)):
+        if p and q and all(x.num * q.num * y.den * p.den == y.num * p.num * x.den * q.den
+                           for x, y in zip(perm, b)):
             return True
     return False
 
@@ -209,11 +266,23 @@ def check_vogel_dims() -> List[CheckResult]:
     expected = {"sln": n * n - 1, "son": n * (n - 1) / 2, "sp2n": n * (2 * n + 1)}
     values = {family: vogel_dim(vogel_classical(family)) for family in expected}
     return [CheckResult(check_id=f"dims/vogel-dim/{family}",
-                        holds=ratfunc_equal(value, expected[family]),
+                        holds=value == expected[family],
                         inputs=(("family", family),),
                         lhs=str(value),
                         rhs=str(expected[family]))
             for family, value in values.items()]
+
+
+def _scale_symbol(x: RatFunc, sym: str, factor: int) -> RatFunc:
+    """x with sym -> factor*sym, for a polynomial x: each term is scaled by
+    factor to its degree in sym, so no substitution is made."""
+    p = _poly(x)
+    if sym not in p.symbols:
+        return RatFunc.const(p)
+    i = p.symbols.index(sym)
+    return RatFunc.const(MultiPoly._raw(
+        p.symbols, {e: _coeff(c * factor ** e[i]) for e, c in p.terms.items()},
+        prune=False))
 
 
 def check_vogel_sp_so() -> CheckResult:
@@ -221,8 +290,7 @@ def check_vogel_sp_so() -> CheckResult:
     the orthogonal triple at doubled negated rank."""
     a, b, c = vogel_classical("sp2n")
     scaled = (-2 * b, -2 * a, -2 * c)
-    minus_2n = {"n": -2 * RatFunc.symbol("n")}
-    son_neg = tuple(x.substitute(minus_2n) for x in vogel_classical("son"))
+    son_neg = tuple(_scale_symbol(x, "n", -2) for x in vogel_classical("son"))
     return CheckResult(
         check_id="dims/vogel-sp-so",
         holds=vogel_equiv(scaled, son_neg),
@@ -235,14 +303,16 @@ def check_vogel_sp_so() -> CheckResult:
 
 def check_vogel_invariance() -> CheckResult:
     """The universal dimension is unchanged by permuting the triple and by a
-    common nonzero rescaling, with all four quantities formal."""
-    a, b, c = (RatFunc.symbol(s) for s in ("va", "vb", "vc"))
-    s = RatFunc.symbol("vs")
-    base = vogel_dim((a, b, c))
+    common nonzero rescaling, with all four quantities formal: every factor
+    map equals that of (va, vb, vc).  The scale vs is a factor of its own,
+    with exponent 3 - 3."""
+    a, b, c = (MultiPoly.symbol(s) for s in ("va", "vb", "vc"))
+    s = MultiPoly.symbol("vs")
+    base = _vogel_map((a, b, c))
     holds = all(
-        ratfunc_equal(base, vogel_dim(perm))
-        for perm in ((b, a, c), (c, b, a), (a, c, b), (b, c, a), (c, a, b))
-    ) and ratfunc_equal(base, vogel_dim((s * a, s * b, s * c)))
+        _vogel_map(triple) == base
+        for triple in ((b, a, c), (c, b, a), (a, c, b), (b, c, a), (c, a, b),
+                       (s * a, s * b, s * c)))
     return CheckResult(
         check_id="dims/vogel-invariance",
         holds=holds,

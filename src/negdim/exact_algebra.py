@@ -31,8 +31,11 @@ is certified by exact division of both inputs.  The one gcd-free path is
 the factor form, a scale times known irreducible factors with signed
 exponents: _expand_factors multiplies it out into the canonical RatFunc,
 and _cancel reduces a numerator over it by trial division.  The Casimir
-products (factors 1 - z*m), the Jack coordinates (eigenvalue gaps) and the
-Jack duality scalar (linear factors in k) take it.
+products (factors 1 - z*m), the Jack coordinates (eigenvalue gaps), the
+Jack duality scalar (linear factors in k) and the universal dimension
+formula (linear forms in its triple) take it.  Only RatFunc(num, den) and
+RatFunc arithmetic reach poly_gcd, and no command does while its checks
+hold.
 """
 
 from __future__ import annotations

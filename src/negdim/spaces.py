@@ -11,10 +11,17 @@ Two duality maps act on the triples:
   * A-type root systems: (k, N) -> (1/k, N/k);
   * B/C/D/BC-type: (k, p, q, N) -> (1/k, p/k, ((2q+1)/k - 1)/2, N/k).
 
-Both are involutions.  dual_space applies the appropriate map and looks the
-image up in the catalogue, matching (k, q) exactly and p up to the m <-> n
-relabeling of the two-parameter families (the quotient does not care which
-factor is called m).
+In the homogeneous coordinates (K : H : P : Q + H/2 : N) of a point,
+k = K/H, p = P/H, q = Q/H and the rank is the last coordinate over H, the
+B/C/D/BC map swaps K and H and fixes the rest, and the A-type map is the
+same swap on (K : H : N); so both are involutions.  verify_table decides
+each map against that swap at a generic point where dividing by k is
+multiplying by a symbol, so no polynomial division and no gcd is needed.
+
+dual_space applies the appropriate map and looks the image up in the
+catalogue, matching (k, q) exactly and p up to the m <-> n relabeling of
+the two-parameter families (the quotient does not care which factor is
+called m), which renames the two symbols.
 
 Convention notes, applied uniformly:
   * the quaternionic unitary quotient is catalogued at even size, as
@@ -35,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from negdim.exact_algebra import RatFunc, ratfunc_equal
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.reporting import CheckResult, VerificationReport
 
 _N = RatFunc.symbol("N")
@@ -175,7 +182,8 @@ def _exact(x):
 
 
 def bc_dual(x: KPQ) -> KPQ:
-    """(k, p, q, N) -> (1/k, p/k, ((2q+1)/k - 1)/2, N/k); an involution.
+    """(k, p, q, N) -> (1/k, p/k, ((2q+1)/k - 1)/2, N/k): the swap K <-> H
+    on (K : H : P : Q + H/2 : N), so an involution.
 
     The fields may be RatFuncs or, at integer sizes, rationals."""
     if not x.k:
@@ -185,7 +193,8 @@ def bc_dual(x: KPQ) -> KPQ:
 
 
 def a_dual(k, n):
-    """(k, N) -> (1/k, N/k) for the A-type rescaling; an involution.
+    """(k, N) -> (1/k, N/k) for the A-type rescaling: the swap K <-> H on
+    (K : H : N), so an involution.
 
     RatFunc arguments give RatFuncs, int and Fraction ones Fractions."""
     if not k:
@@ -201,10 +210,28 @@ def _dual_image(s: SpaceSpec, x: KPQ) -> KPQ:
     return bc_dual(x)
 
 
+def _bc_swap(x: KPQ) -> KPQ:
+    """The swap K <-> H on the coordinates (K : H : P : Q + H/2 : N) of x,
+    which are (k : 1 : p : q + 1/2 : N), read off where the new H is 1.
+    On the A-type coordinates (K : H : N) it is the same on k and N."""
+    half = Fraction(1, 2)
+    return KPQ(1 / x.k, x.p / x.k, (x.q + half) / x.k - half, x.n / x.k)
+
+
+def _renamed(f: RatFunc, names: Mapping[str, str]) -> RatFunc:
+    """f with its symbols renamed one to one.  A renaming keeps the
+    quotient reduced and the denominator integer-primitive; only the sign
+    of its leading coefficient, which the term order decides, may flip."""
+    num, den = (MultiPoly(tuple(names.get(s, s) for s in p.symbols), p.terms)
+                for p in (f.num, f.den))
+    if den.leading()[1] < 0:
+        num, den = -num, -den
+    return RatFunc._raw(num, den)
+
+
 def _swap_mn(x: KPQ) -> KPQ:
-    swap = {"m": _SMALL_N, "n": _M}
-    return KPQ(x.k.substitute(swap), x.p.substitute(swap),
-               x.q.substitute(swap), x.n.substitute(swap))
+    swap = {"m": "n", "n": "m"}
+    return KPQ(*(_renamed(f, swap) for f in x))
 
 
 def _triples_equal(a: KPQ, b: KPQ) -> bool:
@@ -383,25 +410,36 @@ def verify_table() -> VerificationReport:
             notes=("matched after m<->n relabeling" if result.relabeled else ""),
         ))
 
-    generic = KPQ(RatFunc.symbol("k"), RatFunc.symbol("p"),
-                  RatFunc.symbol("q"), RatFunc.symbol("N"))
-    twice = bc_dual(bc_dual(generic))
+    # Both dualities are the swap K <-> H, decided at k = 1/h: dividing by
+    # that k multiplies by h, so no step divides by a polynomial.  A failing
+    # row shows the map applied twice, and applied once in its notes.
+    generic = KPQ(*(RatFunc.symbol(s) for s in ("k", "p", "q", "N")))
+    point = generic._replace(k=1 / RatFunc.symbol("h"))
+    swapped = _bc_swap(point)
+    holds, notes = bc_dual(point) == swapped, ""
+    if not holds:
+        notes = f"once: {bc_dual(generic)}, the K <-> H swap: {_bc_swap(generic)}"
     report.add(CheckResult(
         check_id="spaces/bc-involution",
-        holds=(_triples_equal(twice, generic)
-               and ratfunc_equal(twice.n, generic.n)),
+        holds=holds,
         inputs=(),
-        lhs=str(twice),
+        lhs=str(generic if holds else bc_dual(bc_dual(generic))),
         rhs=str(generic),
+        notes=notes,
     ))
-    k2, n2 = a_dual(*a_dual(RatFunc.symbol("k"), RatFunc.symbol("N")))
+    k, n = generic.k, generic.n
+    holds, notes = a_dual(point.k, point.n) == (swapped.k, swapped.n), ""
+    if not holds:
+        swap = _bc_swap(generic)
+        notes = "once: ({}, {}), the K <-> H swap: ({}, {})".format(
+            *a_dual(k, n), swap.k, swap.n)
     report.add(CheckResult(
         check_id="spaces/a-involution",
-        holds=(ratfunc_equal(k2, RatFunc.symbol("k"))
-               and ratfunc_equal(n2, RatFunc.symbol("N"))),
+        holds=holds,
         inputs=(),
-        lhs=f"({k2}, {n2})",
+        lhs="({}, {})".format(*((k, n) if holds else a_dual(*a_dual(k, n)))),
         rhs="(k, N)",
+        notes=notes,
     ))
 
     census = []

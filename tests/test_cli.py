@@ -381,3 +381,57 @@ def test_closed_reader_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+# Every command the CLI answers with a verdict or a value, with the SHA-1 of
+# its output: the default sweep, one query of each of the six query-mix
+# forms, the spaces table and every form of the two Vogel commands.
+GCD_FREE_COMMANDS = (
+    (("verify-all", "--json"), "00b9edda2c5a7738b2454bc463e9165918e5c206"),
+    (("casimir", "gf", "--group", "u", "--lambda", "2,1"),
+     "156f9a840b4bf47d0d71445cc16a4ca335474be9"),
+    (("casimir", "coeffs", "--group", "su", "--lambda", "2,1", "--order", "3"),
+     "79aa1e0e0004467c23f632f4dbbb9697efbefa89"),
+    (("casimir", "coeffs", "--group", "b", "--lambda", "2,1", "--order", "3",
+      "--mode", "rows", "--n", "3"), "80397f5bf093b4d109d536b436efaa4c606829a6"),
+    (("jack", "compute", "--lambda", "2,1", "--k=-1/2"),
+     "ece63bb55fc9b0902b656c8d69331aee70fb5da6"),
+    (("dims", "poly", "--family", "c", "--lambda", "2,1"),
+     "cb7b697d62c8ad438685cef740a6e5dc9422ea5c"),
+    (("spaces", "dual", "--label", "BDI", "--m", "2", "--n", "3"),
+     "a83b7eb28aad49174d5ea218f33ff1514141dbb1"),
+    (("spaces", "table"), "b92bab02a32f14abb7378eb661371868c4dfff79"),
+    (("dims", "vogel"), "7460a8206a0e0eb4807dc634f09916478a05ade2"),
+    (("dims", "vogel", "--family", "sp2n"), "cb474a5174f5c98ed961bf78ac3f3c94eedf4d7e"),
+    (("dims", "vogel", "--family", "sln"), "ed60555eb59cc36c6e945b0eea262c5c2e628302"),
+    (("dims", "vogel", "--family", "son"), "1505794fbcb8561aab2e19dba5b10a448e9cfa92"),
+    (("dims", "vogel-sp-so"), "2401173d54471e0bfb5e40b9328b4591f2bca9ad"),
+)
+
+GCD_REFUSING_PROBE = """
+import contextlib, hashlib, io, json, sys
+from negdim import cli, exact_algebra
+
+def refuse(a, b):
+    raise AssertionError("a command took a polynomial gcd")
+
+exact_algebra.poly_gcd = refuse
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, hashlib.sha1(buf.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_no_command_takes_a_gcd():
+    # a fresh interpreter, so no cache warmed by another test hides a gcd
+    env = dict(os.environ, PYTHONPATH=str(Path(negdim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", GCD_REFUSING_PROBE,
+         json.dumps([argv for argv, _ in GCD_FREE_COMMANDS])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, digest] for _, digest in GCD_FREE_COMMANDS]

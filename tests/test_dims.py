@@ -172,6 +172,41 @@ def test_vogel_zero_denominator():
         vogel_dim((RatFunc.const(0), RatFunc.const(1), RatFunc.const(2)))
 
 
+def _vogel_by_division(triple):
+    # the formula in RatFunc arithmetic, reduced by gcd at every step
+    a, b, c = (RatFunc.const(x) for x in triple)
+    t = a + b + c
+    return (a - 2 * t) * (b - 2 * t) * (c - 2 * t) / (a * b * c)
+
+
+def test_vogel_factor_map_matches_division():
+    # integer linear forms in n and va, some with a common monomial scale,
+    # and a triple whose dimension is zero
+    rng = random.Random(7)
+    sym = {"n": VN, "va": RatFunc.symbol("va"), "vs": RatFunc.symbol("vs")}
+    for _ in range(60):
+        triple = []
+        for _ in range(3):
+            x = RatFunc.const(0)
+            while not x:
+                x = RatFunc.const(rng.randint(-3, 3))
+                for name in rng.sample(["n", "va"], rng.randint(0, 2)):
+                    x = x + rng.randint(-2, 2) * sym[name]
+            triple.append(x)
+        if rng.random() < 0.3:
+            triple = [sym["vs"] * x for x in triple]
+        assert vogel_dim(triple) == _vogel_by_division(triple), triple
+    zero = (RatFunc.const(2), RatFunc.const(-2), RatFunc.const(1))  # a = 2t
+    assert vogel_dim(zero) == _vogel_by_division(zero) == 0
+
+
+def test_vogel_dim_refuses_what_is_not_a_product_of_linear_forms():
+    with pytest.raises(ValueError, match="not a monomial times a linear form"):
+        vogel_dim((VN * VN + 1, RatFunc.const(1), RatFunc.const(2)))
+    with pytest.raises(ValueError, match="not a polynomial"):
+        vogel_dim((1 / VN, RatFunc.const(1), RatFunc.const(2)))
+
+
 def test_vogel_equiv_examples():
     a, b, c = vogel_classical("sp2n")
     scaled_swapped = (b * -2, a * -2, c * -2)
@@ -254,11 +289,18 @@ def test_wrong_sp_triple_fails_the_sp_so_row(wrong_triple):
 
 
 def test_order_dependent_dimension_fails_invariance(monkeypatch):
-    # scaled by the first entry over -2: right on the classical triples,
-    # which all start with -2, and wrong once the triple is permuted
-    real = dims.vogel_dim
-    monkeypatch.setattr(dims, "vogel_dim",
-                        lambda triple: real(triple) * RatFunc.const(triple[0]) / -2)
+    # the factor map times the first entry over -2: right on the classical
+    # triples, which all start with -2, and wrong once the triple is permuted
+    real = dims._vogel_map
+
+    def order_dependent(triple):
+        scale, factors = real(triple)
+        c, first = dims._factor_map(dims._poly(triple[0]))
+        for f, e in first.items():
+            factors[f] = factors.get(f, 0) + e
+        return Fraction(scale) * c / -2, {f: e for f, e in factors.items() if e}
+
+    monkeypatch.setattr(dims, "_vogel_map", order_dependent)
     report = dims.verify_vogel()
     assert [case.check_id for case in report.cases if not case.holds] == [
         "dims/vogel-invariance"]

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from negdim import spaces
+from negdim import cli, spaces
 from negdim.exact_algebra import RatFunc, ratfunc_equal
-from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, a_dual, bc_dual,
-                           catalogue, dual_space, tabulated_kpq, space, to_kpq,
-                           verify_table)
+from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, _reference, a_dual,
+                           bc_dual, catalogue, dual_space, tabulated_kpq, space,
+                           to_kpq, verify_table)
 
 N = RatFunc.symbol("N")
 
@@ -190,6 +190,39 @@ def test_broken_a_dual_fails_the_involution(monkeypatch):
         ("spaces/a-involution", "(k, N + k + 1)", "(k, N)")]
 
 
+def _failing_rows_in_verify_all(capsys):
+    code = cli.main(["verify-all", "--max-weight", "1", "--max-degree", "1",
+                     "--max-n", "1"])
+    out = capsys.readouterr().out
+    return code, [line.split()[1] for line in out.splitlines()
+                  if line.strip().startswith("[FAIL]")]
+
+
+def test_a_dual_with_a_wrong_rank_map_fails_the_involution(monkeypatch, capsys):
+    # (k, N) -> (1/k, N*k) is an involution too, and the A-type rows match
+    # on (k, p, q) only; the swap K <-> H on (K : H : N) sends N to N/k
+    real = spaces.a_dual
+    monkeypatch.setattr(spaces, "a_dual", lambda k, n: (real(k, n)[0], n * k))
+    report = verify_table()
+    assert _unexpected_failures(report) == [("spaces/a-involution", "(k, N)", "(k, N)")]
+    assert next(case.notes for case in report.cases if not case.ok) == (
+        "once: ((1)/(k), N*k), the K <-> H swap: ((1)/(k), (N)/(k))")
+    assert _failing_rows_in_verify_all(capsys) == (1, ["spaces/a-involution"])
+
+
+def test_bc_dual_with_a_wrong_rank_map_fails_the_involution(monkeypatch, capsys):
+    # N -> N*k in place of N/k squares to the identity as well
+    real = spaces.bc_dual
+    monkeypatch.setattr(spaces, "bc_dual", lambda x: real(x)._replace(n=x.n * x.k))
+    report = verify_table()
+    generic = "(k = k, p = p, q = q, N = N)"
+    assert _unexpected_failures(report) == [("spaces/bc-involution", generic, generic)]
+    notes = next(case.notes for case in report.cases if not case.ok)
+    assert notes.endswith("N = N*k), the K <-> H swap: (k = (1)/(k), p = (p)/(k), "
+                          "q = (-1/2*k + q + 1/2)/(k), N = (N)/(k))"), notes
+    assert _failing_rows_in_verify_all(capsys) == (1, ["spaces/bc-involution"])
+
+
 def test_second_tabulated_discrepancy_fails_the_census(monkeypatch):
     # group-C's derived q doubled; it is matched by its tabulated triple,
     # so only the census sees the new discrepancy
@@ -292,6 +325,16 @@ def test_numeric_sizes_take_no_substitution(monkeypatch):
     for label, m, n in _size_cases():
         if n is not None:
             dual_space(label, m=m, n=n)
+
+
+def test_swap_mn_renames_as_substitution_does():
+    m, n = RatFunc.symbol("m"), RatFunc.symbol("n")
+    swap = {"m": n, "n": m}
+    # the last field's denominator changes the sign of its leading term
+    fields = [_reference(s.key) for s in CATALOGUE]
+    fields.append(KPQ(m - 2 * n, (m + 1) / (3 * n - m), 1 / (m - n), n / (m * m + n)))
+    for x in fields:
+        assert spaces._swap_mn(x) == KPQ(*(f.substitute(swap) for f in x)), x
 
 
 def test_symbolic_relabeling_only_for_symbolic_images(monkeypatch):
