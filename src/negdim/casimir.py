@@ -14,6 +14,14 @@ The rank-negation identities verified here: the symplectic and even
 orthogonal series exchange under {n -> -n, transpose, z -> -z}, and the
 unitary series is fixed by that involution.
 
+Every factor of both products and of the prefactor is 1 - z*m; a ladder
+(below) maps each value m to its exponent, and every check is decided on
+ladders.  A ladder expands into its canonical RatFunc straight from its
+keys, on rows of dense int lists with no gcd (see _expand), and builds one
+MultiPoly per side at the end.  C = prefactor * (1 - product) / z adds one
+subtraction, a trial division by the prefactor's denominator factor and
+one multiplication.
+
 The Taylor coefficients C_p (spectrum_coefficients) are read off the two
 ladders, prefactor and product, as truncated power series multiplied out
 factor by factor; they never expand the generating function, divide a
@@ -46,7 +54,6 @@ from negdim.exact_algebra import (
     Scalar,
     _cancel,
     _coeff,
-    _expand_factors,
     ratfunc_equal,
 )
 from negdim.partitions import (
@@ -144,44 +151,107 @@ def _ladder_at(ladder: Ladder, n: int) -> Ladder:
     return out
 
 
-_N = MultiPoly.symbol("n")
+def _scaled_at(ladder: Ladder, n: int) -> Ladder:
+    """_ladder_at keyed by n*m = a + b*n + c*n^2 in place of m: an int
+    wherever a, b and c are, as in every block ladder."""
+    out: Ladder = {}
+    for (a, b, c), e in ladder.items():
+        _mul(out, (0, a + (b + c * n) * n, 0), e)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _factor(key: Key) -> Tuple[Fraction, MultiPoly]:
-    """(s, P_m) with 1 - z*m = s * P_m, over n when a != 0.
+# -- expansion ----------------------------------------------------------------
+#
+# Each factor is 1 - z*m = s * (alpha*n**i + z*B(n)) / n**i, with i = 1 when
+# a != 0 and 0 otherwise, s rational, alpha an integer and B a dense integer
+# list in n, lowest degree first.  alpha*n**i + z*B is 1 - z*(b + c*n), or
+# n - z*(a + b*n + c*n^2), made integer-primitive with a positive leading
+# coefficient in grlex order.  It is linear in z with coprime coefficients
+# in Z[n], so irreducible; distinct values give distinct ones, none of them
+# n.  A product of them is held as rows by power of z, each row a dense int
+# list in n, and each factor multiplies the rows in place.  The product of
+# the e > 0 factors is coprime to that of the others, which is
+# integer-primitive with positive leading coefficient (Gauss's lemma): the
+# canonical form.
 
-    P_m = 1 - z*(b + c*n) or n - z*(a + b*n + c*n^2), up to content and
-    sign.  P_m is integer-primitive, linear in z with coprime coefficients
-    in Q[n], so it is irreducible; distinct values give distinct P_m, none
-    of them n.
-    """
+Rows = List[List[int]]
+
+
+def _linear(key: Key) -> Tuple[int, int, int, int, List[int]]:
+    """(u, v, i, alpha, B) with 1 - z*m = (u/v) * (alpha*n**i + z*B) / n**i."""
     a, b, c = key
-    if a:
-        terms = {(1, 0): 1, (0, 1): -a, (1, 1): -b, (2, 1): -c}
-    else:
-        terms = {(0, 0): 1, (0, 1): -b, (1, 1): -c}
-    s, p = MultiPoly(("n", "z"), terms).primitive()
-    return Fraction(s), p
+    i = 1 if a else 0
+    B = [-a, -b, -c] if a else [-b, -c]
+    while B and not B[-1]:
+        B.pop()
+    u = v = 1
+    if any(type(x) is not int for x in B):
+        for x in B:
+            v = math.lcm(v, x.denominator)
+        B = [x.numerator * (v // x.denominator) for x in B]
+        u = math.gcd(v, *B)
+        B = [x // u for x in B]
+    # alpha*n**i has total degree i and z*n**j degree j + 1; on a tie grlex
+    # leads with the higher power of n, so alpha leads when i >= len(B)
+    if i < len(B) and B[-1] < 0:
+        return -u, v, i, -v // u, [-x for x in B]
+    return u, v, i, v // u, B
 
 
-def _ladder_factors(ladder: Ladder) -> Tuple[Scalar, Dict[MultiPoly, int]]:
-    """(scale, {P: e}) with ladder = scale * prod P**e over distinct
-    irreducible P (see _factor)."""
-    scale = Fraction(1)
-    factors: Dict[MultiPoly, int] = {}
+def _times(rows: Rows, i: int, alpha: int, B: List[int]) -> None:
+    """rows times alpha*n**i + z*B(n), in place."""
+    rows.append([])
+    for j in range(len(rows) - 1, -1, -1):
+        out = [0] * i + [alpha * x for x in rows[j]]
+        if j:
+            below = rows[j - 1]
+            size = len(below) + len(B) - 1
+            if len(out) < size:
+                out += [0] * (size - len(out))
+            for k, y in enumerate(B):
+                if y:
+                    for l, x in enumerate(below, k):
+                        out[l] += y * x
+        rows[j] = out
+
+
+def _rows(ladder: Ladder) -> Tuple[Scalar, int, Rows, Rows]:
+    """(s, d, num, den) with the ladder's product s * n**d * num/den, num
+    and den the products of the primitive alpha*n**i + z*B over the keys
+    with e > 0 and e < 0."""
+    p = q = 1
+    d = 0
+    num: Rows = [[1]]
+    den: Rows = [[1]]
     for key, e in ladder.items():
-        s, p = _factor(key)
-        if key[0]:
-            factors[_N] = factors.get(_N, 0) - e
-        scale *= s ** e
-        factors[p] = factors.get(p, 0) + e
-    return _coeff(scale), {p: e for p, e in factors.items() if e}
+        u, v, i, alpha, B = _linear(key)
+        if e > 0:
+            p, q, rows = p * u ** e, q * v ** e, num
+        else:
+            p, q, rows = p * v ** -e, q * u ** -e, den
+        d -= i * e
+        for _ in range(abs(e)):
+            _times(rows, i, alpha, B)
+    return p // q if p % q == 0 else Fraction(p, q), d, num, den
+
+
+def _poly(rows: Rows, shift: int = 0) -> MultiPoly:
+    """The MultiPoly n**shift * sum_j rows[j] * z**j."""
+    terms = {(k, j): x for j, row in enumerate(rows)
+             for k, x in enumerate(row, shift) if x}
+    return MultiPoly._raw(("n", "z"), terms)
+
+
+def _ratfunc(s: Scalar, d: int, num: Rows, den: Rows) -> RatFunc:
+    """The canonical RatFunc s * n**d * num/den, from the rows of coprime
+    num and den, den integer-primitive with positive leading coefficient."""
+    return RatFunc._raw(_poly(num, max(d, 0))._scaled(s),
+                        _poly(den, max(-d, 0)))
 
 
 def _expand(ladder: Ladder) -> RatFunc:
-    """The canonical RatFunc of a ladder, without a gcd."""
-    return _expand_factors(*_ladder_factors(ladder))
+    """The canonical RatFunc of a ladder."""
+    return _ratfunc(*_rows(ladder))
 
 
 def _first_multiplier(family: str) -> Ladder:
@@ -207,6 +277,25 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Scalar]:
     half-integer alpha, and su's values are Fractions where t/n is not an
     integer.
     """
+    return _row_values(family, lam, n, 1)
+
+
+@lru_cache(maxsize=None)
+def _row_origin(family: str, n: int, scale: int) -> Tuple[Scalar, Scalar, Scalar]:
+    """scale times (c1*n + c0 + alpha, alpha, 2*alpha) at the rank n: the
+    base of the values before su's shift, l_0 and the mirror's offset."""
+    spec = FAMILIES[family]
+    a1, a0 = spec.alpha
+    c1, c0 = spec.shift
+    alpha = scale * (a1 * n + a0)
+    return (_coeff(scale * (c1 * n + c0) + alpha), _coeff(alpha),
+            _coeff(2 * alpha))
+
+
+def _row_values(family: str, lam: Partition, n: int, scale: int) -> List[Scalar]:
+    """scale * m_i for each value of row_m_values, in the same order.  With
+    scale = n su's shift t/n becomes the integer t, so every value of a
+    block family is an int."""
     spec = group_spec(family)
     lam = check_partition(lam)
     if n < 1:
@@ -214,29 +303,27 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Scalar]:
     if len(lam) > n:
         raise ValueError(
             f"partition {format_partition(lam)} has more than n={n} parts")
-    a1, a0 = spec.alpha
-    c1, c0 = spec.shift
-    alpha = a1 * n + a0
-    base = c1 * n + c0 + alpha
+    base, alpha, twice_alpha = _row_origin(family, n, scale)
     if spec.traceless:
-        base -= Fraction(weight(lam), n)
-    base, twice_alpha = _coeff(base), _coeff(2 * alpha)
+        t = scale * weight(lam)
+        base -= t // n if t % n == 0 else Fraction(t, n)
     values: List[Scalar] = []
     if spec.has_zero_index:
-        values.append(_coeff(alpha))  # l_0 = 0
+        values.append(alpha)  # l_0 = 0
     for i in range(1, n + 1):
-        m = base + (lam[i - 1] if i <= len(lam) else 0) - i
+        m = base + scale * ((lam[i - 1] if i <= len(lam) else 0) - i)
         values.append(m)
         if spec.mirrored:
             values.append(twice_alpha - m)
     return values
 
 
-def _row_factors(family: str, lam: Partition, n: int) -> Ladder:
-    # the ladder telescopes on the values m
+def _row_factors(family: str, lam: Partition, n: int, scale: int = 1) -> Ladder:
+    """The row ladder at rank n, keyed by scale*m; it telescopes on the
+    values m."""
     ladder: Ladder = {}
-    for m in row_m_values(family, lam, n):
-        _mul(ladder, (0, m + 1, 0))
+    for m in _row_values(family, lam, n, scale):
+        _mul(ladder, (0, m + scale, 0))
         _mul(ladder, (0, m, 0), -1)
     return ladder
 
@@ -326,29 +413,38 @@ def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
     """(pi, fm * (1 - pi) / z), both expanded in canonical form without a gcd.
 
     With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
-    D cancel only against the numerator factors of fm, which merging the two
-    factor maps does, and a denominator factor of fm only against D - N,
-    which trial division settles.  No factor vanishes at z = 0, so a failure
+    D cancel only against the numerator factors of fm, which merging the
+    keys of pi with e < 0 into the ladder of fm does, and a denominator
+    factor of fm only against D - N, which trial division settles: that
+    factor is the one built as a MultiPoly.  The merged ladder gives the
+    remaining product's primitive factors; its scale is fm's, and its power
+    of n is fm's less that of D.  No factor vanishes at z = 0, so a failure
     of the division by z means the spectral product lost its regularity.
     """
-    scale, factors = _ladder_factors(pi)
-    product = _expand_factors(scale, factors)
-    num = product.den - product.num
-    if not num:
-        return product, RatFunc._raw(num, MultiPoly.const(1))
-    fm_scale, fm_factors = _ladder_factors(fm)
-    num, left = _cancel(num, {g: -e for g, e in fm_factors.items() if e < 0})
-    rest = {f: e for f, e in factors.items() if e < 0}
-    for g, e in fm_factors.items():
-        rest[g] = rest.get(g, 0) + (e if e > 0 else -left.get(g, 0))
-    rest = _expand_factors(fm_scale, rest)
+    s, d, num, den = _rows(pi)
+    product = _ratfunc(s, d, num, den)
+    diff = product.den - product.num
+    if not diff:
+        return product, RatFunc._raw(diff, MultiPoly.const(1))
+    s, d_fm, _, _ = _rows(fm)
+    d = d_fm - max(-d, 0)
+    rest = {key: e for key, e in pi.items() if e < 0}
+    for key, e in fm.items():
+        if e < 0:
+            _, _, i, alpha, B = _linear(key)
+            factor = _poly([[0] * i + [alpha], B])
+            diff, left = _cancel(diff, {factor: -e})
+            e = -left.get(factor, 0)
+        if e:
+            _mul(rest, key, e)
+    rest = _ratfunc(s, d, *_rows(rest)[2:])
     try:
-        num = num.shift_down("z")
+        diff = diff.shift_down("z")
     except ExactDivisionError:
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel") from None
-    return product, RatFunc._raw(num * rest.num, rest.den)
+    return product, RatFunc._raw(diff * rest.num, rest.den)
 
 
 def _ladders(family: str, lam: Partition, mode: str,
@@ -512,8 +608,9 @@ def _witness(lhs: Ladder, rhs: Ladder) -> str:
 
 def _ladder_check(check_id: str, inputs: Tuple[Tuple[str, str], ...],
                   lhs: Ladder, rhs: Ladder) -> CheckResult:
-    """Two ladders as functions: equal exactly when equal maps.  A check
-    that holds expands once, since equal functions have one canonical form."""
+    """Two ladders as functions: equal exactly when equal maps.  The printed
+    sides are the ladders expanded on integer rows (_expand), once for a
+    check that holds, since equal functions have one canonical form."""
     holds = lhs == rhs
     text = str(_expand(lhs))
     return CheckResult(check_id=check_id, holds=holds, inputs=inputs,
@@ -574,17 +671,20 @@ def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
 
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
     """Block product specialized at several integer ranks against row
-    products, compared as ladders: equal maps exactly when equal functions."""
+    products, compared as ladders: equal maps exactly when equal functions.
+    Both ladders are keyed by n*m, an int for every block family."""
     lam = check_partition(lam)
     blocks = _block_factors(family, lam)
     bad = []
     witness = ""
     for n in ranks:
-        specialized, rows = _ladder_at(blocks, n), _row_factors(family, lam, n)
+        specialized = _scaled_at(blocks, n)
+        rows = _row_factors(family, lam, n, n)
         if specialized != rows:
             if not bad:
                 key = _first_difference(specialized, rows)
-                witness = (f"; at n={n}, m={key[1]} has exponent "
+                m = _coeff(Fraction(key[1], n))
+                witness = (f"; at n={n}, m={m} has exponent "
                            f"{specialized.get(key, 0)} in blocks and "
                            f"{rows.get(key, 0)} in rows")
             bad.append(n)

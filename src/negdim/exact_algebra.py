@@ -30,12 +30,13 @@ otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
 is certified by exact division of both inputs.  The one gcd-free path is
 the factor form, a scale times known irreducible factors with signed
 exponents: _expand_factors multiplies it out into the canonical RatFunc,
-and _cancel reduces a numerator over it by trial division.  The Casimir
-products (factors 1 - z*m), the Jack coordinates (eigenvalue gaps), the
-Jack duality scalar (linear factors in k) and the universal dimension
-formula (linear forms in its triple) take it.  Only RatFunc(num, den) and
-RatFunc arithmetic reach poly_gcd, and no command does while its checks
-hold.
+and _cancel reduces a numerator over it by trial division.  The Jack
+coordinates (eigenvalue gaps), the Jack duality scalar (linear factors in
+k) and the universal dimension formula (linear forms in its triple) take
+it.  The Casimir products, whose factors are all 1 - z*m, expand on dense
+integer rows of their own (casimir._expand) and take only _cancel.  Only
+RatFunc(num, den) and RatFunc arithmetic reach poly_gcd, and no command
+does while its checks hold.
 """
 
 from __future__ import annotations

@@ -285,6 +285,17 @@ class SpaceMatch(NamedTuple):
 
 
 def _tabulated_vs_derived(s: SpaceSpec, sizes: Mapping[str, int]) -> Tuple[Dict[str, str], ...]:
+    return _compared(s, sizes) if sizes else _compared_symbolically(s)
+
+
+@lru_cache(maxsize=None)
+def _compared_symbolically(s: SpaceSpec) -> Tuple[Dict[str, str], ...]:
+    """The symbolic comparison, memoised per catalogue row as _reference
+    is; keyed by the row itself, so a replaced row is compared afresh."""
+    return _compared(s, {})
+
+
+def _compared(s: SpaceSpec, sizes: Mapping[str, int]) -> Tuple[Dict[str, str], ...]:
     shown = tabulated_kpq(s)
     if shown is None:
         return ()

@@ -1,6 +1,7 @@
 """Casimir spectrum generating functions: pinned values and dualities."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,14 +496,15 @@ def test_ladder_comparison_agrees_with_expanded_route():
 
 
 def test_rows_vs_blocks_reports_first_differing_value(monkeypatch):
-    real = casimir.row_m_values
+    # the check keys both ladders by n*m, so the shift is scaled with them
+    real = casimir._row_values
 
-    def shifted(family, lam, n):
-        values = real(family, lam, n)
-        values[0] += 1
+    def shifted(family, lam, n, scale):
+        values = real(family, lam, n, scale)
+        values[0] += scale
         return values
 
-    monkeypatch.setattr(casimir, "row_m_values", shifted)
+    monkeypatch.setattr(casimir, "_row_values", shifted)
     result = check_rows_vs_blocks("u", (2, 1), range(2, 5))
     # at n = 2 the values are 3, 1; the shift makes them 4, 1
     assert not result.holds
@@ -668,3 +670,116 @@ def test_generating_function_matches_sympy(family):
         num, den = _sympy_poly(sympy, gf.num), _sympy_poly(sympy, gf.den)
         assert sympy.cancel(num / den - expected) == 0, lam
         assert sympy.gcd(num, den).is_number, lam
+
+
+# -- ladders: the expansion on integer rows ------------------------------------
+
+# keys the sweeps never make: a value a/n alone, whose factor n - a*z leads
+# with n, and values with Fraction parts or no n term
+PLANTED = (
+    {(3, 0, 0): 1}, {(3, 0, 0): -1}, {(-3, 0, 0): 1}, {(-3, 0, 0): -2},
+    {(3, 0, 0): 2, (-3, 0, 0): -1, (0, 1, 0): 1},
+    {(0, Fraction(1, 2), Fraction(-2, 3)): 1, (0, Fraction(-5, 4), 0): -1},
+    {(2, Fraction(3, 4), Fraction(1, 6)): -1, (-1, 2, 0): 2,
+     (0, 0, Fraction(-7, 3)): 1},
+    {(0, 4, 0): -1, (0, -4, 0): 1, (6, -2, 0): 1, (-6, 0, Fraction(1, 2)): -1},
+)
+
+
+def _oracle_ladder(ladder, n=None):
+    """prod (1 - z*m)**e in RatFunc arithmetic, each product put in lowest
+    terms by a gcd, with the rank set to the integer n when one is given."""
+    out = ONE
+    for (a, b, c), e in ladder.items():
+        m = (RatFunc.const(a) / N + b + c * N if n is None
+             else RatFunc.const(Fraction(a, n) + b + c * n))
+        out = out * lin(m) ** e
+    return out
+
+
+@lru_cache(maxsize=None)
+def _expansion_cases():
+    """(label, ladder, normal form): every block ladder to weight 6, every
+    rectangle to 6x6 plain and mirrored, every first multiplier and the
+    planted ladders, symbolically and through _ladder_at at n = 1..6."""
+    ladders = [(f"planted {ladder}", ladder) for ladder in PLANTED]
+    ladders += [(f"fm {family}", casimir._first_multiplier(family))
+                for family in FAMILIES]
+    for family in BLOCK_FAMILIES:
+        ladders += [(f"{family} {lam}", casimir._block_factors(family, lam))
+                    for lam in partitions_up_to_weight(6)]
+    cases = [(label, ladder, _oracle_ladder(ladder)) for label, ladder in ladders]
+    cases += [(f"{label} at n={n}", casimir._ladder_at(ladder, n),
+               _oracle_ladder(ladder, n))
+              for label, ladder in ladders for n in range(1, 7)]
+    for family in BLOCK_FAMILIES:
+        for p in range(1, 7):
+            for q in range(1, 7):
+                rect = casimir._rectangle_factors(family, p, q)
+                for label, ladder in ((f"{family} {p}x{q}", rect),
+                                      (f"{family} {p}x{q} mirrored",
+                                       casimir._mirror(rect))):
+                    cases.append((label, ladder, _oracle_ladder(ladder)))
+    return tuple(cases)
+
+
+def _expansion_mismatches():
+    return [label for label, ladder, expected in _expansion_cases()
+            if casimir._expand(ladder) != expected]
+
+
+def test_expansion_matches_gcd_normal_form():
+    assert _expansion_mismatches() == []
+
+
+def test_expansion_comparison_catches_a_flipped_sign_rule(monkeypatch):
+    # the sign taken from B's top entry even where alpha*n**i leads: the
+    # factor n - 3*z of the value 3/n comes out as 3*z - n, a denominator
+    # with negative leading coefficient
+    real = casimir._linear
+
+    def from_b(key):
+        u, d, i, alpha, B = real(key)
+        if B and B[-1] < 0:
+            return -u, d, i, -alpha, [-x for x in B]
+        return u, d, i, alpha, B
+
+    monkeypatch.setattr(casimir, "_linear", from_b)
+    missed = _expansion_mismatches()
+    assert "planted {(3, 0, 0): -1}" in missed
+    assert "planted {(-3, 0, 0): 1}" not in missed
+
+
+def test_integer_rank_ladders_are_keyed_by_n_times_m():
+    # rows against blocks keys both ladders by n*m, an int for every block
+    # family, and agrees with the ladders keyed by m
+    def scaled(ladder, n):
+        return {(a, b * n, c): e for (a, b, c), e in ladder.items()}
+
+    for family in BLOCK_FAMILIES:
+        for lam in partitions_up_to_weight(6):
+            blocks = casimir._block_factors(family, lam)
+            start = max(len(lam), 1)
+            for n in range(start, start + 5):
+                at_n = casimir._scaled_at(blocks, n)
+                rows = casimir._row_factors(family, lam, n, n)
+                assert at_n == scaled(casimir._ladder_at(blocks, n), n)
+                assert rows == scaled(casimir._row_factors(family, lam, n), n)
+                assert all(type(b) is int for _, b, _ in at_n | rows)
+
+
+def test_rows_vs_blocks_renders_a_fractional_value(monkeypatch):
+    # su at n = 2 has the values 3/2 and -1/2; shifting the first to 5/2
+    # leaves 3/2 in the blocks alone
+    real = casimir._row_values
+
+    def shifted(family, lam, n, scale):
+        values = real(family, lam, n, scale)
+        values[0] += scale
+        return values
+
+    monkeypatch.setattr(casimir, "_row_values", shifted)
+    result = check_rows_vs_blocks("su", (1,), range(2, 3))
+    assert result.notes == ("mismatch at n=[2]; at n=2, m=3/2 has "
+                            "exponent -1 in blocks and 0 in rows")
+

@@ -357,6 +357,10 @@ def test_query_builds_no_full_parser(capsys):
      "d94c0730aa234585fee6d4716b58746dfe747121"),
     (("jack", "verify-duality", "--max-weight", "8", "--json"),
      "9ed23b674476baea42d9a225584543aa652623c5"),
+    # beyond the defaults: the su rows against blocks and the sp-so and
+    # u-self dualities at weight 8
+    (("verify-all", "--max-weight", "8", "--max-degree", "8", "--max-n", "5",
+      "--json"), "ea02a47a5df079706115ac4baf62e45ef13f872f"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import casimir, dims, exact_algebra, jack
+from negdim import casimir, dims, exact_algebra, jack, spaces
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
@@ -526,9 +526,10 @@ def test_product_with_unit_needs_no_gcd(monkeypatch):
 def test_work_counts_stay_within_budget(monkeypatch):
     # deterministic work on the benchmark config (a regression here shows
     # where the time bounds of a noisy machine cannot); jack's caches and
-    # the Casimir ladder factors start cold, as in a fresh interpreter
+    # the spaces comparisons start cold, as in a fresh interpreter
     for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices,
-                   jack._operator_count, jack._p_of_z, casimir._factor):
+                   jack._operator_count, jack._p_of_z,
+                   spaces._compared_symbolically):
         cached.cache_clear()
     calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
 
@@ -544,16 +545,14 @@ def test_work_counts_stay_within_budget(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] == 0  # recursive calls included
-    assert calls["RatFunc"] <= 119
+    assert calls["RatFunc"] <= 107
     assert calls["_gcd_interpolated"] == 0
     assert calls["_gcd_univariate"] == 0
 
 
 def test_casimir_suites_make_no_gcd_call(monkeypatch):
     # their products are expanded from ladders of known irreducible factors,
-    # and the dualities mirror ladders instead of substituting; the ladder
-    # factors start cold, as in a fresh interpreter
-    casimir._factor.cache_clear()
+    # and the dualities mirror ladders instead of substituting
     calls = _count_gcds(monkeypatch)
     made = {"RatFunc": 0, "MultiPoly": 0}
 
@@ -570,9 +569,9 @@ def test_casimir_suites_make_no_gcd_call(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__init__",
                         counted("MultiPoly", MultiPoly.__init__))
     assert casimir.verify_consistency(6).all_ok
-    # each distinct factor 1 - z*m is built once, and a rectangle check
-    # that holds expands one side only
-    assert made["MultiPoly"] <= 81
+    # a ladder expands on integer rows straight from its keys, so no
+    # polynomial goes through the checking constructor
+    assert made["MultiPoly"] == 0
     monkeypatch.setattr(RatFunc, "substitute", refuse)
     assert casimir.verify_sp_so(6).all_ok
     assert casimir.verify_u_self(6).all_ok
