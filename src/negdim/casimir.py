@@ -22,11 +22,13 @@ MultiPoly per side at the end.  C = prefactor * (1 - product) / z adds one
 subtraction, a trial division by the prefactor's denominator factor and
 one multiplication.
 
-The Taylor coefficients C_p (spectrum_coefficients) are read off the two
-ladders, prefactor and product, as truncated power series multiplied out
-factor by factor; they never expand the generating function, divide a
-series or take a gcd.  exact_algebra.series_expand of generating_function
-is their test oracle.
+The Taylor coefficients C_p (spectrum_coefficients) are those of
+C = (F - G)/z, with F the series of the prefactor ladder and G that of the
+prefactor and product ladders merged into one: truncated power series
+multiplied out factor by factor on the same dense int lists in n as the
+expansion.  They never expand the generating function, divide a series or
+take a gcd.  exact_algebra.series_expand of generating_function is their
+test oracle.
 
 Convention notes, forced by cross-checking against the row product:
 
@@ -41,12 +43,10 @@ Convention notes, forced by cross-checking against the row product:
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from negdim import kernels
 from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
@@ -198,20 +198,25 @@ def _linear(key: Key) -> Tuple[int, int, int, int, List[int]]:
     return u, v, i, v // u, B
 
 
+def _madd(out: List[int], a: List[int], b: List[int]) -> None:
+    """out += a*b in place, all dense int lists in n, lowest degree first;
+    out grows to hold the product."""
+    short = len(a) + len(b) - 1 - len(out)
+    if short > 0:
+        out += [0] * short
+    for k, y in enumerate(a):
+        if y:
+            for l, x in enumerate(b, k):
+                out[l] += y * x
+
+
 def _times(rows: Rows, i: int, alpha: int, B: List[int]) -> None:
     """rows times alpha*n**i + z*B(n), in place."""
     rows.append([])
     for j in range(len(rows) - 1, -1, -1):
         out = [0] * i + [alpha * x for x in rows[j]]
         if j:
-            below = rows[j - 1]
-            size = len(below) + len(B) - 1
-            if len(out) < size:
-                out += [0] * (size - len(out))
-            for k, y in enumerate(B):
-                if y:
-                    for l, x in enumerate(below, k):
-                        out[l] += y * x
+            _madd(out, B, rows[j - 1])
         rows[j] = out
 
 
@@ -499,38 +504,22 @@ def _denominator(*ladders: Ladder) -> int:
     return d
 
 
-# The coefficient rings of the series, as (zero, one, add, sub, mul): the
-# integers at an integer rank, and at the symbolic rank the integer
-# polynomials in n, held as MultiPoly terms and run through the kernels.
-Ring = Tuple[object, object, Callable, Callable, Callable]
-_INTEGERS: Ring = (0, 1, operator.add, operator.sub, operator.mul)
-_POLYNOMIALS: Ring = ({}, {(0,): 1}, kernels.poly_add, kernels.poly_sub,
-                      kernels.poly_mul)
-
-
-@lru_cache(maxsize=None)
-def _scaled_terms(key: Key, d: int):
-    """The terms of d*(a + b*n + c*n^2) = d*n*m, integral when d clears
-    the key."""
-    return {(i,): _coeff(d * x) for i, x in enumerate(key) if x}
-
-
-def _series(ladder: Ladder, order: int, value: Callable, ring: Ring) -> list:
+def _series(ladder: Ladder, order: int,
+            value: Callable[[Key], List[int]]) -> Rows:
     """The Taylor coefficients s_0..s_order in x of prod (1 - x*v)**e over
-    the ladder, with v = value(key), updated in place factor by factor."""
-    zero, one, add, sub, mul = ring
-    s = [one] + [zero] * order
+    the ladder, each a dense int list in n, with v = value(key); updated in
+    place factor by factor."""
+    s: Rows = [[1]] + [[] for _ in range(order)]
     for key, e in ladder.items():
         v = value(key)
+        if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
+            v, steps = [-x for x in v], range(order, 0, -1)
+        else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
+            steps = range(1, order + 1)
         for _ in range(abs(e)):
-            if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
-                for k in range(order, 0, -1):
-                    if s[k - 1]:
-                        s[k] = sub(s[k], mul(v, s[k - 1]))
-            else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
-                for k in range(1, order + 1):
-                    if s[k - 1]:
-                        s[k] = add(s[k], mul(v, s[k - 1]))
+            for k in steps:
+                if s[k - 1]:
+                    _madd(s[k], v, s[k - 1])
     return s
 
 
@@ -538,43 +527,46 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
                           mode: str = "blocks", n: Optional[int] = None) -> List[RatFunc]:
     """[C_0, ..., C_order] of the generating function, read off the ladders.
 
-    With F and P the series of fm and pi, C = F*(1 - P)/z gives
-    C_p = -sum_i F_i * P_(p+1-i); P_0 = 1, so (1 - P)/z is a series.  With
-    d the common denominator of the keys, the series run in x = z/d at an
-    integer rank, where every factor is 1 - x*(d*m) with d*m an integer, so
-    C_p = -N_p / d^(p+1) with N_p an integer.  At the symbolic rank,
+    With F the series of fm and G that of fm and pi merged into one ladder,
+    C = fm*(1 - pi)/z = (F - G)/z, so C_p = F_(p+1) - G_(p+1).  With d the
+    common denominator of the keys, the series run in x = z/d at an integer
+    rank, where every factor is 1 - x*(d*m) with d*m an integer, so
+    C_p = N_p / d^(p+1) with N_p an integer.  At the symbolic rank,
     x = z/(d*n) makes every factor 1 - x*d*(a + b*n + c*n^2), so N_p is an
-    integer polynomial in n and C_p = -N_p / (d*n)^(p+1).  The only factor
-    of that denominator N_p can share is a power of n, so cancelling it
-    gives the canonical form: no gcd and no series division.
+    integer polynomial in n and C_p = N_p / (d*n)^(p+1).  Both run on dense
+    int lists in n, one entry long at an integer rank.  The only factor of
+    that denominator N_p can share is a power of n, so cancelling it gives
+    the canonical form: no gcd and no series division.
     """
     fm, pi = _ladders(family, lam, mode, n)
     if order < 0:
         raise ValueError("series order must be nonnegative")
     d = _denominator(fm, pi)
     if n is None:
-        value, ring = (lambda key: _scaled_terms(key, d)), _POLYNOMIALS
+        def value(key: Key) -> List[int]:  # d*n*m
+            v = [_coeff(d * x) for x in key]
+            while v and not v[-1]:
+                v.pop()
+            return v
     else:
-        value, ring = (lambda key: int(d * key[1])), _INTEGERS
-    zero, _, add, _, mul = ring
-    f, p = _series(fm, order, value, ring), _series(pi, order + 1, value, ring)
+        def value(key: Key) -> List[int]:  # d*m
+            return [_coeff(d * key[1])]
+    merged = dict(fm)
+    for key, e in pi.items():
+        _mul(merged, key, e)
+    f, g = _series(fm, order + 1, value), _series(merged, order + 1, value)
     coeffs = []
-    for i in range(order + 1):
-        num = zero  # N_i = sum_j F_j * P_(i+1-j), in x
-        for j in range(i + 1):
-            if f[j] and p[i + 1 - j]:
-                num = add(num, mul(f[j], p[i + 1 - j]))
-        scale = Fraction(-1, d ** (i + 1))
+    for p in range(order + 1):
+        num = f[p + 1]  # N_p = F_(p+1) - G_(p+1), in x
+        _madd(num, [-1], g[p + 1])
+        scale = Fraction(1, d ** (p + 1))
         if n is not None:
-            coeffs.append(RatFunc.const(num * scale))
-        elif not num:
-            coeffs.append(RatFunc.const(0))
+            coeffs.append(RatFunc.const(sum(num) * scale))
         else:
-            # cancel the lowest power of n, at most the i+1 of the denominator
-            low = min(min(num)[0], i + 1)
-            num = MultiPoly._raw(("n",), {(e - low,): c for (e,), c in num.items()})
-            den = MultiPoly._raw(("n",), {(i + 1 - low,): 1})
-            coeffs.append(RatFunc._raw(num._scaled(scale), den))
+            # cancel the lowest power of n, at most the p+1 of the denominator
+            low = min(next((k for k, x in enumerate(num) if x), p + 1), p + 1)
+            coeffs.append(RatFunc._raw(_poly([num[low:]])._scaled(scale),
+                                       _poly([[1]], p + 1 - low)))
     return coeffs
 
 

@@ -33,8 +33,9 @@ exponents: _expand_factors multiplies it out into the canonical RatFunc,
 and _cancel reduces a numerator over it by trial division.  The Jack
 coordinates (eigenvalue gaps), the Jack duality scalar (linear factors in
 k) and the universal dimension formula (linear forms in its triple) take
-it.  The Casimir products, whose factors are all 1 - z*m, expand on dense
-integer rows of their own (casimir._expand) and take only _cancel.  Only
+it.  The Casimir ladders, whose factors are all 1 - z*m, expand and run
+their coefficient series on dense int lists in n of their own
+(casimir._expand, casimir._series) and take only _cancel.  Only
 RatFunc(num, den) and RatFunc arithmetic reach poly_gcd, and no command
 does while its checks hold.
 """

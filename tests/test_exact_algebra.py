@@ -594,7 +594,6 @@ def test_casimir_coefficients_make_no_gcd_call(monkeypatch):
     # the coefficients are read off the ladders' series: the only common
     # factor of a numerator and its denominator (d*n)**(p+1) is a power of
     # n, so no gcd, normal form or series division is needed
-    casimir._scaled_terms.cache_clear()
     calls = _count_gcds(monkeypatch)
     made = []
 

@@ -1,10 +1,14 @@
 """Term kernels: ring laws, the deferred-normalisation multiply against a
-naive Fraction double loop, and the coefficient rule over a whole sweep."""
+naive Fraction double loop, the coefficient rule over a whole sweep, and
+the module attributes as the one place their callers reach them."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+import negdim
 from negdim import kernels
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import MultiPoly, RatFunc
@@ -101,3 +105,35 @@ def test_coefficient_rule_holds_through_a_sweep(monkeypatch):
     # rationals handed out stay Fraction, also for an int coefficient
     assert type(MultiPoly.const(3).as_fraction()) is Fraction
     assert type(RatFunc.const(3).as_fraction()) is Fraction
+
+
+KERNELS = ("poly_add", "poly_sub", "poly_mul", "poly_scale")
+
+
+def _held(value):
+    """value and, for a tuple, list, set or dict, everything it holds."""
+    yield value
+    if isinstance(value, dict):
+        for item in (*value.keys(), *value.values()):
+            yield from _held(item)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from _held(item)
+
+
+def test_no_module_holds_a_kernel_of_its_own():
+    # callers reach the kernels as kernels.poly_*, so wrapping the module
+    # attributes sees every call; a kernel bound at import time, by name or
+    # inside a container, would run unseen by such a wrapper
+    kernel_ids = {id(getattr(kernels, name)): name for name in KERNELS}
+    held = []
+    for info in pkgutil.iter_modules(negdim.__path__, "negdim."):
+        if info.name == "negdim.kernels":
+            continue
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            for item in _held(value):
+                if id(item) in kernel_ids:
+                    held.append(f"{info.name}.{attr} holds "
+                                f"{kernel_ids[id(item)]}")
+    assert held == []
