@@ -54,6 +54,7 @@ from negdim.exact_algebra import (
     Scalar,
     _cancel,
     _coeff,
+    _madd,
     ratfunc_equal,
 )
 from negdim.partitions import (
@@ -196,18 +197,6 @@ def _linear(key: Key) -> Tuple[int, int, int, int, List[int]]:
     if i < len(B) and B[-1] < 0:
         return -u, v, i, -v // u, [-x for x in B]
     return u, v, i, v // u, B
-
-
-def _madd(out: List[int], a: List[int], b: List[int]) -> None:
-    """out += a*b in place, all dense int lists in n, lowest degree first;
-    out grows to hold the product."""
-    short = len(a) + len(b) - 1 - len(out)
-    if short > 0:
-        out += [0] * short
-    for k, y in enumerate(a):
-        if y:
-            for l, x in enumerate(b, k):
-                out[l] += y * x
 
 
 def _times(rows: Rows, i: int, alpha: int, B: List[int]) -> None:

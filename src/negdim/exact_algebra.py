@@ -31,13 +31,15 @@ is certified by exact division of both inputs.  The one gcd-free path is
 the factor form, a scale times known irreducible factors with signed
 exponents: _expand_factors multiplies it out into the canonical RatFunc,
 and _cancel reduces a numerator over it by trial division.  The Jack
-coordinates (eigenvalue gaps), the Jack duality scalar (linear factors in
-k) and the universal dimension formula (linear forms in its triple) take
-it.  The Casimir ladders, whose factors are all 1 - z*m, expand and run
-their coefficient series on dense int lists in n of their own
-(casimir._expand, casimir._series) and take only _cancel.  Only
-RatFunc(num, den) and RatFunc arithmetic reach poly_gcd, and no command
-does while its checks hold.
+coordinates at a coupling in two symbols (eigenvalue gaps) and the
+universal dimension formula (linear forms in its triple) take it.  The
+same form runs on dense int lists in one symbol (_dense_cancel,
+_dense_product and the other helpers of that section), for the Jack solve
+at a coupling in one symbol, the Jack duality scalar (linear factors in
+k), the Casimir ladders (casimir._expand, casimir._series, whose factors
+are all 1 - z*m, with only _cancel taken on polynomials) and the
+one-symbol exact division.  Only RatFunc(num, den) and RatFunc arithmetic
+reach poly_gcd, and no command does while its checks hold.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def _coeff(value) -> Scalar:
 
 def _all_int(terms: Terms) -> bool:
     return all(type(c) is int for c in terms.values())
+
+
+# the text of each monomial rendered, by (symbols, exponents)
+_MONOMIALS: Dict[Tuple[Tuple[str, ...], Exponents], str] = {}
 
 
 class MultiPoly:
@@ -360,45 +366,149 @@ class MultiPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        pieces = []
-        for exps in sorted(self.terms, key=_grlex, reverse=True):
-            coeff = self.terms[exps]
-            factors = []
-            for sym, p in zip(self.symbols, exps):
-                if p == 1:
-                    factors.append(sym)
-                elif p > 1:
-                    factors.append(f"{sym}^{p}")
+        # graded lex, descending: the stable sort by degree keeps the
+        # descending lex order of the first sort among equal degrees
+        text = ""
+        for exps in sorted(sorted(terms, reverse=True), key=sum, reverse=True):
+            coeff = terms[exps]
+            key = (self.symbols, exps)
+            mono = _MONOMIALS.get(key)
+            if mono is None:
+                mono = _MONOMIALS[key] = "*".join(
+                    sym if p == 1 else f"{sym}^{p}"
+                    for sym, p in zip(self.symbols, exps) if p)
             mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
 
-# -- gcd machinery ------------------------------------------------------------
+# -- dense integer lists ---------------------------------------------------------
+#
+# An integer polynomial in one symbol is also held as the list of its
+# coefficients, lowest degree first: the rows of the Casimir ladders in n,
+# the numerators and gaps of the Jack solve in its coupling's symbol, and
+# poly_exact_div in one symbol.  These helpers are the one toolkit for all
+# of them, and none calls a kernel.  A list is trimmed when its last entry
+# is nonzero; the zero polynomial is the empty list.
 
 
-def _int_primitive(coeffs: list) -> list:
-    """Divide a dense integer coefficient list (lowest degree first, nonzero
-    leading entry) by its content, signed so the leading entry is positive."""
-    g = math.gcd(*coeffs)
-    if coeffs[-1] < 0:
+def _dense(terms: Terms) -> list:
+    """The dense list of integral one-symbol terms."""
+    out = [0] * (max(e for (e,) in terms) + 1)
+    for (e,), c in terms.items():
+        out[e] = c
+    return out
+
+
+def _trim(a: list) -> list:
+    """a without its trailing zeros, in place; returns a."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _madd(out: list, a: list, b: list) -> None:
+    """out += a*b in place; out grows to hold the product."""
+    if len(a) == 1 == len(b):  # one flat step, as every step at an integer rank
+        if out:
+            out[0] += a[0] * b[0]
+        else:
+            out.append(a[0] * b[0])
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    short = len(a) + len(b) - 1 - len(out)
+    if short > 0:
+        out += [0] * short
+    for k, y in enumerate(a):
+        if y:
+            for l, x in enumerate(b, k):
+                out[l] += y * x
+
+
+def _dense_primitive(a: list) -> Tuple[int, list]:
+    """(signed content, primitive part) of a trimmed nonzero list: the
+    primitive part has coprime entries and a positive leading entry."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
         g = -g
-    return [c // g for c in coeffs]
+    return g, [c // g for c in a]
+
+
+def _dense_div(a: list, b: list):
+    """The quotient a/b by long division, for trimmed lists and b nonzero;
+    None when an integer remainder is left.  For integral a and
+    integer-primitive b the quotient over Q is integral (Gauss's lemma), so
+    None proves that b does not divide a."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return None if a else []
+    rem, lead = list(a), b[-1]
+    quot = [0] * (len(a) - m)
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + m], lead)
+        if r:
+            return None
+        if q:
+            quot[i] = q
+            for j in range(m):
+                rem[i + j] -= q * b[j]
+    return None if any(rem[:m]) else quot
+
+
+def _dense_cancel(num: list, factors: Mapping[tuple, int]) -> Tuple[list, Dict[tuple, int]]:
+    """_cancel on lists: (num', left) with num / prod f^e over factors =
+    num' / prod f^e over left, by trial division, each f integer-primitive
+    and dividing num wholly or coprime to it."""
+    left: Dict[tuple, int] = {}
+    for f, e in factors.items():
+        for i in range(e):
+            quot = _dense_div(num, f)
+            if quot is None:
+                left[f] = e - i
+                break
+            num = quot
+    return num, left
+
+
+def _dense_mul(a: list, b: list) -> list:
+    """a*b, trimmed for trimmed a and b."""
+    if not (a and b):
+        return []
+    if len(a) == 1 or len(b) == 1:
+        y, b = (a[0], b) if len(a) == 1 else (b[0], a)
+        return [y * x for x in b]
+    out: list = []
+    _madd(out, a, b)
+    return out
+
+
+def _dense_product(factors: Mapping[tuple, int]) -> list:
+    """prod f^e over {f: e}, for e >= 0."""
+    out = [1]
+    for f, e in factors.items():
+        for _ in range(e):
+            out = _dense_mul(out, f)
+    return out
+
+
+def _dense_poly(symbol: str, a: list, scale: Scalar = 1) -> MultiPoly:
+    """The MultiPoly scale * sum a[i] * symbol^i."""
+    if scale == 1:
+        terms = {(i,): c for i, c in enumerate(a) if c}
+    else:
+        terms = {(i,): _coeff(c * scale) for i, c in enumerate(a) if c}
+    return MultiPoly._raw((symbol,), terms)
+
+
+# -- gcd machinery ------------------------------------------------------------
 
 
 def _int_image(p: MultiPoly, sym: str, values: Mapping[str, int]) -> list:
@@ -449,7 +559,7 @@ def _int_prs(f: list, g: list) -> list:
                 f.pop()
         if not f:
             break
-        f, g = g, _int_primitive(f)
+        f, g = g, _dense_primitive(f)[1]
     return g if len(g) > 1 else [1]
 
 
@@ -459,8 +569,8 @@ def _gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     contract: integer-primitive with positive leading coefficient, and a
     constant gcd collapses to 1."""
     sym = (a.symbols or b.symbols)[0]
-    g = _int_prs(_int_primitive(_int_image(a, sym, {})),
-                 _int_primitive(_int_image(b, sym, {})))
+    g = _int_prs(_dense_primitive(_int_image(a, sym, {}))[1],
+                 _dense_primitive(_int_image(b, sym, {}))[1])
     if len(g) == 1:
         return MultiPoly.const(1)
     return MultiPoly._raw((sym,), {(i,): c for i, c in enumerate(g) if c})
@@ -490,7 +600,7 @@ def _gcd_degree_bound(a: MultiPoly, b: MultiPoly, sym: str) -> int:
         values = {s: _POINTS[(t + j) % len(_POINTS)] for j, s in enumerate(others)}
         f, g = _int_image(a, sym, values), _int_image(b, sym, values)
         if f[-1] and g[-1]:
-            return len(_int_prs(_int_primitive(f), _int_primitive(g))) - 1
+            return len(_int_prs(_dense_primitive(f)[1], _dense_primitive(g)[1])) - 1
     return min(a.degree(sym), b.degree(sym))
 
 
@@ -626,32 +736,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return poly_gcd(_content(a, sym), _content(b, sym)) * prim
 
 
-def _exact_div_univariate(ta: Terms, tb: Terms) -> Terms:
-    """Exact quotient of integral one-symbol terms by integer-primitive
-    ones, by long division on dense coefficient lists."""
-    n = max(e for (e,) in ta)
-    m = max(e for (e,) in tb)
-    if m > n:
-        raise ExactDivisionError("inexact polynomial division")
-    rem = [0] * (n + 1)
-    for (e,), c in ta.items():
-        rem[e] = c
-    lead = tb[(m,)]
-    lower = [(e - m, c) for (e,), c in tb.items() if e != m]
-    quot: Terms = {}
-    for i in range(n - m, -1, -1):
-        q, r = divmod(rem[i + m], lead)
-        if r:
-            raise ExactDivisionError("inexact polynomial division")
-        if q:
-            quot[(i,)] = q
-            for shift, c in lower:
-                rem[i + m + shift] -= q * c
-    if any(rem[:m]):
-        raise ExactDivisionError("inexact polynomial division")
-    return quot
-
-
 def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact polynomial quotient a/b; raises ExactDivisionError otherwise.
 
@@ -669,7 +753,10 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     syms, ta, tb = MultiPoly._aligned(a, b)
     over_int = _all_int(ta) and _all_int(tb) and math.gcd(*tb.values()) == 1
     if over_int and len(syms) == 1:
-        return MultiPoly._raw(syms, _exact_div_univariate(ta, tb))
+        quot = _dense_div(_dense(ta), _dense(tb))
+        if quot is None:
+            raise ExactDivisionError("inexact polynomial division")
+        return MultiPoly._raw(syms, {(i,): c for i, c in enumerate(quot) if c})
     blead = max(tb, key=_grlex)
     bcoeff = tb[blead]
     quot: Terms = {}

@@ -37,19 +37,27 @@ diagram at coupling 1/k, with the closed form (Macdonald, VI.10; Stanley 1989)
 over the boxes s, a(s) the arm and l(s) the leg.  macdonald_duality builds
 c from its linear factors in k and checks every power-sum coordinate of the
 two eigenfunctions against it by cross-multiplication, so a normalisation
-error that keeps them proportional still fails.
+error that keeps them proportional still fails.  At symbolic k it does so
+on the lists of the two solves and c's factor map, with no JackFunction and
+no kernel call, and renders c once for the report.
 
 L is counted once, in integers, as L0 + k*L1 + k*p0*L2 on the power sums;
 the conjugation and p0 checks read its exponent maps, check_diagram its
 columns, and jack() the pair M0 + k*M1 that S, the counted
 power-sum-to-monomial matrix, makes of L0 and L1 (d! * S^-1 is an integer
 matrix).  jack() keeps each denominator as a multiset of primitive
-eigenvalue gaps and cancels them by trial division, so it takes no gcd.
+eigenvalue gaps and cancels them by trial division, so it takes no gcd.  At
+a coupling u/w with u and w integer polynomials in one symbol (k, 1/k,
+k + 1, 1/p0, ...) every numerator and gap is a dense int list in that
+symbol (exact_algebra's dense helpers), and RatFunc is built only for the
+coordinates handed out; a numeric coupling solves on ints, and one in two
+symbols on MultiPoly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -62,8 +70,14 @@ from negdim.exact_algebra import (
     RatFunc,
     _cancel,
     _coeff,
-    _expand_factors,
+    _dense_cancel,
+    _dense_mul,
+    _dense_poly,
+    _dense_primitive,
+    _dense_product,
     _grlex,
+    _madd,
+    _trim,
 )
 from negdim.partitions import (
     Partition,
@@ -176,6 +190,7 @@ def format_expr(terms: Mapping[Partition, RatFunc], letter: str) -> str:
 # -- the infinite-variable operator ----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def degree_basis(d: int) -> Tuple[Partition, ...]:
     """Partitions of d in descending lexicographic order (refines dominance)."""
     return tuple(partitions_of_weight(d))
@@ -325,18 +340,42 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     At k = u/w, u and w integral, w times the entry a + b*k is a*w + b*u.
     Coordinate i is nums[i] over one common denominator (Bareiss 1968),
     scale * prod g^e over den, the integer contents and the primitive parts
-    of the gaps divided by; at a numeric coupling it is all int arithmetic.
-    Each new coordinate is reduced by _cancel, and den keeps only the gaps
-    that stay.  A product of primitive gaps with positive leading
-    coefficients is one too (Gauss's lemma), so the scalar moves to the
-    numerator and the form is canonical, with no gcd at any coupling.
-    A gap divides a numerator wholly or is coprime to it, as _cancel needs:
-    the numerator is N(u, w) for a binary form N and the gap L(u, w) for a
-    linear form L, u and w coprime, so a common factor vanishes only where
-    (u : w) is the zero of L, and then L divides N.
+    of the gaps divided by.  Each new coordinate is reduced by trial
+    division, and den keeps only the gaps that stay.  A product of
+    primitive gaps with positive leading coefficients is one too (Gauss's
+    lemma), so the scalar moves to the numerator and the form is canonical,
+    with no gcd at any coupling.  A gap divides a numerator wholly or is
+    coprime to it, as the trial division needs: the numerator is N(u, w) for
+    a binary form N and the gap L(u, w) for a linear form L, u and w
+    coprime, so a common factor vanishes only where (u : w) is the zero of
+    L, and then L divides N.
+
+    The solve runs on ints at a numeric coupling, on dense int lists at a
+    coupling in one symbol (_solve_dense), and on MultiPoly in two.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
+    d = weight(lam)
+    lists = _coupling_lists(kv)
+    m_exp, p_exp = _jack_dense(lam, kv, *lists) if lists else _jack_terms(lam, kv)
+    for mu in m_exp:
+        if mu != lam and not dominance_leq(mu, lam):
+            raise AssertionError(
+                f"triangularity violated: {format_partition(mu)} appears in "
+                f"the expansion of {format_partition(lam)}")
+    top = degree_basis(d).index(lam)
+    a_top, b_top = (m[top][top] for m in _monomial_matrices(d))
+    # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
+    # that divides the numerator divides b - d*p0, so it involves p0
+    e_num = kv.den * a_top + kv.num * (b_top - d * P0.num)
+    eigen = (RatFunc(e_num, kv.den) if "p0" in kv.den.symbols or not e_num
+             else RatFunc._raw(e_num, kv.den))
+    return JackFunction(lam, kv, MExpr(d, m_exp), PExpr(d, p_exp), eigen)
+
+
+def _jack_terms(lam: Partition, kv: RatFunc):
+    """The m- and p-coordinates of jack(lam, kv), solved on ints at a
+    numeric coupling and on MultiPoly otherwise."""
     d = weight(lam)
     basis, (m0, m1) = degree_basis(d), _monomial_matrices(d)
     if kv.is_const():
@@ -391,20 +430,131 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
         nums[row] = s * product({h: e - left.get(h, 0) for h, e in den.items()
                                  if e > left.get(h, 0)})
 
-    for mu in m_exp:
-        if mu != lam and not dominance_leq(mu, lam):
-            raise AssertionError(
-                f"triangularity violated: {format_partition(mu)} appears in "
-                f"the expansion of {format_partition(lam)}")
     p_nums = _mat_vec(_s_inverse(d), d, {basis[i]: c for i, c in nums.items()})
     p_exp = {mu: coordinate(*_cancel(c, den), scale * factorial(d))
              for mu, c in p_nums.items() if c}
-    # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
-    # that divides the numerator divides b - d*p0, so it involves p0
-    e_num = kv.den * a_top + kv.num * (b_top - d * P0.num)
-    eigen = (RatFunc(e_num, kv.den) if "p0" in kv.den.symbols or not e_num
-             else RatFunc._raw(e_num, kv.den))
-    return JackFunction(lam, kv, MExpr(d, m_exp), PExpr(d, p_exp), eigen)
+    return m_exp, p_exp
+
+
+def _coupling_lists(kv: RatFunc):
+    """(symbol, u, w) with kv = u/w, u and w dense int lists in the one
+    symbol of kv; None for a coupling with no symbol or with two."""
+    symbols = set(kv.num.symbols) | set(kv.den.symbols)
+    if len(symbols) != 1:
+        return None
+    lcm = math.lcm(*(c.denominator for c in kv.num.terms.values()))
+
+    def dense(poly: MultiPoly) -> list:
+        out = [0] * (max(map(sum, poly.terms)) + 1)
+        for e, c in poly.terms.items():
+            out[sum(e)] = _coeff(c * lcm)
+        return out
+
+    return symbols.pop(), dense(kv.num), dense(kv.den)
+
+
+def _solve_dense(lam: Partition, kv: RatFunc, u: list, w: list):
+    """jack()'s triangular solve at k = kv = u/w, u and w dense int lists
+    in one symbol, as are every numerator and gap: at k the entry a + b*k
+    is [a, b], and at 1/k, u = [1] and w = [0, 1], the swapped pair [b, a].
+
+    Returns (coords, nums, den, scale).  Coordinate row of the m-expansion
+    is nums[row] / (scale * prod g^e over den), each gap g a tuple, and
+    coords[row] = (num, left, div) is the same in lowest terms,
+    num / (div * prod g^e over left); the top coordinate is 1.
+    """
+    d = weight(lam)
+    basis, (m0, m1) = degree_basis(d), _monomial_matrices(d)
+    top = basis.index(lam)
+    a_top, b_top = m0[top][top], m1[top][top]
+    entries: Dict[Tuple[int, int], list] = {}
+
+    def entry(a: int, b: int) -> list:
+        key = (a, b)
+        if key not in entries:
+            out = [0] * max(len(u), len(w))
+            for i, x in enumerate(w):
+                out[i] += a * x
+            for i, x in enumerate(u):
+                out[i] += b * x
+            entries[key] = _trim(out)
+        return entries[key]
+
+    scale, den, nums, coords = 1, {}, {top: [1]}, {}
+    for row in range(top + 1, len(basis)):
+        r0, r1 = m0[row], m1[row]
+        s: list = []
+        for col, c in nums.items():
+            if r0[col] or r1[col]:
+                _madd(s, entry(r0[col], r1[col]), c)
+        _trim(s)
+        gap = entry(a_top - r0[row], b_top - r1[row])
+        if not gap:
+            # as in _jack_terms
+            if s or dominance_leq(basis[row], lam):
+                raise SingularCouplingError(kv, lam, basis[row])
+            continue
+        if not s:
+            continue
+        content, g = _dense_primitive(gap)
+        g = tuple(g)
+        s, left = _dense_cancel(s, {**den, g: den.get(g, 0) + 1} if len(g) > 1 else den)
+        scale *= content
+        coords[row] = (s, left, scale)
+        extra = {h: e - den.get(h, 0) for h, e in left.items() if e > den.get(h, 0)}
+        grow = [x * content for x in _dense_product(extra)]
+        if grow != [1]:
+            nums = {col: _dense_mul(c, grow) for col, c in nums.items()}
+        den.update({h: den.get(h, 0) + e for h, e in extra.items()})
+        nums[row] = _dense_mul(s, _dense_product(
+            {h: e - left.get(h, 0) for h, e in den.items() if e > left.get(h, 0)}))
+    return coords, nums, den, scale
+
+
+def _p_numerators(d: int, nums: Mapping[int, list]) -> List[list]:
+    """d! * S^-1 times the numerators of the m-coordinates, by row of
+    degree_basis(d): the numerators of the p-coordinates over d! times the
+    same denominator.  Coefficient by coefficient, each a sum of products."""
+    rows = list(nums)
+    width = max(map(len, nums.values()))
+    columns = list(zip(*(c + [0] * (width - len(c)) for c in nums.values())))
+    out = []
+    for line in _s_inverse(d):
+        weights = [line[j] for j in rows]
+        out.append(_trim([sum(map(operator.mul, weights, col)) for col in columns])
+                   if any(weights) else [])
+    return out
+
+
+def _p_solution(lam: Partition, kv: RatFunc, u: list, w: list):
+    """(p_nums, den, div): p-coordinate mu of jack(lam, kv) is
+    p_nums[i] / (div * prod g^e over den), mu = degree_basis(d)[i], at
+    kv = u/w in one symbol."""
+    _, nums, den, scale = _solve_dense(lam, kv, u, w)
+    d = weight(lam)
+    return _p_numerators(d, nums), den, scale * factorial(d)
+
+
+def _dense_coordinate(symbol: str, num: list, gaps: Mapping[tuple, int],
+                      div: int) -> RatFunc:
+    """The RatFunc num / (div * prod g^e over gaps), num coprime to the
+    gaps."""
+    return RatFunc._raw(_dense_poly(symbol, num, Fraction(1, div)),
+                        _dense_poly(symbol, _dense_product(gaps)))
+
+
+def _jack_dense(lam: Partition, kv: RatFunc, symbol: str, u: list, w: list):
+    """The m- and p-coordinates of jack(lam, kv) from _solve_dense, built
+    as RatFunc at the end."""
+    coords, nums, den, scale = _solve_dense(lam, kv, u, w)
+    d = weight(lam)
+    basis = degree_basis(d)
+    m_exp = {lam: RatFunc.const(1)}
+    m_exp.update((basis[row], _dense_coordinate(symbol, *c)) for row, c in coords.items())
+    div = scale * factorial(d)
+    p_exp = {mu: _dense_coordinate(symbol, *_dense_cancel(c, den), div)
+             for mu, c in zip(basis, _p_numerators(d, nums)) if c}
+    return m_exp, p_exp
 
 
 # -- the coupling-inversion map ---------------------------------------------
@@ -447,47 +597,100 @@ def check_conjugation(d: int) -> CheckResult:
     )
 
 
-def _duality_scalar(lam: Partition) -> RatFunc:
-    """The closed form c(lam) at symbolic k, from its linear factors."""
-    conj, k = transpose(lam), K.num
-    scale, factors = Fraction((-1) ** weight(lam)), {}
+
+def _duality_factors(lam: Partition) -> Tuple[Fraction, Dict[tuple, int]]:
+    """(scale, factors) with the closed form c(lam) = scale * prod f^e over
+    {f: e}, each f a primitive linear form in k as a dense tuple."""
+    conj = transpose(lam)
+    contents, factors = [(-1) ** weight(lam), 1], {}
     for i, row in enumerate(lam):
         for j in range(row):
             arm, leg = row - j - 1, conj[j] - i - 1
-            for form, e in ((arm + 1 - leg * k, 1), (arm - (leg + 1) * k, -1)):
-                content, part = form.primitive()
-                scale *= Fraction(content) ** e
-                if part.symbols:
+            for form, e in (([arm + 1, -leg], 1), ([arm, -(leg + 1)], -1)):
+                content, part = _dense_primitive(_trim(form))
+                contents[e < 0] *= content
+                if len(part) > 1:
+                    part = tuple(part)
                     factors[part] = factors.get(part, 0) + e
-    return _expand_factors(_coeff(scale), factors)
+    return Fraction(*contents), factors
+
+
+def _factor_form(scale: Fraction, factors: Mapping[tuple, int]) -> RatFunc:
+    """The canonical RatFunc in k of scale * prod f^e over {f: e}, the f
+    distinct primitive linear forms, expanded on lists."""
+    num = _dense_product({f: e for f, e in factors.items() if e > 0})
+    den = _dense_product({f: -e for f, e in factors.items() if e < 0})
+    return RatFunc._raw(_dense_poly("k", num, _coeff(scale)), _dense_poly("k", den))
+
+
+# the couplings k = u/w, with u = k and w = 1, and 1/k, with the two
+# swapped: the entry a*w + b*u is [a, b] at k and [b, a] at 1/k
+_AT_K = (K, [0, 1], [1])
+_AT_INVERSE = (1 / K, [1], [0, 1])
+
+
+def _symbolic_duality(lam: Partition) -> RatFunc:
+    """macdonald_duality at symbolic k, on lists.  With P(lam, k)[mu] =
+    L[mu] / (dl * Dl) and P(lam', 1/k)[mu] = R[mu] / (dr * Dr), Dl and Dr
+    products of gaps, and c = (p/q) * C+ / C-, the duality at mu is
+    L[mu] * dr*q * Dr*C- = R[mu] * dl*p * Dl*C+ * k^len(mu); the factors
+    the two products share are cancelled once."""
+    left, l_den, l_div = _p_solution(lam, *_AT_K)
+    right, r_den, r_div = _p_solution(transpose(lam), *_AT_INVERSE)
+    scale, factors = _duality_factors(lam)
+    over, under = dict(r_den), dict(l_den)
+    for f, e in factors.items():
+        side = under if e > 0 else over
+        side[f] = side.get(f, 0) + abs(e)
+    for f in over.keys() & under.keys():
+        common = min(over[f], under[f])
+        over[f] -= common
+        under[f] -= common
+    l_by = [x * r_div * scale.denominator for x in _dense_product(over)]
+    r_by = [x * l_div * scale.numerator for x in _dense_product(under)]
+    c = _factor_form(scale, factors)
+    for i, mu in enumerate(degree_basis(weight(lam))):
+        lhs, rhs = _dense_mul(left[i], l_by), _dense_mul(right[i], r_by)
+        if lhs != ([0] * len(mu) + rhs if rhs else rhs):
+            sides = [_dense_coordinate("k", *_dense_cancel(n, den), div) if n else _ZERO
+                     for n, den, div in ((left[i], l_den, l_div),
+                                         (right[i], r_den, r_div))]
+            raise ArithmeticError(_duality_failure(lam, mu, *sides, c))
+    return c
+
+
+def _duality_failure(lam: Partition, mu: Partition, left: RatFunc,
+                     right: RatFunc, c: RatFunc) -> str:
+    return (f"duality fails for {format_partition(lam)}: the first "
+            f"mismatch is p[{format_partition(mu)}], with {left} in "
+            f"P(lambda, k) and {right} in P(lambda', 1/k), against c = {c}")
 
 
 def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     """The scalar c with theta(P(lam, k)) = c * P(lam', 1/k), checked.
 
-    c is the closed form of the module docstring, built at symbolic k and
-    substituted once both eigenfunctions are solved.  The duality holds
-    when P(lam, k)[mu] * k^-len(mu) = c * P(lam', 1/k)[mu] for every mu,
-    cross-multiplied as polynomials at k = u/w, so nothing is divided.
-    Raises ArithmeticError naming lam and the first mu where it fails.
+    c is the closed form of the module docstring, built from its linear
+    factors in k.  The duality holds when P(lam, k)[mu] * k^-len(mu) =
+    c * P(lam', 1/k)[mu] for every mu, cross-multiplied, so nothing is
+    divided: at symbolic k on the lists of the two solves and c's factors
+    (_symbolic_duality), with no JackFunction built; at any other coupling
+    k = u/w on the two eigenfunctions, with c substituted.  Raises
+    ArithmeticError naming lam and the first mu where it fails.
     """
     lam = check_partition(lam)
+    if k is None:
+        return _symbolic_duality(lam)
     kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("coupling inversion needs k != 0")
     lhs = jack(lam, kv).p_expansion.terms
     rhs = jack(transpose(lam), 1 / kv).p_expansion.terms
-    c = _duality_scalar(lam)
-    if k is not None:
-        c = c.substitute({"k": kv})
+    c = _factor_form(*_duality_factors(lam)).substitute({"k": kv})
     for mu in degree_basis(weight(lam)):
         left, right = lhs.get(mu, _ZERO), rhs.get(mu, _ZERO)
         if (left.num * right.den * c.den * kv.den ** len(mu)
                 != right.num * left.den * c.num * kv.num ** len(mu)):
-            raise ArithmeticError(
-                f"duality fails for {format_partition(lam)}: the first "
-                f"mismatch is p[{format_partition(mu)}], with {left} in "
-                f"P(lambda, k) and {right} in P(lambda', 1/k), against c = {c}")
+            raise ArithmeticError(_duality_failure(lam, mu, left, right, c))
     return c
 
 

@@ -6,9 +6,10 @@ when its denominator is greater than 1.  The kernels take polynomials in
 that form and return polynomials in that form, so integral polynomials
 stay in int arithmetic throughout.  These four functions are the inner
 loops of MultiPoly arithmetic (add, subtract, scale, multiply) and of
-poly_exact_div, their only callers; the Casimir ladders run on dense int
-lists of their own.  Callers reach them as ``kernels.poly_*`` so that the
-module attributes stay the single point to wrap for tracing.
+poly_exact_div, their only callers; the Casimir ladders and the Jack solve
+in one symbol run on exact_algebra's dense int lists instead.  Callers
+reach them as ``kernels.poly_*`` so that the module attributes stay the
+single point to wrap for tracing.
 
 The multiply defers normalisation: it sums products as raw integer
 numerator/denominator pairs per output term and builds at most one reduced

@@ -361,6 +361,11 @@ def test_query_builds_no_full_parser(capsys):
     # u-self dualities at weight 8
     (("verify-all", "--max-weight", "8", "--max-degree", "8", "--max-n", "5",
       "--json"), "ea02a47a5df079706115ac4baf62e45ef13f872f"),
+    # the larger sweeps the Jack duality on lists made cheap
+    (("jack", "verify-duality", "--max-weight", "10", "--json"),
+     "d43e1454c9f3963b22bd0dda3a7c956a6c28541a"),
+    (("verify-all", "--max-weight", "10", "--max-degree", "10", "--max-n", "5",
+      "--json"), "2fb3cac2854ec23adee6601f86b3a2a1ea8ca8c7"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1
@@ -439,3 +444,33 @@ def test_no_command_takes_a_gcd():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, digest] for _, digest in GCD_FREE_COMMANDS]
+
+
+KERNEL_REFUSING_PROBE = """
+import contextlib, hashlib, io, json
+from negdim import cli, exact_algebra, jack, kernels
+
+def refuse(*args):
+    raise AssertionError("the duality sweep called a polynomial kernel")
+
+for name in ("poly_add", "poly_sub", "poly_mul", "poly_scale"):
+    setattr(kernels, name, refuse)
+exact_algebra.poly_exact_div = refuse
+assert jack.verify_duality(6).all_ok
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(["jack", "verify-duality"])
+print(json.dumps([code, hashlib.sha1(buf.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_duality_sweep_calls_no_kernel():
+    # the symbolic solve, the cross-multiplication and c run on dense int
+    # lists, so with every term kernel and the exact division refusing,
+    # the sweep still holds and prints the same report; a fresh
+    # interpreter, so no cache warmed by another test hides a call
+    env = dict(os.environ, PYTHONPATH=str(Path(negdim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", KERNEL_REFUSING_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, "de007f8dc6366ba61f5b830c3bd9bd74fbe8181f"]

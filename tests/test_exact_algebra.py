@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negdim import casimir, dims, exact_algebra, jack, spaces
+from negdim import casimir, dims, exact_algebra, jack, kernels, spaces
 from negdim.cli import run_verify_all
 from negdim.exact_algebra import (ExactDivisionError, MultiPoly, RatFunc,
                                   poly_exact_div, poly_gcd, ratfunc_equal,
@@ -529,9 +529,10 @@ def test_work_counts_stay_within_budget(monkeypatch):
     # the spaces comparisons start cold, as in a fresh interpreter
     for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices,
                    jack._operator_count, jack._p_of_z,
-                   spaces._compared_symbolically):
+                   spaces._compared_symbolically, spaces._reference):
         cached.cache_clear()
-    calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0}
+    calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0,
+             "poly_add": 0, "poly_sub": 0, "poly_mul": 0, "poly_scale": 0}
 
     def counted(key, inner):
         def wrapped(*args, **kwargs):
@@ -542,10 +543,16 @@ def test_work_counts_stay_within_budget(monkeypatch):
     for name in ("poly_gcd", "_gcd_interpolated", "_gcd_univariate"):
         monkeypatch.setattr(exact_algebra, name,
                             counted(name, getattr(exact_algebra, name)))
+    for name in ("poly_add", "poly_sub", "poly_mul", "poly_scale"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] == 0  # recursive calls included
     assert calls["RatFunc"] <= 107
+    # the Jack duality runs on dense int lists and calls no kernel
+    assert calls["poly_mul"] <= 46
+    assert calls["poly_add"] + calls["poly_sub"] <= 147
+    assert calls["poly_scale"] <= 263
     assert calls["_gcd_interpolated"] == 0
     assert calls["_gcd_univariate"] == 0
 

@@ -8,7 +8,8 @@ import pytest
 
 from negdim import exact_algebra
 from negdim import jack as jack_module
-from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
+from negdim.exact_algebra import (MultiPoly, RatFunc, _dense_mul, _dense_product,
+                                  _madd, _trim, ratfunc_equal)
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          SingularCouplingError, _monomial_matrices,
                          _s_inverse, _s_matrix, apply_L_N, check_conjugation,
@@ -245,6 +246,52 @@ def test_jack_at_other_couplings_matches_substitution(k):
             assert got.terms == {mu: c.substitute({"k": k})
                                  for mu, c in want.terms.items()}
         assert jf.eigenvalue == sym.eigenvalue.substitute({"k": k})
+
+
+ONE_SYMBOL = [None, 1 / K, K + 1, K * K, 1 / P0]
+
+
+@pytest.mark.parametrize("k", ONE_SYMBOL, ids=str)
+def test_dense_solve_matches_the_multipoly_path_and_substitution(k):
+    # a coupling in one symbol is solved on dense int lists; the MultiPoly
+    # solve that couplings in two symbols take, and the substitution
+    # route, give the same m- and p-coordinates
+    kv = jack_module._as_value(k)
+    assert jack_module._coupling_lists(kv) is not None
+    for lam in partitions_up_to_weight(6):
+        if not lam:
+            continue
+        jf = jack(lam, k)
+        m_exp, p_exp = jack_module._jack_terms(lam, kv)
+        assert jf.m_expansion.terms == m_exp
+        assert jf.p_expansion.terms == p_exp
+        m_sub, p_sub, _ = _jack_by_substitution(lam, k)
+        assert (jf.m_expansion, jf.p_expansion) == (m_sub, p_sub)
+
+
+def test_dense_solve_raises_on_a_singular_coupling(monkeypatch):
+    # with the diagonal of (1, 1) planted equal to that of (2), the gap
+    # of the comparable pair vanishes at every coupling; the dense solve
+    # raises as the MultiPoly one does.  (4, 1, 1) and (3, 3), which share
+    # an eigenvalue but are incomparable, stay harmless.
+    real = jack_module._monomial_matrices
+
+    def planted(d):
+        pair = real(d)
+        if d != 2:
+            return pair
+        m0, m1 = (list(map(list, m)) for m in pair)
+        m0[1][1], m1[1][1] = m0[0][0], m1[0][0]
+        return tuple(m0), tuple(m1)
+
+    monkeypatch.setattr(jack_module, "_monomial_matrices", planted)
+    for k in ONE_SYMBOL:
+        kv = jack_module._as_value(k)
+        for solve in (lambda: jack((2,), k), lambda: jack_module._jack_terms((2,), kv)):
+            with pytest.raises(SingularCouplingError) as err:
+                solve()
+            assert (err.value.top, err.value.other) == ((2,), (1, 1))
+        assert jack((4, 1, 1), k).m_expansion.terms.get((3, 3)) is None
 
 
 def _arm_leg(lam):
@@ -562,39 +609,72 @@ def test_macdonald_duality_makes_no_gcd(monkeypatch):
 
 def test_duality_catches_a_common_normalisation_error(monkeypatch):
     # P(lam, k) * (1 + k) and P(lam', 1/k) * (1 + 1/k) stay proportional,
-    # with c * k in place of c; checking against the closed form sees it
-    inner = jack_module.jack
+    # with c * k in place of c; checking against the closed form sees it.
+    # On the lists of the solve 1 + k is [1, 1], and 1 + 1/k is [1, 1]
+    # over one more factor k, the tuple (0, 1)
+    inner = jack_module._p_solution
 
-    def scaled(lam, k=None):
-        jf = inner(lam, k)
-        p = jf.p_expansion
-        return jf._replace(p_expansion=PExpr(p.degree, {
-            mu: v * (1 + jf.coupling) for mu, v in p.terms.items()}))
+    def scaled(lam, kv, u, w):
+        nums, den, div = inner(lam, kv, u, w)
+        if kv != K:
+            den = {**den, (0, 1): den.get((0, 1), 0) + 1}
+        return [_dense_mul(c, [1, 1]) for c in nums], den, div
 
-    monkeypatch.setattr(jack_module, "jack", scaled)
+    monkeypatch.setattr(jack_module, "_p_solution", scaled)
     report = verify_duality(4)
     assert len(report.cases) == 11
     assert not any(case.holds for case in report.cases)
 
 
 def test_duality_names_the_first_mismatching_term(monkeypatch):
-    inner = jack_module.jack
+    # one is added to two p-coordinates of P((3, 1), k): div times the
+    # product of the gaps over the same denominator
+    inner = jack_module._p_solution
 
-    def perturbed(lam, k=None):
-        jf = inner(lam, k)
-        if (lam, jf.coupling) != ((3, 1), K):
-            return jf
-        terms = dict(jf.p_expansion.terms)
-        for mu in ((1, 1, 1, 1), (2, 1, 1)):  # p[2,1,1] comes first
-            terms[mu] = terms[mu] + 1
-        return jf._replace(p_expansion=PExpr(4, terms))
+    def perturbed(lam, kv, u, w):
+        nums, den, div = inner(lam, kv, u, w)
+        if (lam, kv) == ((3, 1), K):
+            one = [div * x for x in _dense_product(den)]
+            for mu in ((1, 1, 1, 1), (2, 1, 1)):  # p[2,1,1] comes first
+                i = degree_basis(4).index(mu)
+                nums[i] = list(nums[i])
+                _madd(nums[i], [1], one)
+                _trim(nums[i])
+        return nums, den, div
 
-    monkeypatch.setattr(jack_module, "jack", perturbed)
+    monkeypatch.setattr(jack_module, "_p_solution", perturbed)
     report = verify_duality(4)
     failed = [case for case in report.cases if not case.holds]
     assert [case.check_id for case in failed] == ["jack/macdonald/3,1"]
     assert "duality fails for 3,1" in failed[0].notes
     assert "mismatch is p[2,1,1]" in failed[0].notes
+
+
+def test_duality_catches_a_sign_flipped_scalar(monkeypatch):
+    inner = jack_module._duality_factors
+    monkeypatch.setattr(jack_module, "_duality_factors",
+                        lambda lam: (lambda scale, factors: (-scale, factors))(*inner(lam)))
+    report = verify_duality(4)
+    assert len(report.cases) == 11
+    assert not any(case.holds for case in report.cases)
+
+
+def test_duality_needs_the_swapped_pair_at_the_inverse_coupling(monkeypatch):
+    # at 1/k the entry a + b*k of the solve is the pair [b, a]; left as
+    # [a, b], every row fails but those of one-row diagrams, whose
+    # transpose is a column with the same eigenfunction at every coupling
+    monkeypatch.setattr(jack_module, "_AT_INVERSE", (1 / K, [0, 1], [1]))
+    report = verify_duality(4)
+    assert [case.check_id for case in report.cases if case.holds] == [
+        f"jack/macdonald/{w}" for w in range(1, 5)]
+
+
+def test_symbolic_duality_matches_the_eigenfunction_route():
+    # the lists route against the two JackFunctions, with c substituted,
+    # that macdonald_duality takes at any other coupling
+    for lam in partitions_up_to_weight(5):
+        if lam:
+            assert macdonald_duality(lam, K) == macdonald_duality(lam)
 
 
 def test_schur_oracle_basics():
