@@ -366,6 +366,16 @@ def test_query_builds_no_full_parser(capsys):
      "d43e1454c9f3963b22bd0dda3a7c956a6c28541a"),
     (("verify-all", "--max-weight", "10", "--max-degree", "10", "--max-n", "5",
       "--json"), "2fb3cac2854ec23adee6601f86b3a2a1ea8ca8c7"),
+    # the dual at integer sizes, answered on rationals: a relabeled match
+    # with the BDI discrepancy, a one-parameter row, a self-dual pair
+    (("spaces", "dual", "--label", "BDI", "--m", "4", "--n", "6", "--json"),
+     "2226213cc85f677f2625101c31fdecbd94581582"),
+    (("spaces", "dual", "--label", "CI", "--n", "3", "--json"),
+     "c9f76e377160ee7e296b66d5a700e0e499299882"),
+    (("spaces", "dual", "--label", "AIII", "--m", "2", "--n", "2", "--json"),
+     "5b66254603a57e321d00c7eff7400b4166d55208"),
+    (("verify-all", "--max-weight", "12", "--max-degree", "12", "--max-n", "5",
+      "--json"), "68da971ebd08e508818db4b7d92c169be78c433f"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1
