@@ -207,7 +207,7 @@ def _cmd_spaces_dual(args) -> int:
         return 0
     print(f"space: {match.source.description}  ({match.source.key})")
     print(f"kpq: {match.kpq}")
-    if not spaces._triples_equal(match.kpq, match.derived):
+    if match.kpq[:3] != match.derived[:3]:
         print(f"kpq (from multiplicities): {match.derived}")
     print(f"dual_kpq: {match.image}")
     if match.matched:

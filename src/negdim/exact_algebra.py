@@ -1030,7 +1030,8 @@ class RatFunc:
     # -- rendering -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == MultiPoly.const(1):
+        den = self.den  # a polynomial free of symbols has at most the term ()
+        if not den.symbols and den.terms.get(()) == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -21,7 +21,8 @@ multiplying by a symbol, so no polynomial division and no gcd is needed.
 dual_space applies the appropriate map and looks the image up in the
 catalogue, matching (k, q) exactly and p up to the m <-> n relabeling of
 the two-parameter families (the quotient does not care which factor is
-called m), which renames the two symbols.
+called m), which renames the two symbols.  At integer sizes the fields
+are Fractions, read once per row into tables of rational coefficients.
 
 Convention notes, applied uniformly:
   * the quaternionic unitary quotient is catalogued at even size, as
@@ -80,6 +81,9 @@ class SpaceSpec(NamedTuple):
     mults: Triple            # (m_alpha, m_beta, m_2beta)
     tabulated_kpq: Optional[Triple] = None   # reference triple where the catalogue fixes one
     in_matching: bool = True
+
+    def __hash__(self) -> int:  # rows key memos: hash the key, not every field
+        return hash(self.key)
 
 
 def _c(x) -> RatFunc:
@@ -169,11 +173,17 @@ def tabulated_kpq(s: SpaceSpec) -> Optional[KPQ]:
 
 
 @lru_cache(maxsize=None)
+def _derived(s: SpaceSpec) -> KPQ:
+    """to_kpq memoised per catalogue row."""
+    return to_kpq(s)
+
+
+@lru_cache(maxsize=None)
 def _reference(key: str) -> KPQ:
     """The triple a catalogue row is matched by: the tabulated one where
     the catalogue fixes one, else the one derived from the multiplicities."""
     s = _BY_KEY[key]
-    return tabulated_kpq(s) or to_kpq(s)
+    return tabulated_kpq(s) or _derived(s)
 
 
 def _exact(x):
@@ -239,24 +249,34 @@ def _triples_equal(a: KPQ, b: KPQ) -> bool:
             and ratfunc_equal(a.q, b.q))
 
 
-def _at_sizes(x: KPQ, sizes: Mapping[str, int]) -> KPQ:
-    """x with every size symbol set to an integer, as rationals."""
-    return KPQ(x.k.eval_fractions(sizes), x.p.eval_fractions(sizes),
-               x.q.eval_fractions(sizes), x.n.eval_fractions(sizes))
+def _affine(s: SpaceSpec, name: str, f: RatFunc) -> Tuple[Fraction, ...]:
+    """(c, c_1, ...) with f = c + c_1*x_1 + ... in the row's size symbols x_i,
+    the form of every catalogue field."""
+    num, params = f.num, s.size_params
+    if (f.den != 1 or not set(num.symbols) <= set(params)
+            or any(sum(e) > 1 for e in num.terms)):
+        raise ValueError(f"{s.key}: field {name} = {f} is not affine in "
+                         f"{', '.join(params)} over denominator 1")
+    coeffs = {num.symbols[e.index(1)] if any(e) else "": c
+              for e, c in num.terms.items()}
+    return tuple(Fraction(coeffs.get(x, 0)) for x in ("",) + params)
 
 
-def _triple_at(x: KPQ, sizes: Mapping[str, int]) -> Optional[Tuple[Fraction, ...]]:
-    """(k, p, q) of x at the sizes as rationals, or None when a size symbol
-    is left free (then no rational triple equals it)."""
-    fields = (x.k, x.p, x.q)
-    if any(sym not in sizes for f in fields for sym in f.symbols()):
-        return None
-    return tuple(f.eval_fractions(sizes) for f in fields)
+@lru_cache(maxsize=None)
+def _rational(s: SpaceSpec):
+    """Row s read once into rationals: the coefficient tuples of its
+    reference and derived fields (k, p, q, N), and its reference (k, p, q)
+    where no size symbol enters it, else None."""
+    ref, der = (tuple(_affine(s, name, f) for name, f in zip("kpqN", x))
+                for x in (tabulated_kpq(s) or _derived(s), _derived(s)))
+    free = any(any(f[1:]) for f in ref[:3])
+    return ref, der, None if free else tuple(f[0] for f in ref[:3])
 
 
-def _as_ratfuncs(x: KPQ) -> KPQ:
-    return KPQ(RatFunc.const(x.k), RatFunc.const(x.p), RatFunc.const(x.q),
-               RatFunc.const(x.n))
+def _at(fields, sizes: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """Coefficient tuples evaluated at integer sizes, in size-parameter order."""
+    return tuple(sum((c * v for c, v in zip(f[1:], sizes) if c), f[0])
+                 for f in fields)
 
 
 class SpaceMatch(NamedTuple):
@@ -284,28 +304,18 @@ class SpaceMatch(NamedTuple):
         }
 
 
-def _tabulated_vs_derived(s: SpaceSpec, sizes: Mapping[str, int]) -> Tuple[Dict[str, str], ...]:
-    return _compared(s, sizes) if sizes else _compared_symbolically(s)
-
-
 @lru_cache(maxsize=None)
 def _compared_symbolically(s: SpaceSpec) -> Tuple[Dict[str, str], ...]:
-    """The symbolic comparison, memoised per catalogue row as _reference
-    is; keyed by the row itself, so a replaced row is compared afresh."""
-    return _compared(s, {})
-
-
-def _compared(s: SpaceSpec, sizes: Mapping[str, int]) -> Tuple[Dict[str, str], ...]:
+    """A row's tabulated-vs-derived discrepancies, keyed by the row itself,
+    so a replaced row is compared afresh; at sizes, those that differ there."""
     shown = tabulated_kpq(s)
     if shown is None:
         return ()
-    derived = to_kpq(s)
+    derived = _derived(s)
     out: List[Dict[str, str]] = []
     for name in ("k", "p", "q"):
         a, b = getattr(derived, name), getattr(shown, name)
-        same = (a.eval_fractions(sizes) == b.eval_fractions(sizes) if sizes
-                else ratfunc_equal(a, b))
-        if not same:
+        if not ratfunc_equal(a, b):
             out.append({
                 "id": f"{s.key.lower()}-{name}-normalization",
                 "field": name,
@@ -322,22 +332,20 @@ def _candidates(s: SpaceSpec):
             and (c.root_system == "A") == (s.root_system == "A"))
 
 
-def _match_at_sizes(s: SpaceSpec, image: KPQ, sizes: Mapping[str, int]
-                    ) -> Tuple[Optional[SpaceSpec], bool]:
-    """(partner, relabeled) for the rational image of s at integer sizes.
-    A two-parameter candidate is set to the source's sizes under both
-    labelings; any other is compared as it is."""
-    triple = (image.k, image.p, image.q)
+def _match_at_sizes(s: SpaceSpec, triple: Tuple[Fraction, ...],
+                    sizes: Tuple[int, ...]) -> Tuple[Optional[SpaceSpec], bool]:
+    """(partner, relabeled) for the rational image triple of s at integer
+    sizes.  A two-parameter candidate of a two-parameter source is set to
+    its sizes under both labelings; any other is compared by its constant
+    triple, which a candidate with a size symbol in (k, p, q) lacks."""
     for cand in _candidates(s):
-        target = _reference(cand.key)
-        if len(cand.size_params) == 2 and "m" in sizes:
-            m, n = sizes["m"], sizes["n"]
-            labelings = (({"m": m, "n": n}, False), ({"m": n, "n": m}, True))
-        else:
-            labelings = (({}, False),)
-        for at, swapped in labelings:
-            if _triple_at(target, at) == triple:
-                return cand, swapped
+        ref, _, constant = _rational(cand)
+        if len(cand.size_params) == 2 == len(sizes):
+            for at, swapped in ((sizes, False), (sizes[::-1], True)):
+                if _at(ref[:3], at) == triple:
+                    return cand, swapped
+        elif constant == triple:
+            return cand, False
     return None, False
 
 
@@ -362,10 +370,10 @@ def dual_space(label: str, m: Optional[int] = None,
     """Apply the duality to a catalogue space and match the image.
 
     Optional m, n pin the size parameters to integers (n binds the single
-    parameter of one-parameter spaces); the triples are then evaluated as
-    rationals, with no substitution.  Matching compares (k, p, q); for
-    two-parameter candidates the m <-> n relabeling is also tried, and a
-    successful relabel is reported.
+    parameter of one-parameter spaces); the fields are then Fractions, from
+    the rows' rational tables, and no RatFunc is built.  Matching compares
+    (k, p, q); for two-parameter candidates the m <-> n relabeling is also
+    tried, and a successful relabel is reported.
     """
     s = space(label)
     sizes: Dict[str, int] = {}
@@ -380,14 +388,16 @@ def dual_space(label: str, m: Optional[int] = None,
         raise ValueError(f"{s.key} has size parameters m and n: "
                          f"{given} needs {missing} as well")
 
+    discrepancies = _compared_symbolically(s)
     if sizes:
-        kpq = _at_sizes(_reference(s.key), sizes)
+        at = tuple(sizes[name] for name in s.size_params)
+        kpq, derived = (KPQ(*_at(x, at)) for x in _rational(s)[:2])
         image = _dual_image(s, kpq)
-        partner, relabeled = _match_at_sizes(s, image, sizes)
-        kpq, image = _as_ratfuncs(kpq), _as_ratfuncs(image)
-        derived = _as_ratfuncs(_at_sizes(to_kpq(s), sizes))
+        partner, relabeled = _match_at_sizes(s, tuple(image[:3]), at)
+        discrepancies = tuple(d for d in discrepancies if getattr(kpq, d["field"])
+                              != getattr(derived, d["field"]))
     else:
-        kpq, derived = _reference(s.key), to_kpq(s)
+        kpq, derived = _reference(s.key), _derived(s)
         image = _dual_image(s, kpq)
         partner, relabeled = _match_symbolic(s, image)
 
@@ -400,7 +410,7 @@ def dual_space(label: str, m: Optional[int] = None,
         partner=partner.key if partner else None,
         partner_description=partner.description if partner else None,
         relabeled=relabeled,
-        discrepancies=_tabulated_vs_derived(s, sizes),
+        discrepancies=discrepancies,
     )
 
 
@@ -455,7 +465,7 @@ def verify_table() -> VerificationReport:
 
     census = []
     for s in CATALOGUE:
-        for d in _tabulated_vs_derived(s, {}):
+        for d in _compared_symbolically(s):
             census.append(d["id"])
             report.add(CheckResult(
                 check_id=f"spaces/tabulated-vs-derived/{s.key}/{d['field']}",

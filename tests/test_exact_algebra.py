@@ -529,7 +529,8 @@ def test_work_counts_stay_within_budget(monkeypatch):
     # the spaces comparisons start cold, as in a fresh interpreter
     for cached in (jack._s_matrix, jack._s_inverse, jack._monomial_matrices,
                    jack._operator_count, jack._p_of_z,
-                   spaces._compared_symbolically, spaces._reference):
+                   spaces._compared_symbolically, spaces._reference,
+                   spaces._derived, spaces._rational):
         cached.cache_clear()
     calls = {"poly_gcd": 0, "_gcd_interpolated": 0, "_gcd_univariate": 0, "RatFunc": 0,
              "poly_add": 0, "poly_sub": 0, "poly_mul": 0, "poly_scale": 0}
@@ -548,11 +549,12 @@ def test_work_counts_stay_within_budget(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counted("RatFunc", RatFunc.__init__))
     assert run_verify_all(2, 3, 2).all_ok
     assert calls["poly_gcd"] == 0  # recursive calls included
-    assert calls["RatFunc"] <= 107
+    # each catalogue row's derived triple is built once
+    assert calls["RatFunc"] <= 101
     # the Jack duality runs on dense int lists and calls no kernel
     assert calls["poly_mul"] <= 46
     assert calls["poly_add"] + calls["poly_sub"] <= 147
-    assert calls["poly_scale"] <= 263
+    assert calls["poly_scale"] <= 245
     assert calls["_gcd_interpolated"] == 0
     assert calls["_gcd_univariate"] == 0
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negdim import cli, spaces
-from negdim.exact_algebra import RatFunc, ratfunc_equal
+from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
 from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, _reference, a_dual,
                            bc_dual, catalogue, dual_space, tabulated_kpq, space,
                            to_kpq, verify_table)
@@ -223,14 +223,19 @@ def test_bc_dual_with_a_wrong_rank_map_fails_the_involution(monkeypatch, capsys)
     assert _failing_rows_in_verify_all(capsys) == (1, ["spaces/bc-involution"])
 
 
+def _planted(monkeypatch, key, **fields):
+    """Replace one catalogue row by a copy with the given fields changed."""
+    spec = spaces.space(key)
+    planted = spec._replace(**fields)
+    monkeypatch.setattr(spaces, "CATALOGUE", tuple(
+        planted if s is spec else s for s in spaces.CATALOGUE))
+    monkeypatch.setattr(spaces, "_BY_KEY", {**spaces._BY_KEY, key: planted})
+
+
 def test_second_tabulated_discrepancy_fails_the_census(monkeypatch):
     # group-C's derived q doubled; it is matched by its tabulated triple,
     # so only the census sees the new discrepancy
-    spec = spaces.space("group-C")
-    planted = spec._replace(mults=(const(2), const(0), const(4)))
-    monkeypatch.setattr(spaces, "CATALOGUE", tuple(
-        planted if s is spec else s for s in CATALOGUE))
-    monkeypatch.setattr(spaces, "_BY_KEY", {**spaces._BY_KEY, "group-C": planted})
+    _planted(monkeypatch, "group-C", mults=(const(2), const(0), const(4)))
     report = verify_table()
     assert _unexpected_failures(report) == [(
         "spaces/discrepancy-census",
@@ -313,18 +318,40 @@ def test_dual_space_at_integer_sizes_matches_substitution_route():
                 got.relabeled, [d["id"] for d in got.discrepancies]) \
             == _oracle_dual(label, m, n), (label, m, n)
         assert got.matched == (got.partner is not None)
+        # at integer sizes the fields are rationals, symbolic ones RatFuncs
+        kind = RatFunc if n is None else Fraction
         for x in (got.kpq, got.derived, got.image):
-            assert all(isinstance(f, RatFunc) for f in (x.k, x.p, x.q, x.n))
+            assert all(isinstance(f, kind) for f in (x.k, x.p, x.q, x.n))
 
 
-def test_numeric_sizes_take_no_substitution(monkeypatch):
-    def refuse(self, bindings):
-        raise AssertionError("a numeric dual substituted into a RatFunc")
+def test_integer_sizes_build_and_evaluate_no_ratfunc(monkeypatch):
+    # once each row's rational table is read, a dual at integer sizes is
+    # Fraction arithmetic only: no RatFunc is built, evaluated or substituted
+    for s in CATALOGUE:
+        dual_space(s.key, m=1 if len(s.size_params) == 2 else None, n=1)
 
-    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numeric dual went through RatFunc")
+
+    for cls, name in ((RatFunc, "__init__"), (RatFunc, "eval_fractions"),
+                      (RatFunc, "substitute"), (MultiPoly, "eval_fractions")):
+        monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setattr(RatFunc, "const", classmethod(refuse))
     for label, m, n in _size_cases():
         if n is not None:
             dual_space(label, m=m, n=n)
+
+
+def test_non_affine_row_is_refused_at_integer_sizes(monkeypatch):
+    m, n = RatFunc.symbol("m"), RatFunc.symbol("n")
+    # BDI's derived p becomes -m*n/2, a product of its sizes
+    _planted(monkeypatch, "BDI", mults=(const(1), m * n, const(0)))
+    with pytest.raises(ValueError, match=r"^BDI: field p = -1/2\*m\*n is not affine"):
+        dual_space("BDI", m=2, n=3)
+    # CI's tabulated q becomes 1/N, off denominator 1
+    _planted(monkeypatch, "CI", tabulated_kpq=(const(Fraction(-1, 2)), const(0), 1 / N))
+    with pytest.raises(ValueError, match=r"^CI: field q = \(1\)/\(N\) is not affine"):
+        dual_space("CI", n=3)
 
 
 def test_swap_mn_renames_as_substitution_does():
