@@ -376,6 +376,18 @@ def test_query_builds_no_full_parser(capsys):
      "5b66254603a57e321d00c7eff7400b4166d55208"),
     (("verify-all", "--max-weight", "12", "--max-degree", "12", "--max-n", "5",
       "--json"), "68da971ebd08e508818db4b7d92c169be78c433f"),
+    # numeric couplings: zero, positive, negative non-integral, and weights
+    # 6 and 7
+    (("jack", "compute", "--lambda", "3,2,1", "--k=0", "--json"),
+     "9260dd6c36eaa0d7d3dd4e9f1513ecb88b7ef0f8"),
+    (("jack", "compute", "--lambda", "4,2", "--k=11/5", "--json"),
+     "816ec949f2245ddde604071d066df67cc9152fd8"),
+    (("jack", "compute", "--lambda", "3,3,1", "--k=-7/3", "--json"),
+     "38904add0709f8adb21f1c6e907210ec9d63e23d"),
+    (("jack", "compute", "--lambda", "4,2,1", "--k=2", "--json"),
+     "29a78c3146579e8eb53ccbe9a74b11231b940823"),
+    (("jack", "compute", "--lambda", "4,1,1,1", "--k=1/3", "--json"),
+     "0a00ca1bc4e4ed435a81035650e8af8f6bfdf8c5"),
 ])
 def test_output_matches_golden_digest(capsys, argv, digest):
     # byte identity of the default output, pinned by its SHA-1
