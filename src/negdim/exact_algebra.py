@@ -30,12 +30,11 @@ otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
 is certified by exact division of both inputs.  The one gcd-free path is
 the factor form, a scale times known irreducible factors with signed
 exponents: _expand_factors multiplies it out into the canonical RatFunc,
-and _cancel reduces a numerator over it by trial division.  The Jack
-coordinates at a coupling in two symbols (eigenvalue gaps) and the
-universal dimension formula (linear forms in its triple) take it.  The
-same form runs on dense int lists in one symbol (_dense_cancel,
-_dense_product and the other helpers of that section), for the Jack solve
-at a coupling in one symbol, the Jack duality scalar (linear factors in
+and _cancel reduces a numerator over it by trial division.  The universal
+dimension formula (linear forms in its triple) takes it.  The same form
+runs on dense int lists in one symbol (_dense_cancel, _dense_product and
+the other helpers of that section), for the Jack solve (eigenvalue gaps,
+one-entry lists at a number), the Jack duality scalar (linear factors in
 k), the Casimir ladders (casimir._expand, casimir._series, whose factors
 are all 1 - z*m, with only _cancel taken on polynomials) and the
 one-symbol exact division.  Only RatFunc(num, den) and RatFunc arithmetic

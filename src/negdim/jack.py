@@ -50,8 +50,8 @@ eigenvalue gaps and cancels them by trial division, so it takes no gcd.  At
 a coupling u/w with u and w integer polynomials in one symbol (k, 1/k,
 k + 1, 1/p0, ...) every numerator and gap is a dense int list in that
 symbol (exact_algebra's dense helpers), and RatFunc is built only for the
-coordinates handed out; a numeric coupling solves on ints, and one in two
-symbols on MultiPoly.
+coordinates handed out.  A number u/w takes the same solve on one-entry
+lists; a coupling in two or more symbols raises ValueError.
 """
 
 from __future__ import annotations
@@ -62,13 +62,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
     RatFunc,
-    _cancel,
     _coeff,
     _dense_cancel,
     _dense_mul,
@@ -92,7 +91,6 @@ from negdim.partitions import (
 from negdim.reporting import CheckResult, VerificationReport
 
 Coupling = Union[None, int, Fraction, RatFunc]
-Coeff = Union[int, MultiPoly]
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
@@ -274,22 +272,6 @@ def _s_inverse(d: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
-def _mat_vec(mat: Sequence[Sequence[int]], degree: int,
-             coords: Mapping[Partition, Coeff]) -> Dict[Partition, Coeff]:
-    """mat times a coordinate vector keyed by degree_basis(degree), skipping
-    zeros; int or MultiPoly coordinates give the same type."""
-    basis = degree_basis(degree)
-    index = {mu: j for j, mu in enumerate(basis)}
-    out: Dict[Partition, Coeff] = {}
-    for mu, c in coords.items():
-        j = index[mu]
-        for nu, row in zip(basis, mat):
-            if row[j]:
-                term = c * row[j]
-                out[nu] = out[nu] + term if nu in out else term
-    return out
-
-
 @lru_cache(maxsize=None)
 def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """(M0, M1): M0 + k*M1 is the operator in the degree-d monomial basis at
@@ -350,20 +332,27 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     coprime, so a common factor vanishes only where (u : w) is the zero of
     L, and then L divides N.
 
-    The solve runs on ints at a numeric coupling, on dense int lists at a
-    coupling in one symbol (_solve_dense), and on MultiPoly in two.
+    The one solve (_solve_dense) runs on dense int lists in the coupling's
+    symbol, one-entry lists at a number.  A coupling in two or more symbols
+    raises ValueError.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
+    symbol, u, w = _coupling_lists(kv)
+    coords, nums, den, scale = _solve_dense(lam, kv, u, w)
     d = weight(lam)
-    lists = _coupling_lists(kv)
-    m_exp, p_exp = _jack_dense(lam, kv, *lists) if lists else _jack_terms(lam, kv)
+    basis = degree_basis(d)
+    m_exp = {lam: RatFunc.const(1)}
+    m_exp.update((basis[row], _dense_coordinate(symbol, *c)) for row, c in coords.items())
+    div = scale * factorial(d)
+    p_exp = {mu: _dense_coordinate(symbol, *_dense_cancel(c, den), div)
+             for mu, c in zip(basis, _p_numerators(d, nums)) if c}
     for mu in m_exp:
         if mu != lam and not dominance_leq(mu, lam):
             raise AssertionError(
                 f"triangularity violated: {format_partition(mu)} appears in "
                 f"the expansion of {format_partition(lam)}")
-    top = degree_basis(d).index(lam)
+    top = basis.index(lam)
     a_top, b_top = (m[top][top] for m in _monomial_matrices(d))
     # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
     # that divides the numerator divides b - d*p0, so it involves p0
@@ -373,90 +362,31 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     return JackFunction(lam, kv, MExpr(d, m_exp), PExpr(d, p_exp), eigen)
 
 
-def _jack_terms(lam: Partition, kv: RatFunc):
-    """The m- and p-coordinates of jack(lam, kv), solved on ints at a
-    numeric coupling and on MultiPoly otherwise."""
-    d = weight(lam)
-    basis, (m0, m1) = degree_basis(d), _monomial_matrices(d)
-    if kv.is_const():
-        u, w = kv.as_fraction().as_integer_ratio()
-    else:
-        lcm = math.lcm(*(c.denominator for c in kv.num.terms.values()))
-        u, w = kv.num._scaled(lcm), kv.den._scaled(lcm)
-    top = basis.index(lam)
-    a_top, b_top = m0[top][top], m1[top][top]
-    scale, den, nums, m_exp = 1, {}, {top: 1}, {lam: RatFunc.const(1)}
-
-    def coordinate(num, gaps: Mapping[MultiPoly, int], div: int) -> RatFunc:
-        if type(num) is int:
-            return RatFunc.const(Fraction(num, div))
-        return RatFunc._raw(num._scaled(Fraction(1, div)),
-                            MultiPoly.const(1) * product(gaps))
-
-    products: Dict[frozenset, Union[int, MultiPoly]] = {}
-
-    def product(gaps: Mapping[MultiPoly, int]) -> Union[int, MultiPoly]:
-        key = frozenset(gaps.items())
-        if key not in products:
-            products[key] = math.prod(g ** e for g, e in key)
-        return products[key]
-
-    @lru_cache(maxsize=None)
-    def entry(a: int, b: int):
-        return w * a + u * b
-
-    for row in range(top + 1, len(basis)):
-        r0, r1 = m0[row], m1[row]
-        s = sum((entry(r0[col], r1[col]) * c for col, c in nums.items()
-                 if r0[col] or r1[col]), 0)
-        gap = entry(a_top - r0[row], b_top - r1[row])
-        if not gap:
-            # below lam the coordinate is s/0 or 0/0, undetermined either
-            # way; an incomparable row with s = 0 is harmless
-            if s or dominance_leq(basis[row], lam):
-                raise SingularCouplingError(kv, lam, basis[row])
-            continue
-        if not s:
-            continue
-        content, g = (gap, 1) if type(gap) is int else gap.primitive()
-        s, left = _cancel(s, {**den, g: den.get(g, 0) + 1} if g != 1 else den)
-        scale *= content
-        m_exp[basis[row]] = coordinate(s, left, scale)
-        extra = {h: e - den.get(h, 0) for h, e in left.items() if e > den.get(h, 0)}
-        grow = product(extra) * content
-        if grow != 1:
-            nums = {col: c * grow for col, c in nums.items()}
-        den.update({h: den.get(h, 0) + e for h, e in extra.items()})
-        nums[row] = s * product({h: e - left.get(h, 0) for h, e in den.items()
-                                 if e > left.get(h, 0)})
-
-    p_nums = _mat_vec(_s_inverse(d), d, {basis[i]: c for i, c in nums.items()})
-    p_exp = {mu: coordinate(*_cancel(c, den), scale * factorial(d))
-             for mu, c in p_nums.items() if c}
-    return m_exp, p_exp
-
-
 def _coupling_lists(kv: RatFunc):
     """(symbol, u, w) with kv = u/w, u and w dense int lists in the one
-    symbol of kv; None for a coupling with no symbol or with two."""
+    symbol of kv; a number u/w gives (None, [u], [w]), with u = [] at 0.
+    Raises ValueError for a coupling in two or more symbols."""
     symbols = set(kv.num.symbols) | set(kv.den.symbols)
-    if len(symbols) != 1:
-        return None
+    if len(symbols) > 1:
+        raise ValueError(f"coupling k = {kv} is in {len(symbols)} symbols; "
+                         f"a Jack function takes a number or one symbol")
     lcm = math.lcm(*(c.denominator for c in kv.num.terms.values()))
 
     def dense(poly: MultiPoly) -> list:
-        out = [0] * (max(map(sum, poly.terms)) + 1)
+        out = [0] * (max(map(sum, poly.terms), default=-1) + 1)
         for e, c in poly.terms.items():
             out[sum(e)] = _coeff(c * lcm)
         return out
 
-    return symbols.pop(), dense(kv.num), dense(kv.den)
+    return (symbols.pop() if symbols else None), dense(kv.num), dense(kv.den)
 
 
 def _solve_dense(lam: Partition, kv: RatFunc, u: list, w: list):
     """jack()'s triangular solve at k = kv = u/w, u and w dense int lists
     in one symbol, as are every numerator and gap: at k the entry a + b*k
     is [a, b], and at 1/k, u = [1] and w = [0, 1], the swapped pair [b, a].
+    At a number every list has at most one entry, so every gap is its own
+    content and den stays empty.
 
     Returns (coords, nums, den, scale).  Coordinate row of the m-expansion
     is nums[row] / (scale * prod g^e over den), each gap g a tuple, and
@@ -490,7 +420,8 @@ def _solve_dense(lam: Partition, kv: RatFunc, u: list, w: list):
         _trim(s)
         gap = entry(a_top - r0[row], b_top - r1[row])
         if not gap:
-            # as in _jack_terms
+            # below lam the coordinate is s/0 or 0/0, undetermined either
+            # way; an incomparable row with s = 0 is harmless
             if s or dominance_leq(basis[row], lam):
                 raise SingularCouplingError(kv, lam, basis[row])
             continue
@@ -502,9 +433,11 @@ def _solve_dense(lam: Partition, kv: RatFunc, u: list, w: list):
         scale *= content
         coords[row] = (s, left, scale)
         extra = {h: e - den.get(h, 0) for h, e in left.items() if e > den.get(h, 0)}
-        grow = [x * content for x in _dense_product(extra)]
-        if grow != [1]:
+        if extra:
+            grow = [x * content for x in _dense_product(extra)]
             nums = {col: _dense_mul(c, grow) for col, c in nums.items()}
+        elif content != 1:  # a scalar, as at every number
+            nums = {col: [x * content for x in c] for col, c in nums.items()}
         den.update({h: den.get(h, 0) + e for h, e in extra.items()})
         nums[row] = _dense_mul(s, _dense_product(
             {h: e - left.get(h, 0) for h, e in den.items() if e > left.get(h, 0)}))
@@ -535,26 +468,14 @@ def _p_solution(lam: Partition, kv: RatFunc, u: list, w: list):
     return _p_numerators(d, nums), den, scale * factorial(d)
 
 
-def _dense_coordinate(symbol: str, num: list, gaps: Mapping[tuple, int],
-                      div: int) -> RatFunc:
+def _dense_coordinate(symbol: Optional[str], num: list,
+                      gaps: Mapping[tuple, int], div: int) -> RatFunc:
     """The RatFunc num / (div * prod g^e over gaps), num coprime to the
-    gaps."""
+    gaps; symbol is None at a number."""
+    if len(num) == 1 and not gaps:
+        return RatFunc.const(Fraction(num[0], div))
     return RatFunc._raw(_dense_poly(symbol, num, Fraction(1, div)),
                         _dense_poly(symbol, _dense_product(gaps)))
-
-
-def _jack_dense(lam: Partition, kv: RatFunc, symbol: str, u: list, w: list):
-    """The m- and p-coordinates of jack(lam, kv) from _solve_dense, built
-    as RatFunc at the end."""
-    coords, nums, den, scale = _solve_dense(lam, kv, u, w)
-    d = weight(lam)
-    basis = degree_basis(d)
-    m_exp = {lam: RatFunc.const(1)}
-    m_exp.update((basis[row], _dense_coordinate(symbol, *c)) for row, c in coords.items())
-    div = scale * factorial(d)
-    p_exp = {mu: _dense_coordinate(symbol, *_dense_cancel(c, den), div)
-             for mu, c in zip(basis, _p_numerators(d, nums)) if c}
-    return m_exp, p_exp
 
 
 # -- the coupling-inversion map ---------------------------------------------
@@ -675,7 +596,8 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     divided: at symbolic k on the lists of the two solves and c's factors
     (_symbolic_duality), with no JackFunction built; at any other coupling
     k = u/w on the two eigenfunctions, with c substituted.  Raises
-    ArithmeticError naming lam and the first mu where it fails.
+    ArithmeticError naming lam and the first mu where it fails, and
+    ValueError, as jack() does, at a coupling in two or more symbols.
     """
     lam = check_partition(lam)
     if k is None:

@@ -1,5 +1,6 @@
 """Jack eigenfunctions, the transpose duality and the projection diagram."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -168,8 +169,9 @@ def _jack_by_substitution(lam, k):
     return m_exp, p_exp, mm[top][top] + kv * (-d) * P0
 
 
-@pytest.mark.parametrize("k", [None, 1 / K, K + 1, 0, 1, -1, 2, Fraction(1, 2),
-                               Fraction(-1, 2), Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("k", [None, 1 / K, K + 1, 0, 1, -1, 2, -3, Fraction(1, 2),
+                               Fraction(-1, 2), Fraction(3, 2), Fraction(-7, 3),
+                               Fraction(11, 5)], ids=str)
 def test_jack_matches_substitution_route(k):
     for lam in partitions_up_to_weight(6):
         if not lam:
@@ -233,12 +235,11 @@ A = RatFunc.symbol("a")
 
 
 @pytest.mark.parametrize("k", [K * K, K / 2, (K + 1) / (2 * K - 3),
-                               (K * K - 2) / (K ** 3 + 3), K + A,
-                               (A * K + 1) / (A * A - K), 1 / P0], ids=str)
+                               (K * K - 2) / (K ** 3 + 3), 1 / P0], ids=str)
 def test_jack_at_other_couplings_matches_substitution(k):
-    # trial division by whole gaps reaches the normal form at any coupling:
-    # gaps of higher degree, gaps in two symbols (term-by-term division),
-    # and p0 in the coupling's denominator (the eigenvalue's normal form)
+    # trial division by whole gaps reaches the normal form at any coupling
+    # in one symbol: gaps of higher degree, and p0 in the coupling's
+    # denominator (the eigenvalue's normal form)
     for lam in partitions_up_to_weight(4):
         jf, sym = jack(lam, k), jack(lam)
         for got, want in ((jf.m_expansion, sym.m_expansion),
@@ -248,32 +249,43 @@ def test_jack_at_other_couplings_matches_substitution(k):
         assert jf.eigenvalue == sym.eigenvalue.substitute({"k": k})
 
 
+def test_couplings_in_two_symbols_are_refused():
+    for solve in (jack, macdonald_duality):
+        with pytest.raises(ValueError, match=re.escape(f"k = {K + A} is in 2 symbols")):
+            solve((2, 1), K + A)
+
+
 ONE_SYMBOL = [None, 1 / K, K + 1, K * K, 1 / P0]
 
 
 @pytest.mark.parametrize("k", ONE_SYMBOL, ids=str)
-def test_dense_solve_matches_the_multipoly_path_and_substitution(k):
-    # a coupling in one symbol is solved on dense int lists; the MultiPoly
-    # solve that couplings in two symbols take, and the substitution
-    # route, give the same m- and p-coordinates
-    kv = jack_module._as_value(k)
-    assert jack_module._coupling_lists(kv) is not None
+def test_dense_solve_matches_substitution(k):
+    # a coupling in one symbol is solved on dense int lists; the
+    # substitution route gives the same m- and p-coordinates
     for lam in partitions_up_to_weight(6):
         if not lam:
             continue
         jf = jack(lam, k)
-        m_exp, p_exp = jack_module._jack_terms(lam, kv)
-        assert jf.m_expansion.terms == m_exp
-        assert jf.p_expansion.terms == p_exp
         m_sub, p_sub, _ = _jack_by_substitution(lam, k)
         assert (jf.m_expansion, jf.p_expansion) == (m_sub, p_sub)
 
 
+def test_every_coupling_takes_the_dense_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("jack() solved outside _solve_dense")
+
+    monkeypatch.setattr(jack_module, "_solve_dense", refuse)
+    for k in (None, 1 / K, 1 / P0, 0, Fraction(-1, 2)):
+        with pytest.raises(AssertionError, match="outside _solve_dense"):
+            jack((2, 1), k)
+
+
 def test_dense_solve_raises_on_a_singular_coupling(monkeypatch):
     # with the diagonal of (1, 1) planted equal to that of (2), the gap
-    # of the comparable pair vanishes at every coupling; the dense solve
-    # raises as the MultiPoly one does.  (4, 1, 1) and (3, 3), which share
-    # an eigenvalue but are incomparable, stay harmless.
+    # of the comparable pair vanishes at every coupling, symbols and
+    # numbers alike; the shared solve raises, alone and through jack().
+    # (4, 1, 1) and (3, 3), which share an eigenvalue but are
+    # incomparable, stay harmless.
     real = jack_module._monomial_matrices
 
     def planted(d):
@@ -285,9 +297,11 @@ def test_dense_solve_raises_on_a_singular_coupling(monkeypatch):
         return tuple(m0), tuple(m1)
 
     monkeypatch.setattr(jack_module, "_monomial_matrices", planted)
-    for k in ONE_SYMBOL:
+    for k in ONE_SYMBOL + [0, Fraction(-1, 2), 3]:
         kv = jack_module._as_value(k)
-        for solve in (lambda: jack((2,), k), lambda: jack_module._jack_terms((2,), kv)):
+        _, u, w = jack_module._coupling_lists(kv)
+        for solve in (lambda: jack((2,), k),
+                      lambda: jack_module._solve_dense((2,), kv, u, w)):
             with pytest.raises(SingularCouplingError) as err:
                 solve()
             assert (err.value.top, err.value.other) == ((2,), (1, 1))
