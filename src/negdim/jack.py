@@ -437,7 +437,9 @@ def _solve_dense(lam: Partition, kv: RatFunc, u: list, w: list):
             grow = [x * content for x in _dense_product(extra)]
             nums = {col: _dense_mul(c, grow) for col, c in nums.items()}
         elif content != 1:  # a scalar, as at every number
-            nums = {col: [x * content for x in c] for col, c in nums.items()}
+            for c in nums.values():  # in place: no list in nums is shared
+                for i, x in enumerate(c):
+                    c[i] = x * content
         den.update({h: den.get(h, 0) + e for h, e in extra.items()})
         nums[row] = _dense_mul(s, _dense_product(
             {h: e - left.get(h, 0) for h, e in den.items() if e > left.get(h, 0)}))
