@@ -43,15 +43,17 @@ no kernel call, and renders c once for the report.
 
 L is counted once, in integers, as L0 + k*L1 + k*p0*L2 on the power sums;
 the conjugation and p0 checks read its exponent maps, check_diagram its
-columns, and jack() the pair M0 + k*M1 that S, the counted
-power-sum-to-monomial matrix, makes of L0 and L1 (d! * S^-1 is an integer
-matrix).  jack() keeps each denominator as a multiset of primitive
-eigenvalue gaps and cancels them by trial division, so it takes no gcd.  At
-a coupling u/w with u and w integer polynomials in one symbol (k, 1/k,
-k + 1, 1/p0, ...) every numerator and gap is a dense int list in that
-symbol (exact_algebra's dense helpers), and RatFunc is built only for the
-coordinates handed out.  A number u/w takes the same solve on one-entry
-lists; a coupling in two or more symbols raises ValueError.
+columns.  jack() solves with the pair M0 + k*M1 of L on the monomials,
+built from its closed form (Stanley 1989); check_triangularity holds the
+pair against the count through S, the counted power-sum-to-monomial matrix,
+and the p-coordinates come through d! * S^-1, an integer matrix.  jack()
+keeps each denominator as a multiset of primitive eigenvalue gaps and
+cancels them by trial division, so it takes no gcd.  At a coupling u/w
+with u and w integer polynomials in one symbol (k, 1/k, k + 1, 1/p0, ...)
+every numerator and gap is a dense int list in that symbol (exact_algebra's
+dense helpers), and RatFunc is built only for the coordinates handed out.
+A number u/w takes the same solve on one-entry lists; a coupling in two or
+more symbols raises ValueError.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -140,9 +142,6 @@ class _Expr:
     def __init__(self, degree: int, terms: Mapping[Partition, RatFunc]):
         self.degree = degree
         self.terms = _clean_terms(degree, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.degree == other.degree
@@ -274,24 +273,27 @@ def _s_inverse(d: int) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """(M0, M1): M0 + k*M1 is the operator in the degree-d monomial basis at
-    p0 = 0 (the p0 part is the scalar -k*d*p0), indexed by degree_basis(d).
-
-    M_i = S . L_i . (d! S^-1) / d! conjugates the count's L0 and L1.  Every
-    entry of the conjugate is an integer polynomial a + b*k, so the division
-    is exact; a remainder means a miscounted operator and raises.
+    """(M0, M1), M0 + k*M1 the operator on the degree-d monomial basis at
+    p0 = 0 (its p0 part is -k*d*p0), indexed by degree_basis(d), column mu
+    the image of m_mu.  The closed form (Stanley 1989, Adv. Math. 77, s. 3):
+    M0[nu][nu] = sum nu_i^2 and M1[nu][nu] = d + 2*n(nu), n(nu) = sum
+    (i-1)*nu_i.  Each pair of parts nu_x >= nu_y and each b < nu_y spread
+    the pair to (a, b), a = nu_x + nu_y - b, a zero part dropped, giving mu
+    above nu in dominance, and M1[nu][mu] gains -2*(a - b).
     """
-
-    def times(a, b):
-        cols = tuple(zip(*b))
-        return tuple(tuple(sum(x * y for x, y in zip(row, col) if x)
-                           for col in cols) for row in a)
-
-    s, sinv, scale = _s_matrix(d), _s_inverse(d), factorial(d)
-    pair = [times(s, times(lmat, sinv)) for lmat in _operator_count(d)[:2]]
-    if any(v % scale for mat in pair for row in mat for v in row):
-        raise ArithmeticError(f"degree-{d} operator not integral in the monomial basis")
-    return tuple(tuple(tuple(v // scale for v in row) for row in mat) for mat in pair)
+    basis = degree_basis(d)
+    index = {nu: i for i, nu in enumerate(basis)}
+    m0, m1 = ([[0] * len(basis) for _ in basis] for _ in range(2))
+    for i, nu in enumerate(basis):
+        m0[i][i] = sum(part * part for part in nu)
+        m1[i][i] = d + 2 * sum(t * part for t, part in enumerate(nu))
+        for (x, p), (y, q) in combinations(enumerate(nu), 2):  # p >= q
+            rest = nu[:x] + nu[x + 1:y] + nu[y + 1:]
+            for b in range(q):
+                a = p + q - b
+                mu = tuple(sorted(rest + ((a, b) if b else (a,)), reverse=True))
+                m1[i][index[mu]] -= 2 * (a - b)
+    return tuple(tuple(map(tuple, mat)) for mat in (m0, m1))
 
 
 # -- Jack functions ----------------------------------------------------------
@@ -317,24 +319,22 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     comparable partitions can share an eigenvalue; that raises
     SingularCouplingError naming the pair.  Incomparable partitions may
     share an eigenvalue even symbolically, which is harmless: their coupling
-    coefficient has a vanishing numerator and is set to zero outright.
+    coefficient has a vanishing numerator and is set to zero outright.  A
+    coupling in two or more symbols raises ValueError.
 
-    At k = u/w, u and w integral, w times the entry a + b*k is a*w + b*u.
-    Coordinate i is nums[i] over one common denominator (Bareiss 1968),
-    scale * prod g^e over den, the integer contents and the primitive parts
-    of the gaps divided by.  Each new coordinate is reduced by trial
-    division, and den keeps only the gaps that stay.  A product of
-    primitive gaps with positive leading coefficients is one too (Gauss's
-    lemma), so the scalar moves to the numerator and the form is canonical,
-    with no gcd at any coupling.  A gap divides a numerator wholly or is
-    coprime to it, as the trial division needs: the numerator is N(u, w) for
-    a binary form N and the gap L(u, w) for a linear form L, u and w
-    coprime, so a common factor vanishes only where (u : w) is the zero of
-    L, and then L divides N.
-
-    The one solve (_solve_dense) runs on dense int lists in the coupling's
-    symbol, one-entry lists at a number.  A coupling in two or more symbols
-    raises ValueError.
+    The one solve, _solve_dense, runs at k = u/w on dense int lists in the
+    coupling's symbol (one-entry lists at a number), where w times the entry
+    a + b*k is a*w + b*u.  Coordinate i is nums[i] over one common
+    denominator (Bareiss 1968), scale * prod g^e over den, the integer
+    contents and the primitive parts of the gaps divided by.  Each new
+    coordinate is reduced by trial division, and den keeps only the gaps
+    that stay.  A product of primitive gaps with positive leading
+    coefficients is one too (Gauss's lemma), so the scalar moves to the
+    numerator and the form is canonical, with no gcd at any coupling.  A gap
+    divides a numerator wholly or is coprime to it, as the trial division
+    needs: the numerator is N(u, w) for a binary form N and the gap L(u, w)
+    for a linear form L, u and w coprime, so a common factor vanishes only
+    where (u : w) is the zero of L, and then L divides N.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
@@ -347,11 +347,6 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     div = scale * factorial(d)
     p_exp = {mu: _dense_coordinate(symbol, *_dense_cancel(c, den), div)
              for mu, c in zip(basis, _p_numerators(d, nums)) if c}
-    for mu in m_exp:
-        if mu != lam and not dominance_leq(mu, lam):
-            raise AssertionError(
-                f"triangularity violated: {format_partition(mu)} appears in "
-                f"the expansion of {format_partition(lam)}")
     top = basis.index(lam)
     a_top, b_top = (m[top][top] for m in _monomial_matrices(d))
     # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
@@ -518,7 +513,6 @@ def check_conjugation(d: int) -> CheckResult:
         rhs="k * L(1/k, k*p0)",
         notes=witness or "transformed scalar is k*p0",
     )
-
 
 
 def _duality_factors(lam: Partition) -> Tuple[Fraction, Dict[tuple, int]]:
@@ -835,14 +829,35 @@ def check_schur(lam: Partition) -> CheckResult:
     )
 
 
+def _product_columns(a, b) -> List[List[int]]:
+    """The columns of the integer product a . b, over nonzero entries only."""
+    cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*a)]
+    out = [[0] * len(a) for _ in b]
+    for j, col in enumerate(zip(*b)):
+        for t, v in enumerate(col):
+            for i, x in cols[t] if v else ():
+                out[j][i] += x * v
+    return out
+
+
 def check_triangularity(d: int) -> CheckResult:
-    """In the monomial basis the operator only moves weight down in dominance."""
-    basis = degree_basis(d)
-    m0, m1 = _monomial_matrices(d)
-    bad = next((f"entry ({format_partition(nu)}, {format_partition(mu)}) = "
-                f"{m0[i][j] + m1[i][j] * K}"
-                for i, nu in enumerate(basis) for j, mu in enumerate(basis)
-                if (m0[i][j] or m1[i][j]) and not dominance_leq(nu, mu)), "")
+    """In the monomial basis the operator only moves weight down in dominance.
+
+    Two routes: the pair formula's support lies in the dominance-lower
+    triangle (else the first entry outside it is the witness), and it is
+    the count seen through S, S . L_i = M_i . S for i = 0, 1, on sparse
+    integer columns (else the first differing column)."""
+    basis, s = degree_basis(d), _s_matrix(d)
+    m0, m1 = pair = _monomial_matrices(d)
+    above = (f"entry ({format_partition(nu)}, {format_partition(mu)}) = "
+             f"{m0[i][j] + m1[i][j] * K}"
+             for i, nu in enumerate(basis) for j, mu in enumerate(basis)
+             if (m0[i][j] or m1[i][j]) and not dominance_leq(nu, mu))
+    apart = (f"S.L{i} != M{i}.S in column {format_partition(mu)}"
+             for i, (lmat, mmat) in enumerate(zip(_operator_count(d), pair))
+             for mu, lhs, rhs in zip(basis, _product_columns(s, lmat),
+                                     _product_columns(mmat, s)) if lhs != rhs)
+    bad = next(chain(above, apart), "")
     return CheckResult(
         check_id=f"jack/triangular/d={d}",
         holds=not bad,

@@ -111,8 +111,8 @@ def _pivoting_inverse(d):
 @lru_cache(maxsize=None)
 def _conjugated_operator(d):
     """S . M_p . S^-1 in RatFunc arithmetic, M_p the count's entries
-    rendered at p0 = 0 and S^-1 from a general pivoting inverse: shares the
-    count and S with the integer build, and none of its arithmetic."""
+    rendered at p0 = 0 and S^-1 from a general pivoting inverse: the oracle
+    for the pair formula, which reads neither the count nor S."""
     zero = RatFunc.const(0)
     m_p = [[_entry(terms, zero) for terms in row] for row in jack_module._entry_maps(d)]
     return _mat_mul(_mat_mul(_s_matrix(d), m_p), _pivoting_inverse(d))
@@ -130,6 +130,21 @@ def test_monomial_matrix_matches_conjugated_power_sum_matrix(d):
     for i in range(size):
         for j in range(size):
             assert _pair_entry(d, i, j) == expected[i][j], (i, j)
+
+
+def test_pair_formula_reads_neither_the_count_nor_s(monkeypatch):
+    # the two routes of the triangular row share no code: with the count
+    # and both S matrices refusing, the pair builds from the partitions
+    # alone (its cache starts cold; what it keeps is the real pair)
+    def refuse(d):
+        raise AssertionError("the pair formula read the count or S")
+
+    for name in ("_s_matrix", "_s_inverse", "_operator_count"):
+        monkeypatch.setattr(jack_module, name, refuse)
+    _monomial_matrices.cache_clear()
+    for d in range(1, 9):
+        m0, m1 = _monomial_matrices(d)
+        assert len(m0) == len(m1) == len(degree_basis(d))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -489,8 +504,7 @@ def test_operator_count_matches_the_differential_operator(d):
 
 @pytest.fixture
 def miscount(monkeypatch):
-    """Installs a count with one entry moved by delta; the monomial-basis
-    matrices built from it are dropped on the way in and out."""
+    """Installs a count with one entry moved by delta."""
     real = jack_module._operator_count
 
     def install(d, which, row, col, delta):
@@ -503,20 +517,29 @@ def miscount(monkeypatch):
             return tuple(tuple(map(tuple, mat)) for mat in mats)
 
         monkeypatch.setattr(jack_module, "_operator_count", broken)
-        _monomial_matrices.cache_clear()
 
-    yield install
-    _monomial_matrices.cache_clear()
+    return install
 
 
-def test_diagram_guards_the_count_jack_solves_with(miscount):
+def test_diagram_and_triangular_row_guard_the_count(miscount):
     # one fusing count of degree 3 off by one, p_(2,1) -> p_(3) (4 -> 5):
-    # the diagram reports it, and jack() refuses the monomial-basis
-    # conjugate, which is no longer integral
+    # the diagram reports it, and so does the triangular row, which holds
+    # the count against the pair formula through S; jack() solves with the
+    # formula, so the Schur rows still hold
     miscount(3, 0, 0, 1, 1)
     assert not jack_module.verify_diagram(3, 2).all_ok
-    with pytest.raises(ArithmeticError, match="not integral"):
-        jack_module.verify_schur(3)
+    assert _failures(jack_module.verify_structure(4)) == [(
+        "jack/triangular/d=3", "support of the monomial-basis matrix",
+        "dominance-lower triangle", "S.L0 != M0.S in column 2,1")]
+    assert jack_module.verify_schur(3).all_ok
+
+
+def test_triangular_row_catches_a_miscounted_split(miscount):
+    # the split count of p_(3) -> p_(2,1) off by one (-6 -> -7)
+    miscount(3, 1, 1, 0, -1)
+    assert _failures(jack_module.verify_structure(4)) == [(
+        "jack/triangular/d=3", "support of the monomial-basis matrix",
+        "dominance-lower triangle", "S.L1 != M1.S in column 3")]
 
 
 def test_diagram_names_the_first_differing_monomial(miscount):
@@ -728,6 +751,53 @@ def test_triangularity_names_an_entry_above_dominance(monkeypatch):
         "jack/triangular/d=3", "support of the monomial-basis matrix",
         "dominance-lower triangle", "entry (3, 2,1) = k")]
     assert jack_module.verify_schur(4).all_ok
+
+
+def _planted_m1(monkeypatch, entry):
+    """Wraps the pair so that M1[nu][mu] = v becomes entry(d, nu, mu, v);
+    the cache stays clean."""
+    real = jack_module._monomial_matrices
+
+    def broken(d):
+        m0, m1 = real(d)
+        basis = degree_basis(d)
+        return m0, tuple(tuple(entry(d, nu, mu, v) for mu, v in zip(basis, row))
+                         for nu, row in zip(basis, m1))
+
+    monkeypatch.setattr(jack_module, "_monomial_matrices", broken)
+
+
+def _n(nu):
+    return sum(i * part for i, part in enumerate(nu))
+
+
+@pytest.mark.parametrize("entry", [
+    # (a - b) in place of 2*(a - b): every entry off the diagonal halves
+    lambda d, nu, mu, v: v if nu == mu else v // 2,
+    # the b = 0 moves dropped: they alone take a part from nu
+    lambda d, nu, mu, v: 0 if len(mu) < len(nu) else v,
+    # n(nu') in place of n(nu) on the diagonal
+    lambda d, nu, mu, v: d + 2 * _n(transpose(nu)) if nu == mu else v,
+], ids=["a-b", "no-b=0", "transposed-n"])
+def test_triangular_row_catches_a_wrong_pair_formula(monkeypatch, entry):
+    # each defect keeps the support in the triangle; the count through S
+    # shows it from degree 2 on, at the first column
+    _planted_m1(monkeypatch, entry)
+    assert _failures(jack_module.verify_structure(4)) == [
+        (f"jack/triangular/d={d}", "support of the monomial-basis matrix",
+         "dominance-lower triangle", f"S.L1 != M1.S in column {d}")
+        for d in (2, 3, 4)]
+
+
+def test_triangularity_names_an_incomparable_entry_below_the_diagonal(monkeypatch):
+    # k at ((2,2,2), (3,1,1,1)): the first degree with two incomparable
+    # partitions is 6, and this entry lies below the diagonal, where the
+    # solve reads; the support witness comes first
+    _planted_m1(monkeypatch, lambda d, nu, mu, v: v + (
+        (nu, mu) == ((2, 2, 2), (3, 1, 1, 1))))
+    assert _failures(jack_module.verify_structure(6)) == [(
+        "jack/triangular/d=6", "support of the monomial-basis matrix",
+        "dominance-lower triangle", "entry (2,2,2, 3,1,1,1) = k")]
 
 
 def test_schur_row_shows_a_miscounted_kostka_number(monkeypatch):
