@@ -248,7 +248,9 @@ def _expand(ladder: Ladder) -> RatFunc:
     return _ratfunc(*_rows(ladder))
 
 
+@lru_cache(maxsize=None)
 def _first_multiplier(family: str) -> Ladder:
+    # shared by every caller, which must copy it before changing it
     # 1 + beta*z/(2 - (2*alpha+1)*z) = (1 - z*(m - beta/2)) / (1 - z*m)
     # with m = alpha + 1/2
     spec = group_spec(family)

@@ -10,27 +10,34 @@ not fail a run), 1 on an unexpected failure or computational error, or
 when the reader of the output goes away early, 2 on usage errors.
 
 Every command is one entry of the table COMMANDS: its words, its help line,
-a function that adds its arguments, and its handler.  A command line that
-starts with a command's words is parsed by that command's own parser, built
-on first use.  The full argparse tree (build_parser) is built from the same
-table only when it is needed: for help above a command, for an unknown
-command, and for the top-level "unrecognized arguments" error, so help and
-error text read as they would from the tree alone.
+its flags and its handler.  Each flag is declared once, as a Flag (name,
+dest, type, choices, required, default, help), and that declaration feeds
+two readers.  The table parse (_table_parse) answers a well-formed command
+line, one that spells every flag in full, gives each once, and whose values
+all pass, with a plain namespace and no argparse at all.  Any other line, and
+every request for help, goes to argparse: the command's own parser, built on
+first use from the same flags, and the full argparse tree (build_parser) for
+help above a command, an unknown command and the top-level "unrecognized
+arguments" error.  So every help, usage and error text reads as it would from
+the tree alone, and argparse is imported only when one of them is built.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from negdim import casimir, dims, jack, spaces
 from negdim.partitions import format_partition, parse_partition
 from negdim.reporting import VerificationReport
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _emit_json(payload) -> None:
@@ -301,61 +308,47 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {value}")
-    return value
+        value = None
+    if value is not None and value >= 0:
+        return value
+    import argparse  # only the error needs it, and argparse reports it
+    raise argparse.ArgumentTypeError(
+        "expected a nonnegative integer, got "
+        f"{repr(text) if value is None else value}")
 
 
-def _sizes(*flags):
-    """Arguments of a sweep: each (flag, default) is a nonnegative size."""
-    def add(p: argparse.ArgumentParser) -> None:
-        for flag, default in flags:
-            p.add_argument(flag, type=_nonnegative_int, default=default)
-    return add
+class Flag:
+    """One flag of a command, with the fields argparse's add_argument takes.
+    type converts the value (None keeps the string); type bool marks a
+    switch, argparse's store_true."""
+
+    __slots__ = ("name", "dest", "type", "choices", "required", "default",
+                 "help")
+
+    def __init__(self, name: str, dest: str,
+                 type: Optional[Callable[[str], object]] = None,
+                 choices: Optional[Tuple[str, ...]] = None,
+                 required: bool = False, default: object = None,
+                 help: Optional[str] = None) -> None:
+        self.name, self.dest, self.type, self.choices = name, dest, type, choices
+        self.required, self.default, self.help = required, default, help
 
 
-def _casimir_gf_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help='partition, e.g. "3,2,1" ("0" for empty)')
-    p.add_argument("--n", type=int,
-                   help="integer rank; selects rows mode unless --mode says otherwise")
-    p.add_argument("--mode", choices=("blocks", "rows"))
+_JSON = Flag("--json", "json", bool, default=False,
+             help="emit machine-readable JSON")
 
 
-def _casimir_coeffs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True, choices=("u", "su", "b", "c", "d"))
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("blocks", "rows"))
+def _sizes(*flags) -> Tuple[Flag, ...]:
+    """Flags of a sweep: each (flag, default) is a nonnegative size."""
+    return tuple(Flag(flag, flag[2:].replace("-", "_"), _nonnegative_int,
+                      default=default)
+                 for flag, default in flags)
 
 
-def _jack_compute_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--k", default="symbolic",
-                   help="coupling: a rational, or 'symbolic'; write "
-                        "negative values as --k=-1/2")
-
-
-def _spaces_dual_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--label", required=True,
-                   help="catalogue key, e.g. BDI or group-C")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-
-
-def _dims_poly_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=("a", "b", "c", "d"))
-    p.add_argument("--lambda", dest="lam", required=True)
-
-
-def _dims_vogel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("sp2n", "sln", "son"))
-
+_GROUP = Flag("--group", "group", choices=("u", "su", "b", "c", "d"),
+              required=True)
+_LAMBDA = Flag("--lambda", "lam", required=True)
+_MODE = Flag("--mode", "mode", choices=("blocks", "rows"))
 
 _MODULES = {
     "casimir": "Casimir spectrum generating functions",
@@ -364,18 +357,33 @@ _MODULES = {
     "dims": "dimension polynomials",
 }
 
-# every command: its words on the command line -> (help, a function adding
-# its arguments before --json, handler), in the order help lists them
+# every command: its words on the command line -> (help, its flags before
+# --json, handler), in the order help lists them
 COMMANDS = {
-    ("casimir", "gf"): ("print C(lambda, z)", _casimir_gf_args,
-                        _cmd_casimir_gf),
-    ("casimir", "coeffs"): ("spectrum coefficients C_0..C_order",
-                            _casimir_coeffs_args, _cmd_casimir_coeffs),
+    ("casimir", "gf"): (
+        "print C(lambda, z)",
+        (_GROUP,
+         Flag("--lambda", "lam", required=True,
+              help='partition, e.g. "3,2,1" ("0" for empty)'),
+         Flag("--n", "n", int, help="integer rank; selects rows mode unless "
+                                    "--mode says otherwise"),
+         _MODE),
+        _cmd_casimir_gf),
+    ("casimir", "coeffs"): (
+        "spectrum coefficients C_0..C_order",
+        (_GROUP, _LAMBDA, Flag("--order", "order", int, required=True),
+         Flag("--n", "n", int), _MODE),
+        _cmd_casimir_coeffs),
     ("casimir", "verify-duality"): ("rank-negation duality sweeps",
                                     _sizes(("--max-weight", 6)),
                                     _cmd_casimir_verify),
-    ("jack", "compute"): ("eigenfunction of one partition",
-                          _jack_compute_args, _cmd_jack_compute),
+    ("jack", "compute"): (
+        "eigenfunction of one partition",
+        (_LAMBDA,
+         Flag("--k", "k", default="symbolic",
+              help="coupling: a rational, or 'symbolic'; write negative "
+                   "values as --k=-1/2")),
+        _cmd_jack_compute),
     ("jack", "verify-duality"): ("transpose duality sweep",
                                  _sizes(("--max-weight", 6)), _cmd_jack_duality),
     ("jack", "verify-diagram"): ("finite-variable projection square",
@@ -383,13 +391,23 @@ COMMANDS = {
                                  _cmd_jack_diagram),
     ("spaces", "table"): ("catalogue and dual pairs", _sizes(),
                           _cmd_spaces_table),
-    ("spaces", "dual"): ("dualize one space", _spaces_dual_args,
-                         _cmd_spaces_dual),
+    ("spaces", "dual"): (
+        "dualize one space",
+        (Flag("--label", "label", required=True,
+              help="catalogue key, e.g. BDI or group-C"),
+         Flag("--m", "m", int), Flag("--n", "n", int)),
+        _cmd_spaces_dual),
     ("dims", "king"): ("transposition duality sweep",
                        _sizes(("--max-weight", 6)), _cmd_dims_king),
-    ("dims", "poly"): ("dimension as a polynomial in N", _dims_poly_args,
-                       _cmd_dims_poly),
-    ("dims", "vogel"): ("universal dimension formula", _dims_vogel_args,
+    ("dims", "poly"): (
+        "dimension as a polynomial in N",
+        (Flag("--family", "family", choices=("a", "b", "c", "d"),
+              required=True),
+         _LAMBDA),
+        _cmd_dims_poly),
+    ("dims", "vogel"): ("universal dimension formula",
+                        (Flag("--family", "family",
+                              choices=("sp2n", "sln", "son")),),
                         _cmd_dims_vogel),
     ("dims", "vogel-sp-so"): ("scaled symplectic triple vs orthogonal at -2n",
                               _sizes(), _cmd_dims_vogel_sp_so),
@@ -399,12 +417,69 @@ COMMANDS = {
 }
 
 
+def _flags(key) -> Tuple[Flag, ...]:
+    return COMMANDS[key][1] + (_JSON,)
+
+
+def _table_parse(key, tokens: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed command line, or None.
+
+    Well formed: every token is one of the command's flags, spelled in full
+    and given once; a value is --flag=value, or the next token when that does
+    not start with '-', and is never '--' (which argparse strips, so that
+    --lambda=-- reads as an empty list); a switch takes no value; every
+    required flag is given, and every value passes its type and choices.  On
+    any other line, -h and abbreviations included, the caller asks argparse,
+    so help, usage and error text are argparse's alone.
+    """
+    flags = {flag.name: flag for flag in _flags(key)}
+    values: Dict[str, object] = {}
+    i = 0
+    while i < len(tokens):
+        name, eq, value = tokens[i].partition("=")
+        i += 1
+        flag = flags.get(name)
+        if flag is None or flag.dest in values:
+            return None
+        if flag.type is bool:
+            if eq:
+                return None
+            values[flag.dest] = True
+            continue
+        if not eq:
+            if i == len(tokens) or tokens[i].startswith("-"):
+                return None
+            value = tokens[i]
+            i += 1
+        if value == "--":
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except Exception:
+                # argparse calls the same type on the same text, and reports
+                # or raises what it raised, as it did before this parse
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    for flag in flags.values():
+        if flag.dest not in values:
+            if flag.required:
+                return None
+            values[flag.dest] = flag.default
+    return SimpleNamespace(func=COMMANDS[key][2], **values)
+
+
 def _add_command(p: argparse.ArgumentParser, key) -> argparse.ArgumentParser:
-    _, add_arguments, handler = COMMANDS[key]
-    add_arguments(p)
-    p.add_argument("--json", action="store_true",
-                   help="emit machine-readable JSON")
-    p.set_defaults(func=handler)
+    for flag in _flags(key):
+        if flag.type is bool:
+            p.add_argument(flag.name, action="store_true", help=flag.help)
+        else:
+            p.add_argument(flag.name, dest=flag.dest, type=flag.type,
+                           choices=flag.choices, required=flag.required,
+                           default=flag.default, help=flag.help)
+    p.set_defaults(func=COMMANDS[key][2])
     return p
 
 
@@ -412,6 +487,8 @@ def _add_command(p: argparse.ArgumentParser, key) -> argparse.ArgumentParser:
 def _command_parser(key) -> argparse.ArgumentParser:
     """One command's own parser, with the prog and arguments it has in the
     full tree; built on first use, and callers must not modify it."""
+    import argparse
+
     return _add_command(argparse.ArgumentParser(prog=" ".join(("negdim",) + key)),
                         key)
 
@@ -421,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's full argument parser, built once per process from COMMANDS
     and used for help, unknown commands and the top-level error; parsing does
     not modify it, and callers must not either."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="negdim",
         description="Exact verification of rank-negation dualities for "
@@ -442,9 +521,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if key is None:
         args = build_parser().parse_args(argv)
     else:
-        args, extra = _command_parser(key).parse_known_args(argv[len(key):])
-        if extra:
-            build_parser().error("unrecognized arguments: " + " ".join(extra))
+        rest = argv[len(key):]
+        args = _table_parse(key, rest)
+        if args is None:
+            args, extra = _command_parser(key).parse_known_args(rest)
+            if extra:
+                build_parser().error("unrecognized arguments: " + " ".join(extra))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negdim import casimir, exact_algebra
+from negdim.cli import main
 from negdim.casimir import (BLOCK_FAMILIES, FAMILIES, block_product,
                             check_rectangle_closed_form, check_rows_vs_blocks,
                             check_sp_so_duality, check_su_rectangle_invariance,
@@ -51,6 +52,30 @@ def test_first_multiplier_closed_form():
         beta = RatFunc.const(spec.beta)
         expected = ONE + beta * Z / (TWO - (2 * alpha + 1) * Z)
         assert ratfunc_equal(first_multiplier(family), expected)
+
+
+def test_cached_first_multipliers_stay_unchanged(capsys):
+    # each family's prefactor ladder is built once and shared by every
+    # caller; a sweep and one query of each Casimir form leave it as built
+    before = {f: dict(casimir._first_multiplier(f)) for f in sorted(FAMILIES)}
+    for argv in (
+            ["verify-all", "--max-weight", "2", "--max-degree", "3",
+             "--max-n", "2", "--json"],
+            ["casimir", "gf", "--group", "c", "--lambda", "2,1"],
+            ["casimir", "gf", "--group", "b", "--lambda", "2,1", "--n", "3"],
+            ["casimir", "gf", "--group", "d", "--lambda", "2,1",
+             "--mode", "blocks", "--n", "3"],
+            ["casimir", "coeffs", "--group", "c", "--lambda", "2,1",
+             "--order", "3"],
+            ["casimir", "coeffs", "--group", "d", "--lambda", "2,1",
+             "--order", "3", "--mode", "rows", "--n", "3"],
+            ["casimir", "coeffs", "--group", "b", "--lambda", "2,1",
+             "--order", "3", "--mode", "rows", "--n", "3"],
+            ["casimir", "coeffs", "--group", "c", "--lambda", "2,1",
+             "--order", "3", "--mode", "blocks", "--n", "3"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert {f: casimir._first_multiplier(f) for f in before} == before
 
 
 def test_row_product_examples():

@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import negdim
-from negdim.cli import build_parser, main, run_verify_all
+from negdim.cli import (COMMANDS, _command_parser, _flags, _table_parse,
+                        build_parser, main, run_verify_all)
 from negdim.reporting import VerificationReport
 
 
@@ -323,10 +325,40 @@ def test_help_and_usage_errors_match_golden_digest(capsys, monkeypatch, argv,
     assert hashlib.sha1(outcome.encode()).hexdigest() == digest, outcome
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # an abbreviated flag, accepted
+    (("casimir", "gf", "--group", "u", "--lam", "2,1"),
+     "fccd8366b48fbe91f0566b25efc9262d1c259e70"),
+    # a repeated flag: the last value wins
+    (("casimir", "gf", "--group", "u", "--group", "su", "--lambda", "2,1"),
+     "01f9864515b6aedd638002251ab745840ae9bbf1"),
+    # a negative number as its own token is a value, and the rank check
+    # refuses it
+    (("casimir", "coeffs", "--group", "b", "--lambda", "2,1", "--order", "3",
+      "--mode", "rows", "--n", "-1"),
+     "75aafaea06e9ad6853598db1ca0e3a5c5e285f65"),
+    # a negative rational as its own token reads as a flag
+    (("jack", "compute", "--lambda", "2,1", "--k", "-1/2"),
+     "1dd31ecf14054474779427b4bcadc4e87edac7ff"),
+    # a switch given a value
+    (("verify-all", "--json=1"), "5dc0f32e92620c0d288fb47db246a15dce67799c"),
+])
+def test_lines_only_argparse_reads_match_golden_digest(capsys, monkeypatch,
+                                                       argv, digest):
+    # lines outside the strict form every query takes keep argparse's
+    # reading: its value, or its usage and error text, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = _outcome(capsys, argv)
+    assert hashlib.sha1(outcome.encode()).hexdigest() == digest, outcome
+
+
 def test_query_builds_no_full_parser(capsys):
-    # one query of each query form is parsed by its command's own parser;
-    # the full tree is built only for help and errors above a command
+    # one query of each query form, and a sweep, is answered from the
+    # command table with no parser built; a usage error builds the
+    # command's own parser, and the full tree is built only for help and
+    # errors above a command
     build_parser.cache_clear()
+    _command_parser.cache_clear()
     for argv in (("casimir", "gf", "--group", "u", "--lambda", "2,1"),
                  ("casimir", "coeffs", "--group", "su", "--lambda", "2",
                   "--order", "3"),
@@ -334,14 +366,88 @@ def test_query_builds_no_full_parser(capsys):
                   "--order", "2", "--mode", "rows", "--n", "2"),
                  ("jack", "compute", "--lambda", "2,1", "--k=-1/2"),
                  ("dims", "poly", "--family", "c", "--lambda", "2,1"),
-                 ("spaces", "dual", "--label", "BDI", "--m", "2", "--n", "3")):
+                 ("spaces", "dual", "--label", "BDI", "--m", "2", "--n", "3"),
+                 ("verify-all", "--max-weight", "2", "--max-degree", "3",
+                  "--max-n", "2", "--json")):
         assert main(list(argv)) == 0
+    assert _command_parser.cache_info().currsize == 0
+    assert build_parser.cache_info().currsize == 0
+    outcome = _outcome(capsys, ("dims", "poly", "--family", "e", "--lambda",
+                                "1"))
+    assert outcome.startswith("2\n")
+    assert "negdim dims poly: error: argument --family: invalid choice" in outcome
+    assert _command_parser.cache_info().currsize == 1
     assert build_parser.cache_info().currsize == 0
     outcome = _outcome(capsys, ("dims", "poly", "--family", "a", "--lambda",
                                 "1", "junk"))
     assert outcome.startswith("2\n")
     assert "negdim: error: unrecognized arguments: junk" in outcome
     assert build_parser.cache_info().currsize == 1
+
+
+# tokens argparse reads differently from a plain reading: '--', help, an
+# abbreviation, an unknown flag or word, values that start with '-'
+_NOISE = ("--", "-h", "--lam", "--bogus", "junk", "", "-1", "-1/2", "--json",
+          "u=v", "2,1")
+
+
+def _values(flag):
+    """(values that pass, values that fail or that argparse reads
+    differently) for a flag."""
+    if flag.choices is not None:
+        return flag.choices, ("x", "u=v", "")
+    if flag.type is not None:
+        return ("0", "3", " 2"), ("-1", "x", "")
+    return ("2,1", "0", "symbolic", "BDI", "a b", "=", ""), ("-1/2", "--", "-")
+
+
+@st.composite
+def _command_lines(draw):
+    """(command, argv): most of the command's flags, each as --flag value,
+    --flag=value or a bare --flag, mostly with values that pass, and at
+    most one noise token, in any order."""
+    key = draw(st.sampled_from(sorted(COMMANDS)))
+    pieces = []
+    for flag in _flags(key):
+        if not draw(st.integers(0, 4)):
+            continue
+        form = draw(st.sampled_from(("next", "=", "next", "=", "bare")))
+        if flag.type is bool:
+            pieces.append([flag.name + "=" + draw(st.sampled_from(("", "1")))]
+                          if form == "=" else [flag.name])
+            continue
+        good, bad = _values(flag)
+        value = draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))
+        pieces.append({"next": [flag.name, value],
+                       "=": [flag.name + "=" + value],
+                       "bare": [flag.name]}[form])
+    pieces += draw(st.lists(st.sampled_from(_NOISE).map(lambda t: [t]),
+                            max_size=1))
+    pieces = draw(st.permutations(pieces))
+    return key, [token for piece in pieces for token in piece]
+
+
+@given(_command_lines())
+@example((("jack", "compute"), ["--lambda=--"]))
+@example((("casimir", "gf"), ["--group", "u", "--lam", "2,1"]))
+@example((("casimir", "gf"), ["--group", "u", "--group", "su", "--lambda", "1"]))
+@example((("casimir", "coeffs"), ["--group", "b", "--lambda", "1", "--order",
+                                  "2", "--n", "-1"]))
+@example((("jack", "compute"), ["--lambda", "2", "--k=-1/2"]))
+@example((("jack", "compute"), ["--lambda", "2", "--k="]))
+@example((("spaces", "table"), ["--json="]))
+@example((("casimir", "gf"), ["--group=u=v", "--lambda", "1"]))
+@example((("dims", "poly"), ["--family", "a", "--lambda", "1", "-h"]))
+@example((("dims", "poly"), ["--family", "a", "--", "--lambda", "1"]))
+@settings(max_examples=500, deadline=None)
+def test_table_parse_reads_as_argparse_reads(line):
+    # whatever the table parse accepts, the command's argparse parser reads
+    # the same way, with nothing left over
+    key, argv = line
+    args = _table_parse(key, argv)
+    if args is not None:
+        namespace, extra = _command_parser(key).parse_known_args(argv)
+        assert (vars(args), extra) == (vars(namespace), [])
 
 
 @pytest.mark.parametrize("argv, digest", [

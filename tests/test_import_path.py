@@ -16,7 +16,7 @@ from pathlib import Path
 
 import negdim
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext")
 
 QUERIES = (
     ("casimir", "gf", "--group", "u", "--lambda", "2,1"),
