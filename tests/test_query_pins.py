@@ -1,9 +1,11 @@
-"""The benchmark's pinned `casimir coeffs` and `spaces dual` outputs.
+"""The benchmark's pinned query outputs, every pinned form.
 
 negbench/pins.json holds the sha256[:16] digest of the standard output of
-every query the benchmark can draw.  These two query forms are computed by
-their own routes (coefficients read off the ladders, sizes evaluated as
-rationals), so every pinned key of both is run through the CLI here and its
+every query the benchmark can draw: `casimir coeffs`, `spaces dual`,
+`jack compute`, `casimir gf` and `dims poly`.  Each form is computed by a
+route of its own (coefficients read off the ladders, sizes evaluated as
+rationals, the Jack solve and dimension polynomials on ints and Fractions
+at a number), so every pinned key is run through the CLI here and its
 digest compared with the pin: output drift fails the tests, not only the
 benchmark's gate.  The pins are read, never written.
 """
@@ -19,7 +21,7 @@ import pytest
 from negdim import cli
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
-FORMS = ("casimir coeffs ", "spaces dual ")
+FORMS = ("casimir coeffs ", "spaces dual ", "jack compute ", "casimir gf ", "dims poly ")
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,8 @@ def _digest(argv):
 
 
 def test_pinned_queries_reproduce(pinned):
-    assert {key.split()[1] for key in pinned} == {"coeffs", "dual"}
+    assert {" ".join(key.split()[:2]) + " " for key in pinned} == set(FORMS)
+    assert len(pinned) == 966
     drifted = [key for key, pin in sorted(pinned.items())
                if _digest(key.split()) != (0, pin)]
     assert drifted == []
