@@ -39,7 +39,8 @@ c from its linear factors in k and checks every power-sum coordinate of the
 two eigenfunctions against it by cross-multiplication, so a normalisation
 error that keeps them proportional still fails.  At symbolic k it does so
 on the lists of the two solves and c's factor map, with no JackFunction and
-no kernel call, and renders c once for the report.
+no kernel call, and renders c once for the report; at a number it compares
+the Scalar coordinates against c evaluated once.
 
 L is counted once, in integers, as L0 + k*L1 + k*p0*L2 on the power sums;
 the conjugation and p0 checks read its exponent maps, check_diagram its
@@ -52,8 +53,9 @@ cancels them by trial division, so it takes no gcd.  At a coupling u/w
 with u and w integer polynomials in one symbol (k, 1/k, k + 1, 1/p0, ...)
 every numerator and gap is a dense int list in that symbol (exact_algebra's
 dense helpers), and RatFunc is built only for the coordinates handed out.
-A number u/w takes the same solve on one-entry lists; a coupling in two or
-more symbols raises ValueError.
+A number u/w takes the same solve on one-entry lists, and its coordinates
+are handed out as ints and Fractions; a coupling in two or more symbols
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from negdim.exact_algebra import (
     ExactDivisionError,
     MultiPoly,
     RatFunc,
+    Scalar,
     _coeff,
     _dense_cancel,
     _dense_mul,
@@ -93,10 +96,12 @@ from negdim.partitions import (
 from negdim.reporting import CheckResult, VerificationReport
 
 Coupling = Union[None, int, Fraction, RatFunc]
+Coeff = Union[Scalar, RatFunc]  # a coordinate: a Scalar at a number, else a RatFunc
 
 K = RatFunc.symbol("k")
 P0 = RatFunc.symbol("p0")
 _ZERO = RatFunc.const(0)
+_ONE = RatFunc.const(1)
 
 
 def _as_value(v: Coupling) -> RatFunc:
@@ -119,29 +124,44 @@ class SingularCouplingError(ArithmeticError):
 # -- expressions in the two bases ------------------------------------------
 
 
-def _clean_terms(degree: int,
-                 terms: Mapping[Partition, RatFunc]) -> Dict[Partition, RatFunc]:
-    clean: Dict[Partition, RatFunc] = {}
+def _clean_terms(degree: int, terms: Mapping[Partition, Coeff]) -> Dict[Partition, Coeff]:
+    """terms checked and without zeros: a Scalar stays a canonical Scalar
+    (an int when integral), a RatFunc a RatFunc, and a MultiPoly becomes a
+    RatFunc."""
+    clean: Dict[Partition, Coeff] = {}
     for mu, coeff in terms.items():
         mu = check_partition(mu)
         if weight(mu) != degree:
             raise ValueError(f"index {format_partition(mu)} has weight "
                              f"{weight(mu)}, expected {degree}")
-        coeff = RatFunc.const(coeff)
-        if not coeff.is_zero():
+        if isinstance(coeff, MultiPoly):
+            coeff = RatFunc(coeff)
+        elif not isinstance(coeff, RatFunc):
+            coeff = _coeff(coeff)
+        if coeff:
             clean[mu] = coeff
     return clean
 
 
 class _Expr:
-    """Homogeneous element of one basis: sum of coeff * <letter>_mu."""
+    """Homogeneous element of one basis: sum of coeff * <letter>_mu, each
+    coeff a Scalar or a RatFunc."""
 
     __slots__ = ("degree", "terms")
     letter = ""  # the basis letter, set by each subclass
 
-    def __init__(self, degree: int, terms: Mapping[Partition, RatFunc]):
+    def __init__(self, degree: int, terms: Mapping[Partition, Coeff]):
         self.degree = degree
         self.terms = _clean_terms(degree, terms)
+
+    @classmethod
+    def _trusted(cls, degree: int, terms: Dict[Partition, Coeff]) -> "_Expr":
+        """Internal: takes terms as they are, already clean, as jack()
+        builds them on degree_basis(degree) with no zero coefficient."""
+        self = object.__new__(cls)
+        self.degree = degree
+        self.terms = terms
+        return self
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.degree == other.degree
@@ -165,7 +185,7 @@ class MExpr(_Expr):
     letter = "m"
 
 
-def format_expr(terms: Mapping[Partition, RatFunc], letter: str) -> str:
+def format_expr(terms: Mapping[Partition, Coeff], letter: str) -> str:
     """Deterministic rendering, indices in descending lexicographic order."""
     if not terms:
         return "0"
@@ -300,7 +320,11 @@ def _monomial_matrices(d: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
 
 
 class JackFunction(NamedTuple):
-    """Monic eigenfunction: m_lambda plus dominance-lower monomial terms."""
+    """Monic eigenfunction: m_lambda plus dominance-lower monomial terms.
+
+    At a numeric coupling every m- and p-coordinate is a Scalar, an int when
+    integral and else a Fraction; at a coupling in one symbol each is a
+    RatFunc.  The coupling and the eigenvalue are RatFuncs either way."""
 
     lam: Partition
     coupling: RatFunc
@@ -335,6 +359,10 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     needs: the numerator is N(u, w) for a binary form N and the gap L(u, w)
     for a linear form L, u and w coprime, so a common factor vanishes only
     where (u : w) is the zero of L, and then L divides N.
+
+    At a number each coordinate is handed out as the Scalar num / div and
+    the eigenvalue is read off its two coefficients in p0, with no
+    polynomial arithmetic; at a symbol each coordinate is a RatFunc.
     """
     lam = check_partition(lam)
     kv = _as_value(k)
@@ -342,19 +370,26 @@ def jack(lam: Partition, k: Coupling = None) -> JackFunction:
     coords, nums, den, scale = _solve_dense(lam, kv, u, w)
     d = weight(lam)
     basis = degree_basis(d)
-    m_exp = {lam: RatFunc.const(1)}
+    m_exp = {lam: _ONE if symbol else 1}
     m_exp.update((basis[row], _dense_coordinate(symbol, *c)) for row, c in coords.items())
     div = scale * factorial(d)
     p_exp = {mu: _dense_coordinate(symbol, *_dense_cancel(c, den), div)
              for mu, c in zip(basis, _p_numerators(d, nums)) if c}
     top = basis.index(lam)
     a_top, b_top = (m[top][top] for m in _monomial_matrices(d))
-    # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
-    # that divides the numerator divides b - d*p0, so it involves p0
-    e_num = kv.den * a_top + kv.num * (b_top - d * P0.num)
-    eigen = (RatFunc(e_num, kv.den) if "p0" in kv.den.symbols or not e_num
-             else RatFunc._raw(e_num, kv.den))
-    return JackFunction(lam, kv, MExpr(d, m_exp), PExpr(d, p_exp), eigen)
+    if symbol is None:
+        # (a + b*k) + (-k*d)*p0 at k = u/w, term by term
+        u0, w0 = (u[0] if u else 0), w[0]
+        terms = {(e,): _coeff(Fraction(c, w0)) for e, c in
+                 ((0, a_top * w0 + b_top * u0), (1, -d * u0)) if c}
+        eigen = RatFunc._raw(MultiPoly._raw(("p0",), terms), _ONE.den)
+    else:
+        # a + kv*(b - d*p0) over kv.den: with kv reduced, a factor of kv.den
+        # that divides the numerator divides b - d*p0, so it involves p0
+        e_num = kv.den * a_top + kv.num * (b_top - d * P0.num)
+        eigen = (RatFunc(e_num, kv.den) if "p0" in kv.den.symbols or not e_num
+                 else RatFunc._raw(e_num, kv.den))
+    return JackFunction(lam, kv, MExpr._trusted(d, m_exp), PExpr._trusted(d, p_exp), eigen)
 
 
 def _coupling_lists(kv: RatFunc):
@@ -466,11 +501,13 @@ def _p_solution(lam: Partition, kv: RatFunc, u: list, w: list):
 
 
 def _dense_coordinate(symbol: Optional[str], num: list,
-                      gaps: Mapping[tuple, int], div: int) -> RatFunc:
-    """The RatFunc num / (div * prod g^e over gaps), num coprime to the
-    gaps; symbol is None at a number."""
-    if len(num) == 1 and not gaps:
-        return RatFunc.const(Fraction(num[0], div))
+                      gaps: Mapping[tuple, int], div: int) -> Coeff:
+    """num / (div * prod g^e over gaps), num coprime to the gaps: at a
+    number (symbol None, num one entry, no gaps) the Scalar num[0] / div,
+    an int when integral; in a symbol the RatFunc."""
+    if symbol is None:
+        q, r = divmod(num[0], div)
+        return Fraction(num[0], div) if r else q
     return RatFunc._raw(_dense_poly(symbol, num, Fraction(1, div)),
                         _dense_poly(symbol, _dense_product(gaps)))
 
@@ -576,8 +613,8 @@ def _symbolic_duality(lam: Partition) -> RatFunc:
     return c
 
 
-def _duality_failure(lam: Partition, mu: Partition, left: RatFunc,
-                     right: RatFunc, c: RatFunc) -> str:
+def _duality_failure(lam: Partition, mu: Partition, left: Coeff,
+                     right: Coeff, c: Coeff) -> str:
     return (f"duality fails for {format_partition(lam)}: the first "
             f"mismatch is p[{format_partition(mu)}], with {left} in "
             f"P(lambda, k) and {right} in P(lambda', 1/k), against c = {c}")
@@ -588,10 +625,12 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
 
     c is the closed form of the module docstring, built from its linear
     factors in k.  The duality holds when P(lam, k)[mu] * k^-len(mu) =
-    c * P(lam', 1/k)[mu] for every mu, cross-multiplied, so nothing is
-    divided: at symbolic k on the lists of the two solves and c's factors
-    (_symbolic_duality), with no JackFunction built; at any other coupling
-    k = u/w on the two eigenfunctions, with c substituted.  Raises
+    c * P(lam', 1/k)[mu] for every mu.  At symbolic k it is cross-multiplied
+    on the lists of the two solves and c's factors (_symbolic_duality), with
+    no JackFunction built; at a number it is tested on the Scalar
+    coordinates of the two eigenfunctions, with c evaluated once
+    (_numeric_duality); at any other coupling k = u/w in one symbol it is
+    cross-multiplied on the two eigenfunctions, with c substituted.  Raises
     ArithmeticError naming lam and the first mu where it fails, and
     ValueError, as jack() does, at a coupling in two or more symbols.
     """
@@ -601,6 +640,8 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("coupling inversion needs k != 0")
+    if kv.is_const():
+        return _numeric_duality(lam, kv.as_fraction())
     lhs = jack(lam, kv).p_expansion.terms
     rhs = jack(transpose(lam), 1 / kv).p_expansion.terms
     c = _factor_form(*_duality_factors(lam)).substitute({"k": kv})
@@ -610,6 +651,22 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
                 != right.num * left.den * c.num * kv.num ** len(mu)):
             raise ArithmeticError(_duality_failure(lam, mu, left, right, c))
     return c
+
+
+def _numeric_duality(lam: Partition, x: Fraction) -> RatFunc:
+    """macdonald_duality at the nonzero number x: c is evaluated once from
+    its linear factors, and P(lam, x)[mu] == c * P(lam', 1/x)[mu] * x^len(mu)
+    is tested on Scalars."""
+    lhs = jack(lam, x).p_expansion.terms
+    rhs = jack(transpose(lam), 1 / x).p_expansion.terms
+    scale, factors = _duality_factors(lam)
+    c = _coeff(scale * math.prod(sum(a * x ** i for i, a in enumerate(f)) ** e
+                                 for f, e in factors.items()))
+    for mu in degree_basis(weight(lam)):
+        left, right = lhs.get(mu, 0), rhs.get(mu, 0)
+        if left != c * right * x ** len(mu):
+            raise ArithmeticError(_duality_failure(lam, mu, left, right, c))
+    return RatFunc.const(c)
 
 
 # -- finite-variable side ----------------------------------------------------

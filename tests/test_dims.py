@@ -133,6 +133,29 @@ def test_shift_maps_match_interpolation_and_substitution():
         assert (result.lhs, result.rhs) == (str(lhs), str(rhs))
 
 
+def _product_expansion(alpha, hooks, shifts):
+    """The route _expand replaced: MultiPoly arithmetic, factor by factor."""
+    out = MultiPoly.const(Fraction(1, hooks))
+    for t, e in shifts.items():
+        out = out * MultiPoly.linear(t, N=alpha) ** e
+    return out
+
+
+def test_dense_expansion_matches_the_multipoly_product():
+    # every partition to weight 7 in all four families, and King's
+    # mirrored orthogonal maps (negative shifts), against the product of
+    # MultiPoly.linear(t, N=alpha) ** e; canonical coefficients either way
+    for lam in partitions_up_to_weight(7):
+        maps = [(2 - (family == "a"), *dims._shift_map(family, lam)) for family in "abcd"]
+        hooks, o = dims._shift_map("d", transpose(lam))
+        maps.append((2, hooks, {-t: e for t, e in o.items()}))
+        for alpha, hooks, shifts in maps:
+            got = dims._expand(alpha, hooks, shifts)
+            want = _product_expansion(alpha, hooks, shifts)
+            assert (got.symbols, got.terms) == (want.symbols, want.terms), (lam, shifts)
+            assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+
+
 def test_king_names_first_differing_factor(monkeypatch):
     real = dims._shift_map
 

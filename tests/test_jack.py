@@ -184,9 +184,11 @@ def _jack_by_substitution(lam, k):
     return m_exp, p_exp, mm[top][top] + kv * (-d) * P0
 
 
-@pytest.mark.parametrize("k", [None, 1 / K, K + 1, 0, 1, -1, 2, -3, Fraction(1, 2),
-                               Fraction(-1, 2), Fraction(3, 2), Fraction(-7, 3),
-                               Fraction(11, 5)], ids=str)
+NUMBERS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+           Fraction(-7, 3), Fraction(11, 5)]
+
+
+@pytest.mark.parametrize("k", [None, 1 / K, K + 1] + NUMBERS, ids=str)
 def test_jack_matches_substitution_route(k):
     for lam in partitions_up_to_weight(6):
         if not lam:
@@ -201,6 +203,44 @@ def test_jack_matches_substitution_route(k):
             continue
         jf = jack(lam, k)
         assert (jf.m_expansion, jf.p_expansion, jf.eigenvalue) == expected
+
+
+def _coordinates(jf):
+    return list(jf.m_expansion.terms.values()) + list(jf.p_expansion.terms.values())
+
+
+@pytest.mark.parametrize("k", NUMBERS, ids=str)
+def test_numeric_coordinates_are_scalars(k):
+    # at a number a coordinate is an int, or a Fraction whose denominator
+    # is above 1, and never zero; the coupling and eigenvalue stay RatFuncs
+    for lam in partitions_up_to_weight(6):
+        try:
+            jf = jack(lam, k)
+        except SingularCouplingError:
+            continue
+        assert jf.m_expansion.terms[lam] == 1
+        for c in _coordinates(jf):
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (lam, c)
+            assert c != 0
+        assert type(jf.coupling) is RatFunc and type(jf.eigenvalue) is RatFunc
+
+
+@pytest.mark.parametrize("k", [None, 1 / K, K + 1], ids=str)
+def test_symbolic_coordinates_are_ratfuncs(k):
+    for lam in partitions_up_to_weight(6):
+        assert all(type(c) is RatFunc for c in _coordinates(jack(lam, k)))
+
+
+def test_expressions_keep_scalars_and_ratfuncs():
+    # a Scalar stays a canonical Scalar, a RatFunc a RatFunc, a MultiPoly
+    # becomes a RatFunc, and zeros are dropped
+    x = MExpr(2, {(2,): Fraction(4, 2), (1, 1): Fraction(1, 3)})
+    assert x.terms == {(2,): 2, (1, 1): Fraction(1, 3)} and type(x.terms[(2,)]) is int
+    y = PExpr(2, {(2,): K, (1, 1): MultiPoly.symbol("k"), (1,) * 2: 0})
+    assert all(type(c) is RatFunc for c in y.terms.values())
+    assert PExpr(2, {(2,): 0, (1, 1): RatFunc.const(0)}).terms == {}
+    assert str(MExpr(2, {(2,): 1, (1, 1): Fraction(-1, 2)})) == str(
+        MExpr(2, {(2,): ONE, (1, 1): RatFunc.const(Fraction(-1, 2))}))
 
 
 def test_jack_makes_no_substitution(monkeypatch):
@@ -712,6 +752,56 @@ def test_symbolic_duality_matches_the_eigenfunction_route():
     for lam in partitions_up_to_weight(5):
         if lam:
             assert macdonald_duality(lam, K) == macdonald_duality(lam)
+
+
+def test_numeric_duality_matches_the_symbolic_scalar():
+    # at a number c is evaluated once and the check runs on Scalars; it is
+    # the symbolic c at that number wherever both solves are regular
+    for lam in partitions_up_to_weight(5):
+        if not lam:
+            continue
+        c = macdonald_duality(lam)
+        for x in (Fraction(-1, 2), 2, Fraction(5, 3), -3):
+            try:
+                got = macdonald_duality(lam, x)
+            except SingularCouplingError:
+                continue
+            assert got == c.substitute({"k": RatFunc.const(x)}), (lam, x)
+
+
+@pytest.mark.parametrize("lam, k, plant, message", [
+    ((3, 1), Fraction(-1, 2), "sign",
+     "duality fails for 3,1: the first mismatch is p[4], with -4/9 in "
+     "P(lambda, k) and 1/7 in P(lambda', 1/k), against c = -56/9"),
+    ((2,), Fraction(1, 3), "sign",
+     "duality fails for 2: the first mismatch is p[2], with 3/2 in "
+     "P(lambda, k) and -1/2 in P(lambda', 1/k), against c = 9"),
+    ((3, 1), Fraction(3, 2), "drop",
+     "duality fails for 3,1: the first mismatch is p[2,1,1], with 0 in "
+     "P(lambda, k) and -3/2 in P(lambda', 1/k), against c = 8/3"),
+], ids=["sign-3,1", "sign-2", "drop-3,1"])
+def test_numeric_duality_names_the_mismatch(monkeypatch, lam, k, plant, message):
+    # planted defects at a number: c with its sign flipped, or one
+    # p-coordinate of P(lam, k) dropped to zero; the message renders each
+    # Scalar as its RatFunc constant did
+    if plant == "sign":
+        inner = jack_module._duality_factors
+        monkeypatch.setattr(jack_module, "_duality_factors",
+                            lambda mu: (lambda scale, factors: (-scale, factors))(*inner(mu)))
+    else:
+        real = jack_module.jack
+
+        def dropped(mu, coupling=None):
+            jf = real(mu, coupling)
+            if mu == lam:
+                terms = {nu: c for nu, c in jf.p_expansion.terms.items() if nu != (2, 1, 1)}
+                jf = jf._replace(p_expansion=PExpr(weight(mu), terms))
+            return jf
+
+        monkeypatch.setattr(jack_module, "jack", dropped)
+    with pytest.raises(ArithmeticError) as err:
+        macdonald_duality(lam, k)
+    assert str(err.value) == message
 
 
 def test_schur_oracle_basics():

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from negdim import cli
+from negdim.exact_algebra import MultiPoly
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
 FORMS = ("casimir coeffs ", "spaces dual ", "jack compute ", "casimir gf ", "dims poly ")
@@ -45,4 +46,21 @@ def test_pinned_queries_reproduce(pinned):
     assert len(pinned) == 966
     drifted = [key for key, pin in sorted(pinned.items())
                if _digest(key.split()) != (0, pin)]
+    assert drifted == []
+
+
+def test_jack_and_dims_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
+    # at a number the Jack solve and its rendering stay on ints and
+    # Fractions, and a dimension polynomial is expanded on one dense list:
+    # every pinned `jack compute` and `dims poly` key reproduces with
+    # MultiPoly arithmetic refused
+    def refuse(*args):
+        raise AssertionError("MultiPoly arithmetic in a pinned query")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__pow__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    keys = [key for key in sorted(pinned) if key.startswith(("jack compute ", "dims poly "))]
+    assert len(keys) == 198
+    drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
     assert drifted == []
