@@ -29,8 +29,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from negdim.exact_algebra import (MultiPoly, RatFunc, Scalar, _coeff, _dense_product,
-                                  _expand_factors, ratfunc_equal)
+from negdim.exact_algebra import (MultiPoly, RatFunc, Scalar, _coeff, _dense_poly,
+                                  _dense_product, _expand_factors, ratfunc_equal)
 from negdim.partitions import (
     Partition,
     check_partition,
@@ -131,9 +131,8 @@ def _expand(alpha: int, hooks: int, shifts: Dict[int, int]) -> MultiPoly:
     """prod (alpha*N + t)^e / hooks as a polynomial in N: the factors [t,
     alpha] multiplied out on one dense int list, then each coefficient
     divided by hooks, an int when the quotient is integral."""
-    product = _dense_product({(t, alpha): e for t, e in shifts.items()})
-    return MultiPoly._raw(("N",), {(i,): _coeff(Fraction(c, hooks))
-                                   for i, c in enumerate(product) if c})
+    return _dense_poly("N", _dense_product({(t, alpha): e for t, e in shifts.items()}),
+                       Fraction(1, hooks))
 
 
 def dim_poly(family: str, lam: Partition) -> MultiPoly:

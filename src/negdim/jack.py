@@ -39,8 +39,7 @@ c from its linear factors in k and checks every power-sum coordinate of the
 two eigenfunctions against it by cross-multiplication, so a normalisation
 error that keeps them proportional still fails.  At symbolic k it does so
 on the lists of the two solves and c's factor map, with no JackFunction and
-no kernel call, and renders c once for the report; at a number it compares
-the Scalar coordinates against c evaluated once.
+no kernel call, and renders c once for the report.
 
 L is counted once, in integers, as L0 + k*L1 + k*p0*L2 on the power sums;
 the conjugation and p0 checks read its exponent maps, check_diagram its
@@ -625,14 +624,13 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
 
     c is the closed form of the module docstring, built from its linear
     factors in k.  The duality holds when P(lam, k)[mu] * k^-len(mu) =
-    c * P(lam', 1/k)[mu] for every mu.  At symbolic k it is cross-multiplied
-    on the lists of the two solves and c's factors (_symbolic_duality), with
-    no JackFunction built; at a number it is tested on the Scalar
-    coordinates of the two eigenfunctions, with c evaluated once
-    (_numeric_duality); at any other coupling k = u/w in one symbol it is
-    cross-multiplied on the two eigenfunctions, with c substituted.  Raises
-    ArithmeticError naming lam and the first mu where it fails, and
-    ValueError, as jack() does, at a coupling in two or more symbols.
+    c * P(lam', 1/k)[mu] for every mu, cross-multiplied, so nothing is
+    divided: at symbolic k on the lists of the two solves and c's factors
+    (_symbolic_duality), with no JackFunction built; at any other coupling
+    k = u/w, a number or one symbol, on the two eigenfunctions, with c
+    substituted.  Raises ArithmeticError naming lam and the first mu where
+    it fails, and ValueError, as jack() does, at a coupling in two or more
+    symbols.
     """
     lam = check_partition(lam)
     if k is None:
@@ -640,33 +638,16 @@ def macdonald_duality(lam: Partition, k: Coupling = None) -> RatFunc:
     kv = _as_value(k)
     if kv.is_zero():
         raise ZeroDivisionError("coupling inversion needs k != 0")
-    if kv.is_const():
-        return _numeric_duality(lam, kv.as_fraction())
     lhs = jack(lam, kv).p_expansion.terms
     rhs = jack(transpose(lam), 1 / kv).p_expansion.terms
     c = _factor_form(*_duality_factors(lam)).substitute({"k": kv})
     for mu in degree_basis(weight(lam)):
-        left, right = lhs.get(mu, _ZERO), rhs.get(mu, _ZERO)
+        # a number's Scalar coordinates compare as RatFunc constants
+        left, right = RatFunc.const(lhs.get(mu, 0)), RatFunc.const(rhs.get(mu, 0))
         if (left.num * right.den * c.den * kv.den ** len(mu)
                 != right.num * left.den * c.num * kv.num ** len(mu)):
             raise ArithmeticError(_duality_failure(lam, mu, left, right, c))
     return c
-
-
-def _numeric_duality(lam: Partition, x: Fraction) -> RatFunc:
-    """macdonald_duality at the nonzero number x: c is evaluated once from
-    its linear factors, and P(lam, x)[mu] == c * P(lam', 1/x)[mu] * x^len(mu)
-    is tested on Scalars."""
-    lhs = jack(lam, x).p_expansion.terms
-    rhs = jack(transpose(lam), 1 / x).p_expansion.terms
-    scale, factors = _duality_factors(lam)
-    c = _coeff(scale * math.prod(sum(a * x ** i for i, a in enumerate(f)) ** e
-                                 for f, e in factors.items()))
-    for mu in degree_basis(weight(lam)):
-        left, right = lhs.get(mu, 0), rhs.get(mu, 0)
-        if left != c * right * x ** len(mu):
-            raise ArithmeticError(_duality_failure(lam, mu, left, right, c))
-    return RatFunc.const(c)
 
 
 # -- finite-variable side ----------------------------------------------------

@@ -755,8 +755,9 @@ def test_symbolic_duality_matches_the_eigenfunction_route():
 
 
 def test_numeric_duality_matches_the_symbolic_scalar():
-    # at a number c is evaluated once and the check runs on Scalars; it is
-    # the symbolic c at that number wherever both solves are regular
+    # at a number the Scalar coordinates take the cross-multiplied path with
+    # c substituted; it is the symbolic c at that number wherever both
+    # solves are regular
     for lam in partitions_up_to_weight(5):
         if not lam:
             continue
@@ -783,7 +784,7 @@ def test_numeric_duality_matches_the_symbolic_scalar():
 def test_numeric_duality_names_the_mismatch(monkeypatch, lam, k, plant, message):
     # planted defects at a number: c with its sign flipped, or one
     # p-coordinate of P(lam, k) dropped to zero; the message renders each
-    # Scalar as its RatFunc constant did
+    # Scalar coordinate as its RatFunc constant
     if plant == "sign":
         inner = jack_module._duality_factors
         monkeypatch.setattr(jack_module, "_duality_factors",
