@@ -18,9 +18,10 @@ Every factor of both products and of the prefactor is 1 - z*m; a ladder
 (below) maps each value m to its exponent, and every check is decided on
 ladders.  A ladder expands into its canonical RatFunc straight from its
 keys, on rows of dense int lists with no gcd (see _expand), and builds one
-MultiPoly per side at the end.  C = prefactor * (1 - product) / z adds one
-subtraction, a trial division by the prefactor's denominator factor and
-one multiplication.
+MultiPoly per side at the end.  C = prefactor * (1 - product) / z stays on
+those rows too: one subtraction, a trial division by the prefactor's
+denominator factor and a multiplication by the remaining factors, before
+one MultiPoly per side (see _gf_from_factors).
 
 The Taylor coefficients C_p (spectrum_coefficients) are those of
 C = (F - G)/z, with F the series of the prefactor ladder and G that of the
@@ -52,9 +53,10 @@ from negdim.exact_algebra import (
     MultiPoly,
     RatFunc,
     Scalar,
-    _cancel,
     _coeff,
+    _dense_div,
     _madd,
+    _trim,
     ratfunc_equal,
 )
 from negdim.partitions import (
@@ -405,42 +407,67 @@ class CasimirGF(NamedTuple):
     gf: RatFunc
 
 
+def _divide(rows: Rows, i: int, alpha: int, B: List[int]) -> Optional[Rows]:
+    """rows / (alpha*n**i + z*B) from the low end in z, each step an exact
+    division by alpha*n**i; None when a step is not exact or a remainder
+    is left past the top row.  The factor is integer-primitive, so the
+    quotient of int rows is int rows (Gauss's lemma) and None proves that
+    it does not divide."""
+    minus_B, lead = [-x for x in B], [0] * i + [alpha]
+    quot: Rows = [[]]
+    for row in rows:
+        r = list(row)
+        _madd(r, minus_B, quot[-1])
+        q = _dense_div(_trim(r), lead)
+        if q is None:
+            return None
+        quot.append(q)
+    return None if quot.pop() else quot[1:]
+
+
 def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
     """(pi, fm * (1 - pi) / z), both expanded in canonical form without a gcd.
 
     With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
     D cancel only against the numerator factors of fm, which merging the
     keys of pi with e < 0 into the ladder of fm does, and a denominator
-    factor of fm only against D - N, which trial division settles: that
-    factor is the one built as a MultiPoly.  The merged ladder gives the
-    remaining product's primitive factors; its scale is fm's, and its power
-    of n is fm's less that of D.  No factor vanishes at z = 0, so a failure
-    of the division by z means the spectral product lost its regularity.
+    factor of fm only against D - N, which trial division settles.  With
+    pi = (p/q) * n**d * num/den from _rows, q*(D - N) is held as int rows,
+    divided by those factors (_divide) and multiplied by the merged
+    ladder's numerator factors; its scale is fm's over q, and its power of
+    n is fm's less that of D.  No factor vanishes at z = 0, so a failure of
+    the division by z means the spectral product lost its regularity.
     """
     s, d, num, den = _rows(pi)
     product = _ratfunc(s, d, num, den)
-    diff = product.den - product.num
-    if not diff:
-        return product, RatFunc._raw(diff, MultiPoly.const(1))
-    s, d_fm, _, _ = _rows(fm)
-    d = d_fm - max(-d, 0)
+    q, lower = s.denominator, max(-d, 0)
+    diff = [[0] * lower + [q * x for x in row] for row in den]
+    minus_p = [0] * max(d, 0) + [-s.numerator]
+    for j, row in enumerate(num):
+        if j == len(diff):
+            diff.append([])
+        _madd(diff[j], minus_p, row)
+    if not any(map(any, diff)):
+        return product, RatFunc.const(0)
+    s, d, _, _ = _rows(fm)
     rest = {key: e for key, e in pi.items() if e < 0}
     for key, e in fm.items():
         if e < 0:
             _, _, i, alpha, B = _linear(key)
-            factor = _poly([[0] * i + [alpha], B])
-            diff, left = _cancel(diff, {factor: -e})
-            e = -left.get(factor, 0)
+            while e and (quot := _divide(diff, i, alpha, B)) is not None:
+                diff, e = quot, e + 1
         if e:
             _mul(rest, key, e)
-    rest = _ratfunc(s, d, *_rows(rest)[2:])
-    try:
-        diff = diff.shift_down("z")
-    except ExactDivisionError:
+    if any(diff[0]):
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
-            "the z-constant term of 1 - product failed to cancel") from None
-    return product, RatFunc._raw(diff * rest.num, rest.den)
+            "the z-constant term of 1 - product failed to cancel")
+    diff, den = diff[1:], [[1]]
+    for key, e in rest.items():
+        _, _, i, alpha, B = _linear(key)
+        for _ in range(abs(e)):
+            _times(diff if e > 0 else den, i, alpha, B)
+    return product, _ratfunc(_coeff(Fraction(s, q)), d - lower, diff, den)
 
 
 def _ladders(family: str, lam: Partition, mode: str,

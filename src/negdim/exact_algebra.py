@@ -29,16 +29,17 @@ off images at integer points, which proves most pairs coprime at once, and
 otherwise Brown's evaluation/interpolation gcd, whose interpolated candidate
 is certified by exact division of both inputs.  The one gcd-free path is
 the factor form, a scale times known irreducible factors with signed
-exponents: _expand_factors multiplies it out into the canonical RatFunc,
-and _cancel reduces a numerator over it by trial division.  The universal
-dimension formula (linear forms in its triple) takes it.  The same form
-runs on dense int lists in one symbol (_dense_cancel, _dense_product and
-the other helpers of that section), for the Jack solve (eigenvalue gaps,
-one-entry lists at a number), the Jack duality scalar (linear factors in
-k), the Casimir ladders (casimir._expand, casimir._series, whose factors
-are all 1 - z*m, with only _cancel taken on polynomials) and the
-one-symbol exact division.  Only RatFunc(num, den) and RatFunc arithmetic
-reach poly_gcd, and no command does while its checks hold.
+exponents: _expand_factors multiplies it out into the canonical RatFunc.
+The universal dimension formula (linear forms in its triple) takes it.
+The same form runs on dense int lists in one symbol (_dense_cancel,
+_dense_product and the other helpers of that section), for the Jack solve
+(eigenvalue gaps, one-entry lists at a number), the Jack duality scalar
+(linear factors in k) and the one-symbol exact division, and on rows of
+dense int lists in the Casimir ladders (casimir._expand, casimir._series
+and the generating function's trial division, whose factors are all
+1 - z*m).  Only RatFunc(num, den) and RatFunc arithmetic reach poly_gcd
+and the general poly_exact_div, and no command does while its checks
+hold.
 """
 
 from __future__ import annotations
@@ -332,20 +333,6 @@ class MultiPoly:
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         return {d: MultiPoly._raw(rest, t) for d, t in buckets.items()}
 
-    def shift_down(self, sym: str) -> "MultiPoly":
-        """Exact division by one power of sym; every term must contain it."""
-        if sym not in self.symbols:
-            if self.is_zero():
-                return self
-            raise ExactDivisionError(f"{self} has terms free of {sym}")
-        i = self.symbols.index(sym)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                raise ExactDivisionError(f"{self} has terms free of {sym}")
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return MultiPoly._raw(self.symbols, out)
-
     # -- evaluation -------------------------------------------------------
 
     def eval_fractions(self, bindings: Mapping[str, Scalar]) -> Fraction:
@@ -463,9 +450,9 @@ def _dense_div(a: list, b: list):
 
 
 def _dense_cancel(num: list, factors: Mapping[tuple, int]) -> Tuple[list, Dict[tuple, int]]:
-    """_cancel on lists: (num', left) with num / prod f^e over factors =
-    num' / prod f^e over left, by trial division, each f integer-primitive
-    and dividing num wholly or coprime to it."""
+    """(num', left) with num / prod f^e over factors = num' / prod f^e over
+    left, by trial division alone, each f integer-primitive and dividing num
+    wholly or coprime to it."""
     left: Dict[tuple, int] = {}
     for f, e in factors.items():
         for i in range(e):
@@ -777,22 +764,6 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 # -- the factor form ------------------------------------------------------------
-
-
-def _cancel(num, factors: Mapping[MultiPoly, int]):
-    """(num', left) with num / prod f^e over factors = num' / prod f^e over
-    left, by trial division alone.  Each f must divide num wholly or be
-    coprime to it, as an irreducible f does, so num' is coprime to every f
-    left."""
-    left: Dict[MultiPoly, int] = {}
-    for f, e in factors.items():
-        for i in range(e):
-            try:
-                num = poly_exact_div(num, f)
-            except ExactDivisionError:
-                left[f] = e - i
-                break
-    return num, left
 
 
 def _expand_factors(scale: Scalar, factors: Mapping[MultiPoly, int]) -> "RatFunc":

@@ -522,11 +522,15 @@ def test_closed_reader_ends_quietly():
 
 # Every command the CLI answers with a verdict or a value, with the SHA-1 of
 # its output: the default sweep, one query of each of the six query-mix
-# forms, the spaces table and every form of the two Vogel commands.
+# forms and a symplectic generating function, whose prefactor factor the
+# trial division takes out, the spaces table and every form of the two
+# Vogel commands.  None takes a gcd or the general exact division.
 GCD_FREE_COMMANDS = (
     (("verify-all", "--json"), "00b9edda2c5a7738b2454bc463e9165918e5c206"),
     (("casimir", "gf", "--group", "u", "--lambda", "2,1"),
      "156f9a840b4bf47d0d71445cc16a4ca335474be9"),
+    (("casimir", "gf", "--group", "c", "--lambda", "2,1"),
+     "fa08d4e24254d9687d90d8517f4cb1c1bc252d19"),
     (("casimir", "coeffs", "--group", "su", "--lambda", "2,1", "--order", "3"),
      "79aa1e0e0004467c23f632f4dbbb9697efbefa89"),
     (("casimir", "coeffs", "--group", "b", "--lambda", "2,1", "--order", "3",
@@ -550,9 +554,9 @@ import contextlib, hashlib, io, json, sys
 from negdim import cli, exact_algebra
 
 def refuse(a, b):
-    raise AssertionError("a command took a polynomial gcd")
+    raise AssertionError("a command took a polynomial gcd or exact division")
 
-exact_algebra.poly_gcd = refuse
+exact_algebra.poly_gcd = exact_algebra.poly_exact_div = refuse
 out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
@@ -564,7 +568,8 @@ print(json.dumps(out))
 
 
 def test_no_command_takes_a_gcd():
-    # a fresh interpreter, so no cache warmed by another test hides a gcd
+    # a fresh interpreter, so no cache warmed by another test hides a gcd or
+    # an exact division
     env = dict(os.environ, PYTHONPATH=str(Path(negdim.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", GCD_REFUSING_PROBE,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from negdim import cli
+from negdim import cli, exact_algebra
 from negdim.exact_algebra import MultiPoly
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
@@ -49,18 +49,21 @@ def test_pinned_queries_reproduce(pinned):
     assert drifted == []
 
 
-def test_jack_and_dims_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
+def test_pinned_queries_but_spaces_dual_do_no_polynomial_arithmetic(pinned, monkeypatch):
     # at a number the Jack solve and its rendering stay on ints and
-    # Fractions, and a dimension polynomial is expanded on one dense list:
-    # every pinned `jack compute` and `dims poly` key reproduces with
-    # MultiPoly arithmetic refused
+    # Fractions, a dimension polynomial is expanded on one dense list, and
+    # the Casimir coefficients and generating function are read off the
+    # ladders on rows of dense int lists: every pinned key but `spaces
+    # dual` (whose symbolic comparison multiplies once per catalogue row)
+    # reproduces with MultiPoly arithmetic and the exact division refused
     def refuse(*args):
         raise AssertionError("MultiPoly arithmetic in a pinned query")
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__pow__"):
         monkeypatch.setattr(MultiPoly, name, refuse)
-    keys = [key for key in sorted(pinned) if key.startswith(("jack compute ", "dims poly "))]
-    assert len(keys) == 198
+    monkeypatch.setattr(exact_algebra, "poly_exact_div", refuse)
+    keys = [key for key in sorted(pinned) if not key.startswith("spaces dual ")]
+    assert len(keys) == 804
     drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
     assert drifted == []
