@@ -18,18 +18,19 @@ Every factor of both products and of the prefactor is 1 - z*m; a ladder
 (below) maps each value m to its exponent, and every check is decided on
 ladders.  A ladder expands into its canonical RatFunc straight from its
 keys, on rows of dense int lists with no gcd (see _expand), and builds one
-MultiPoly per side at the end.  C = prefactor * (1 - product) / z stays on
-those rows too: one subtraction, a trial division by the prefactor's
-denominator factor and a multiplication by the remaining factors, before
-one MultiPoly per side (see _gf_from_factors).
+MultiPoly per side at the end; each key's linear form is computed once
+(_linear).  C = prefactor * (1 - product) / z stays on those rows too,
+starting from the product's rows: one subtraction, a trial division by
+the prefactor's denominator factor, the product's denominator divided by
+what the prefactor cancels, and one MultiPoly per side of C alone (see
+_gf_from_factors).
 
 The Taylor coefficients C_p (spectrum_coefficients) are those of
-C = (F - G)/z, with F the series of the prefactor ladder and G that of the
-prefactor and product ladders merged into one: truncated power series
-multiplied out factor by factor on the same dense int lists in n as the
-expansion.  They never expand the generating function, divide a series or
-take a gcd.  exact_algebra.series_expand of generating_function is their
-test oracle.
+C = (F - G)/z, with F the series of the prefactor ladder and G = F times
+the series of the product ladder: truncated power series multiplied out
+factor by factor on the same dense int lists in n as the expansion.  They
+never expand the generating function, divide a series or take a gcd.
+exact_algebra.series_expand of generating_function is their test oracle.
 
 Convention notes, forced by cross-checking against the row product:
 
@@ -55,6 +56,7 @@ from negdim.exact_algebra import (
     Scalar,
     _coeff,
     _dense_div,
+    _dense_poly,
     _madd,
     _trim,
     ratfunc_equal,
@@ -150,7 +152,7 @@ def _ladder_at(ladder: Ladder, n: int) -> Ladder:
     out: Ladder = {}
     for (a, b, c), e in ladder.items():
         m = b + c * n
-        _mul(out, (0, m + Fraction(a, n) if a else m, 0), e)
+        _mul(out, (0, _coeff(m + Fraction(a, n) if a else m), 0), e)
     return out
 
 
@@ -180,7 +182,8 @@ def _scaled_at(ladder: Ladder, n: int) -> Ladder:
 Rows = List[List[int]]
 
 
-def _linear(key: Key) -> Tuple[int, int, int, int, List[int]]:
+@lru_cache(maxsize=None)
+def _linear(key: Key) -> Tuple[int, int, int, int, Tuple[int, ...]]:
     """(u, v, i, alpha, B) with 1 - z*m = (u/v) * (alpha*n**i + z*B) / n**i."""
     a, b, c = key
     i = 1 if a else 0
@@ -197,11 +200,11 @@ def _linear(key: Key) -> Tuple[int, int, int, int, List[int]]:
     # alpha*n**i has total degree i and z*n**j degree j + 1; on a tie grlex
     # leads with the higher power of n, so alpha leads when i >= len(B)
     if i < len(B) and B[-1] < 0:
-        return -u, v, i, -v // u, [-x for x in B]
-    return u, v, i, v // u, B
+        return -u, v, i, -v // u, tuple(-x for x in B)
+    return u, v, i, v // u, tuple(B)
 
 
-def _times(rows: Rows, i: int, alpha: int, B: List[int]) -> None:
+def _times(rows: Rows, i: int, alpha: int, B: Tuple[int, ...]) -> None:
     """rows times alpha*n**i + z*B(n), in place."""
     rows.append([])
     for j in range(len(rows) - 1, -1, -1):
@@ -257,8 +260,8 @@ def _first_multiplier(family: str) -> Ladder:
     # with m = alpha + 1/2
     spec = group_spec(family)
     a1, a0 = spec.alpha
-    m = a0 + Fraction(1, 2)
-    return _mul(_mul({}, (0, m - spec.beta / 2, a1)), (0, m, a1), -1)
+    m, c = a0 + Fraction(1, 2), _coeff(a1)
+    return _mul(_mul({}, (0, _coeff(m - spec.beta / 2), c)), (0, _coeff(m), c), -1)
 
 
 def first_multiplier(family: str) -> RatFunc:
@@ -397,17 +400,16 @@ def rectangle_product(family: str, p: int, q: int) -> RatFunc:
 
 
 class CasimirGF(NamedTuple):
-    """Generating function together with the spectral product it came from."""
+    """Generating function together with the query it answers."""
 
     family: str
     lam: Partition
     mode: str
     n: Optional[int]
-    pi: RatFunc
     gf: RatFunc
 
 
-def _divide(rows: Rows, i: int, alpha: int, B: List[int]) -> Optional[Rows]:
+def _divide(rows: Rows, i: int, alpha: int, B: Tuple[int, ...]) -> Optional[Rows]:
     """rows / (alpha*n**i + z*B) from the low end in z, each step an exact
     division by alpha*n**i; None when a step is not exact or a remainder
     is left past the top row.  The factor is integer-primitive, so the
@@ -425,22 +427,22 @@ def _divide(rows: Rows, i: int, alpha: int, B: List[int]) -> Optional[Rows]:
     return None if quot.pop() else quot[1:]
 
 
-def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
-    """(pi, fm * (1 - pi) / z), both expanded in canonical form without a gcd.
+def _gf_from_factors(fm: Ladder, pi: Ladder) -> RatFunc:
+    """fm * (1 - pi) / z, expanded in canonical form without a gcd.
 
-    With pi = N/D reduced, gcd(D - N, D) = gcd(N, D) = 1.  So the factors of
-    D cancel only against the numerator factors of fm, which merging the
-    keys of pi with e < 0 into the ladder of fm does, and a denominator
-    factor of fm only against D - N, which trial division settles.  With
-    pi = (p/q) * n**d * num/den from _rows, q*(D - N) is held as int rows,
-    divided by those factors (_divide) and multiplied by the merged
-    ladder's numerator factors; its scale is fm's over q, and its power of
-    n is fm's less that of D.  No factor vanishes at z = 0, so a failure of
-    the division by z means the spectral product lost its regularity.
+    With pi = N/D reduced, gcd(D - N, D) = 1.  So the factors of D cancel
+    only against the numerator factors of fm, and a denominator factor of
+    fm only against D - N.  With pi = (p/q) * n**d * num/den from _rows,
+    q*(D - N) is held as int rows and trial-divided by fm's denominator
+    factors (_divide); fm's other numerator factors multiply it.  den, the
+    rows of D, is divided exactly by the factors that fm's numerator
+    cancels and multiplied by fm's denominator factors left over.  The
+    scale is fm's over q, and the power of n fm's less that of D.  No
+    factor vanishes at z = 0, so a failure of the division by z means the
+    spectral product lost its regularity.
     """
     s, d, num, den = _rows(pi)
-    product = _ratfunc(s, d, num, den)
-    q, lower = s.denominator, max(-d, 0)
+    p, q, lower = 1, s.denominator, max(-d, 0)
     diff = [[0] * lower + [q * x for x in row] for row in den]
     minus_p = [0] * max(d, 0) + [-s.numerator]
     for j, row in enumerate(num):
@@ -448,26 +450,28 @@ def _gf_from_factors(fm: Ladder, pi: Ladder) -> Tuple[RatFunc, RatFunc]:
             diff.append([])
         _madd(diff[j], minus_p, row)
     if not any(map(any, diff)):
-        return product, RatFunc.const(0)
-    s, d, _, _ = _rows(fm)
-    rest = {key: e for key, e in pi.items() if e < 0}
+        return RatFunc.const(0)
+    d = -lower
     for key, e in fm.items():
-        if e < 0:
-            _, _, i, alpha, B = _linear(key)
+        u, v, i, alpha, B = _linear(key)
+        d -= i * e
+        if e > 0:
+            p, q = p * u ** e, q * v ** e
+            for _ in range(min(e, -pi.get(key, 0))):
+                den, e = _divide(den, i, alpha, B), e - 1
+                if den is None:
+                    raise ExactDivisionError("a cancelled factor must divide D")
+        else:
+            p, q = p * v ** -e, q * u ** -e
             while e and (quot := _divide(diff, i, alpha, B)) is not None:
                 diff, e = quot, e + 1
-        if e:
-            _mul(rest, key, e)
+        for _ in range(abs(e)):
+            _times(diff if e > 0 else den, i, alpha, B)
     if any(diff[0]):
         raise ExactDivisionError(
             "generating function is not regular at z = 0; "
             "the z-constant term of 1 - product failed to cancel")
-    diff, den = diff[1:], [[1]]
-    for key, e in rest.items():
-        _, _, i, alpha, B = _linear(key)
-        for _ in range(abs(e)):
-            _times(diff if e > 0 else den, i, alpha, B)
-    return product, _ratfunc(_coeff(Fraction(s, q)), d - lower, diff, den)
+    return _ratfunc(_coeff(Fraction(p, q)), d, diff[1:], den)
 
 
 def _ladders(family: str, lam: Partition, mode: str,
@@ -508,26 +512,21 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
     """
     lam = check_partition(lam)
     fm, pi = _ladders(family, lam, mode, n)
-    product, gf = _gf_from_factors(fm, pi)
-    return CasimirGF(family=family, lam=lam, mode=mode, n=n, pi=product, gf=gf)
+    return CasimirGF(family, lam, mode, n, _gf_from_factors(fm, pi))
 
 
 def _denominator(*ladders: Ladder) -> int:
     """The least common denominator of the a, b and c of every key."""
-    d = 1
-    for ladder in ladders:
-        for key in ladder:
-            for x in key:
-                d = math.lcm(d, x.denominator)
-    return d
+    return math.lcm(*(x.denominator for ladder in ladders
+                      for key in ladder for x in key))
 
 
-def _series(ladder: Ladder, order: int,
+def _series(ladder: Ladder, s: Rows,
             value: Callable[[Key], List[int]]) -> Rows:
-    """The Taylor coefficients s_0..s_order in x of prod (1 - x*v)**e over
-    the ladder, each a dense int list in n, with v = value(key); updated in
-    place factor by factor."""
-    s: Rows = [[1]] + [[] for _ in range(order)]
+    """The power series s_0..s_order in x, each s_k a dense int list in n,
+    times prod (1 - x*v)**e over the ladder with v = value(key), truncated
+    at order = len(s) - 1; s is updated in place factor by factor."""
+    order = len(s) - 1
     for key, e in ladder.items():
         v = value(key)
         if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
@@ -545,16 +544,17 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
                           mode: str = "blocks", n: Optional[int] = None) -> List[RatFunc]:
     """[C_0, ..., C_order] of the generating function, read off the ladders.
 
-    With F the series of fm and G that of fm and pi merged into one ladder,
-    C = fm*(1 - pi)/z = (F - G)/z, so C_p = F_(p+1) - G_(p+1).  With d the
-    common denominator of the keys, the series run in x = z/d at an integer
-    rank, where every factor is 1 - x*(d*m) with d*m an integer, so
-    C_p = N_p / d^(p+1) with N_p an integer.  At the symbolic rank,
-    x = z/(d*n) makes every factor 1 - x*d*(a + b*n + c*n^2), so N_p is an
-    integer polynomial in n and C_p = N_p / (d*n)^(p+1).  Both run on dense
-    int lists in n, one entry long at an integer rank.  The only factor of
-    that denominator N_p can share is a power of n, so cancelling it gives
-    the canonical form: no gcd and no series division.
+    With F the series of fm and G = F times the series of pi, continued
+    from a copy of F, C = fm*(1 - pi)/z = (F - G)/z, so
+    C_p = F_(p+1) - G_(p+1).  With d the common denominator of the keys,
+    the series run in x = z/d at an integer rank, where every factor is
+    1 - x*(d*m) with d*m an integer, so C_p = N_p / d^(p+1) with N_p an
+    integer.  At the symbolic rank, x = z/(d*n) makes every factor
+    1 - x*d*(a + b*n + c*n^2), so N_p is an integer polynomial in n and
+    C_p = N_p / (d*n)^(p+1).  Both run on dense int lists in n, one entry
+    long at an integer rank.  The only factor of that denominator N_p can
+    share is a power of n, so cancelling it gives the canonical form: no
+    gcd and no series division.
     """
     fm, pi = _ladders(family, lam, mode, n)
     if order < 0:
@@ -562,17 +562,12 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
     d = _denominator(fm, pi)
     if n is None:
         def value(key: Key) -> List[int]:  # d*n*m
-            v = [_coeff(d * x) for x in key]
-            while v and not v[-1]:
-                v.pop()
-            return v
+            return _trim([_coeff(d * x) for x in key])
     else:
         def value(key: Key) -> List[int]:  # d*m
             return [_coeff(d * key[1])]
-    merged = dict(fm)
-    for key, e in pi.items():
-        _mul(merged, key, e)
-    f, g = _series(fm, order + 1, value), _series(merged, order + 1, value)
+    f = _series(fm, [[1]] + [[] for _ in range(order + 1)], value)
+    g = _series(pi, [list(row) for row in f], value)
     coeffs = []
     for p in range(order + 1):
         num = f[p + 1]  # N_p = F_(p+1) - G_(p+1), in x
@@ -583,8 +578,8 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
         else:
             # cancel the lowest power of n, at most the p+1 of the denominator
             low = min(next((k for k, x in enumerate(num) if x), p + 1), p + 1)
-            coeffs.append(RatFunc._raw(_poly([num[low:]])._scaled(scale),
-                                       _poly([[1]], p + 1 - low)))
+            coeffs.append(RatFunc._raw(_dense_poly("n", num[low:], scale),
+                                       _dense_poly("n", [0] * (p + 1 - low) + [1])))
     return coeffs
 
 
@@ -642,10 +637,10 @@ def _negation_check(name: str, left: str, right: str,
     fm, pi = _first_multiplier(left), _block_factors(left, lam)
     fm_r = _mirror(_first_multiplier(right))
     pi_r = _mirror(_block_factors(right, transpose(lam)))
-    lhs = _gf_from_factors(fm, pi)[1]
+    lhs = _gf_from_factors(fm, pi)
     holds, rhs, notes = True, lhs, ""
     if (fm, pi) != (fm_r, pi_r):
-        rhs = _gf_from_factors(fm_r, pi_r)[1]
+        rhs = _gf_from_factors(fm_r, pi_r)
         holds = ratfunc_equal(lhs, rhs)
         if not holds:
             notes = (f"product: {_witness(pi, pi_r)}" if pi != pi_r

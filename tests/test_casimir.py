@@ -376,7 +376,8 @@ def test_products_at_integer_ranks_match_generic_normal_form(family):
         symbolic = _oracle_block(family, lam)
         for n in range(start, start + 5):
             assert row_product(family, lam, n) == _oracle_rows(family, lam, n)
-            assert generating_function(family, lam, n=n).pi == _at(symbolic, n)
+            product = casimir._ladders(family, lam, "blocks", n)[1]
+            assert casimir._expand(product) == _at(symbolic, n)
 
 
 def test_first_multiplier_matches_generic_normal_form():
@@ -450,6 +451,19 @@ def _coefficient_mismatches(max_order=5):
             if got != list(expected[:order + 1]):
                 bad.append((family, lam, mode, n, order))
     return bad
+
+
+def test_ladder_keys_are_canonical():
+    # a Scalar is an int when integral, in every key the queries build
+    def canonical(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+    ladders = [casimir._first_multiplier(family) for family in FAMILIES]
+    ladders += [casimir._ladders(family, lam, mode, n)[i]
+                for family, lam, mode, n in _coefficient_cases()
+                for i in (0, 1)]
+    assert [key for ladder in ladders for key in ladder
+            if not all(map(canonical, key))] == []
 
 
 def test_coefficients_match_series_expansion():

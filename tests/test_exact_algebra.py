@@ -555,7 +555,7 @@ def test_work_counts_stay_within_budget(monkeypatch):
     # the Jack duality runs on dense int lists and calls no kernel
     assert calls["poly_mul"] <= 46
     assert calls["poly_add"] + calls["poly_sub"] <= 147
-    assert calls["poly_scale"] <= 245
+    assert calls["poly_scale"] <= 212
     assert calls["_gcd_interpolated"] == 0
     assert calls["_gcd_univariate"] == 0
 

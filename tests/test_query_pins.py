@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from negdim import cli, exact_algebra
+from negdim import casimir, cli, exact_algebra
 from negdim.exact_algebra import MultiPoly
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
@@ -67,3 +67,24 @@ def test_pinned_queries_but_spaces_dual_do_no_polynomial_arithmetic(pinned, monk
     assert len(keys) == 804
     drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
     assert drifted == []
+
+
+def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
+    # the spectral product is never built as a RatFunc: the one _ratfunc
+    # call of a `casimir gf` key is the printed generating function
+    calls = []
+    real = casimir._ratfunc
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(casimir, "_ratfunc", counted)
+    keys = [key for key in sorted(pinned) if key.startswith("casimir gf ")]
+    assert len(keys) == 102
+    made = {}
+    for key in keys:
+        calls.clear()
+        assert _digest(key.split()) == (0, pinned[key])
+        made[key] = len(calls)
+    assert made == dict.fromkeys(keys, 1)
