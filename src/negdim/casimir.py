@@ -28,8 +28,11 @@ _gf_from_factors).
 The Taylor coefficients C_p (spectrum_coefficients) are those of
 C = (F - G)/z, with F the series of the prefactor ladder and G = F times
 the series of the product ladder: truncated power series multiplied out
-factor by factor on the same dense int lists in n as the expansion.  They
-never expand the generating function, divide a series or take a gcd.
+factor by factor, one Python int per power of z at both ranks.  At the
+symbolic rank each int is the value at n = 2**W of a polynomial in n, with
+W wide enough (_width) that the polynomial is read back from its balanced
+base-2**W digits (Kronecker substitution).  They never expand the
+generating function, divide a series or take a gcd.
 exact_algebra.series_expand of generating_function is their test oracle.
 
 Convention notes, forced by cross-checking against the row product:
@@ -56,7 +59,6 @@ from negdim.exact_algebra import (
     Scalar,
     _coeff,
     _dense_div,
-    _dense_poly,
     _madd,
     _trim,
     ratfunc_equal,
@@ -147,6 +149,11 @@ def _mul(ladder: Ladder, key: Key, exp: int = 1) -> Ladder:
     return ladder
 
 
+def _quotient(x: int, y: int) -> Scalar:
+    """x/y as a canonical Scalar, for y != 0."""
+    return x // y if x % y == 0 else Fraction(x, y)
+
+
 def _ladder_at(ladder: Ladder, n: int) -> Ladder:
     """The ladder with the rank set to the integer n, equal values merged."""
     out: Ladder = {}
@@ -231,7 +238,7 @@ def _rows(ladder: Ladder) -> Tuple[Scalar, int, Rows, Rows]:
         d -= i * e
         for _ in range(abs(e)):
             _times(rows, i, alpha, B)
-    return p // q if p % q == 0 else Fraction(p, q), d, num, den
+    return _quotient(p, q), d, num, den
 
 
 def _poly(rows: Rows, shift: int = 0) -> MultiPoly:
@@ -307,7 +314,7 @@ def _row_values(family: str, lam: Partition, n: int, scale: int) -> List[Scalar]
     base, alpha, twice_alpha = _row_origin(family, n, scale)
     if spec.traceless:
         t = scale * weight(lam)
-        base -= t // n if t % n == 0 else Fraction(t, n)
+        base -= _quotient(t, n)
     values: List[Scalar] = []
     if spec.has_zero_index:
         values.append(alpha)  # l_0 = 0
@@ -521,23 +528,82 @@ def _denominator(*ladders: Ladder) -> int:
                       for key in ladder for x in key))
 
 
-def _series(ladder: Ladder, s: Rows,
-            value: Callable[[Key], List[int]]) -> Rows:
-    """The power series s_0..s_order in x, each s_k a dense int list in n,
-    times prod (1 - x*v)**e over the ladder with v = value(key), truncated
-    at order = len(s) - 1; s is updated in place factor by factor."""
+def _series(ladder: Ladder, s: List[int],
+            value: Callable[[Key], int]) -> List[int]:
+    """The power series s_0..s_order in x, each s_k an int, times
+    prod (1 - x*v)**e over the ladder with v = value(key), truncated at
+    order = len(s) - 1; s is updated in place factor by factor."""
     order = len(s) - 1
     for key, e in ladder.items():
         v = value(key)
         if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
-            v, steps = [-x for x in v], range(order, 0, -1)
+            v, steps = -v, range(order, 0, -1)
         else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
             steps = range(1, order + 1)
         for _ in range(abs(e)):
             for k in steps:
-                if s[k - 1]:
-                    _madd(s[k], v, s[k - 1])
+                s[k] += v * s[k - 1]
     return s
+
+
+def _cleared(key: Key, d: int) -> Tuple[int, int, int]:
+    """d*(a, b, c) as ints, for d a common denominator of the key."""
+    a, b, c = key
+    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
+            c.numerator * (d // c.denominator))
+
+
+def _width(d: int, order: int, *ladders: Ladder) -> int:
+    """A digit width W such that every integer coefficient, in n, of the
+    numerators N_0..N_order of spectrum_coefficients lies strictly inside
+    (-2**(W-1), 2**(W-1)), so each N_p is read back from its value at
+    n = 2**W by its balanced digits (_digits).
+
+    Each factor value is v(n) = A + B*n + C*n^2 with (A, B, C) = d*(a, b, c)
+    of its key, and E is the sum of |e| over the ladders.  Replacing every
+    coefficient of every v by its absolute value majorizes the series
+    coefficientwise in x and n: (1 - x*v)**e by (1 + x*|v|)**e, itself
+    majorized by (1 - x*|v|)**-e, and (1 - x*v)**-e by (1 - x*|v|)**-e.  A
+    polynomial with nonnegative coefficients bounds each of them by its
+    value at n = 1, and |v|(1) = |A| + |B| + |C| <= U, the largest over the
+    keys.  So every n-coefficient of F_k and of G_k, whose factors are
+    among those of the ladders, is at most [x^k] (1 - x*U)**-E =
+    C(E+k-1, k) * U^k, which does not decrease with k, and every one of
+    N_p = F_(p+1) - G_(p+1) is at most 2 * C(E+order, order+1) * U^(order+1)
+    for p <= order.  W is at least 2, the narrowest base with a balanced
+    digit for 1.
+    """
+    E = sum(abs(e) for ladder in ladders for e in ladder.values())
+    U = max((sum(map(abs, _cleared(key, d))) for ladder in ladders
+             for key in ladder), default=0)
+    bound = 2 * math.comb(E + order, order + 1) * U ** (order + 1)
+    return max(bound.bit_length() + 1, 2)
+
+
+def _digits(value: int, width: int) -> List[int]:
+    """The balanced base-2**width digits of value, lowest first: value =
+    sum digits[i] * 2**(width*i), each digit in [-2**(width-1), 2**(width-1)),
+    the last one nonzero; [] for 0.  width >= 2: in base 2 the digits
+    -1 and 0 reach no positive value."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    digits = []
+    while value:
+        r = value & mask
+        if r >= half:
+            r -= mask + 1
+        digits.append(r)
+        value = (value - r) >> width
+    return digits
+
+
+def _in_n(a: List[int], scale: int = 1) -> MultiPoly:
+    """The MultiPoly sum a[k] * n**k / scale, for a list a empty or with
+    a nonzero last entry: a polynomial in n exactly when a has two entries
+    or more, so the symbol needs no pruning scan."""
+    terms = {(k,): _quotient(x, scale) for k, x in enumerate(a) if x}
+    if len(a) > 1:
+        return MultiPoly._raw(("n",), terms, prune=False)
+    return MultiPoly._raw((), {(): x for x in terms.values()}, prune=False)
 
 
 def spectrum_coefficients(family: str, lam: Partition, order: int,
@@ -547,39 +613,44 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
     With F the series of fm and G = F times the series of pi, continued
     from a copy of F, C = fm*(1 - pi)/z = (F - G)/z, so
     C_p = F_(p+1) - G_(p+1).  With d the common denominator of the keys,
-    the series run in x = z/d at an integer rank, where every factor is
-    1 - x*(d*m) with d*m an integer, so C_p = N_p / d^(p+1) with N_p an
-    integer.  At the symbolic rank, x = z/(d*n) makes every factor
-    1 - x*d*(a + b*n + c*n^2), so N_p is an integer polynomial in n and
-    C_p = N_p / (d*n)^(p+1).  Both run on dense int lists in n, one entry
-    long at an integer rank.  The only factor of that denominator N_p can
-    share is a power of n, so cancelling it gives the canonical form: no
-    gcd and no series division.
+    the series run in x = z/(d*n), where every factor is 1 - x*v with
+    v = d*(a + b*n + c*n^2), so N_p, the coefficient of x^(p+1) in F - G,
+    is an integer polynomial in n and C_p = N_p / (d*n)^(p+1).  Every
+    series coefficient is one Python int: its value at n = X, with X the
+    rank at an integer rank, where C_p is that number, and X = 2**W at the
+    symbolic rank, with W from _width, where N_p is read back from its
+    balanced base-X digits (Kronecker substitution).  The only factor of
+    the denominator N_p can share is a power of n, so cancelling it gives
+    the canonical form: no gcd and no series division.
     """
     fm, pi = _ladders(family, lam, mode, n)
     if order < 0:
         raise ValueError("series order must be nonnegative")
     d = _denominator(fm, pi)
     if n is None:
-        def value(key: Key) -> List[int]:  # d*n*m
-            return _trim([_coeff(d * x) for x in key])
+        width = _width(d, order, fm, pi)
+        X = 1 << width
     else:
-        def value(key: Key) -> List[int]:  # d*m
-            return [_coeff(d * key[1])]
-    f = _series(fm, [[1]] + [[] for _ in range(order + 1)], value)
-    g = _series(pi, [list(row) for row in f], value)
+        X = n
+
+    def value(key: Key) -> int:  # d*n*m at n = X
+        a, b, c = _cleared(key, d)
+        return a + (b + c * X) * X
+
+    f = _series(fm, [1] + [0] * (order + 1), value)
+    g = _series(pi, list(f), value)
     coeffs = []
     for p in range(order + 1):
-        num = f[p + 1]  # N_p = F_(p+1) - G_(p+1), in x
-        _madd(num, [-1], g[p + 1])
-        scale = Fraction(1, d ** (p + 1))
+        num = f[p + 1] - g[p + 1]  # N_p at n = X
+        scale = d ** (p + 1)
         if n is not None:
-            coeffs.append(RatFunc.const(sum(num) * scale))
-        else:
-            # cancel the lowest power of n, at most the p+1 of the denominator
-            low = min(next((k for k, x in enumerate(num) if x), p + 1), p + 1)
-            coeffs.append(RatFunc._raw(_dense_poly("n", num[low:], scale),
-                                       _dense_poly("n", [0] * (p + 1 - low) + [1])))
+            coeffs.append(RatFunc.const(_quotient(num, scale * n ** (p + 1))))
+            continue
+        digits = _digits(num, width)
+        # cancel the lowest power of n, at most the p+1 of the denominator
+        low = min(next((k for k, x in enumerate(digits) if x), p + 1), p + 1)
+        coeffs.append(RatFunc._raw(_in_n(digits[low:], scale),
+                                   _in_n([0] * (p + 1 - low) + [1])))
     return coeffs
 
 

@@ -35,11 +35,10 @@ The same form runs on dense int lists in one symbol (_dense_cancel,
 _dense_product and the other helpers of that section), for the Jack solve
 (eigenvalue gaps, one-entry lists at a number), the Jack duality scalar
 (linear factors in k) and the one-symbol exact division, and on rows of
-dense int lists in the Casimir ladders (casimir._expand, casimir._series
-and the generating function's trial division, whose factors are all
-1 - z*m).  Only RatFunc(num, den) and RatFunc arithmetic reach poly_gcd
-and the general poly_exact_div, and no command does while its checks
-hold.
+dense int lists in the Casimir ladders (casimir._expand and the
+generating function's trial division, whose factors are all 1 - z*m).
+Only RatFunc(num, den) and RatFunc arithmetic reach poly_gcd and the
+general poly_exact_div, and no command does while its checks hold.
 """
 
 from __future__ import annotations
@@ -402,7 +401,9 @@ def _trim(a: list) -> list:
 
 def _madd(out: list, a: list, b: list) -> None:
     """out += a*b in place; out grows to hold the product."""
-    if len(a) == 1 == len(b):  # one flat step, as every step at an integer rank
+    # one flat step, as every step of the Jack solve at a number and of a
+    # Casimir generating function's rows at an integer rank
+    if len(a) == 1 == len(b):
         if out:
             out[0] += a[0] * b[0]
         else:

@@ -668,13 +668,6 @@ def _p_of_z(mu: Partition, n: int) -> MultiPoly:
         _zvars(n), {tuple(mu[-1] * (i == j) for i in range(n)): 1 for j in range(n)})
 
 
-def phi_N(x: PExpr, n: int) -> RatFunc:
-    """Substitute each p_l by the n-variable power sum z_1^l + ... + z_n^l."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    return sum((coeff * _p_of_z(mu, n) for mu, coeff in x.terms.items()), _ZERO)
-
-
 def _euler_and_pairs(num: MultiPoly, n: int) -> Tuple[MultiPoly, MultiPoly]:
     """(E, P) with L_N num = E - k*P for a polynomial num in z_1..z_n:
     E = sum_i (z_i d/dz_i)^2 num and P = sum_{i<j} (z_i + z_j) * q, where
@@ -705,21 +698,6 @@ def _euler_and_pairs(num: MultiPoly, n: int) -> Tuple[MultiPoly, MultiPoly]:
                 raise ExactDivisionError(f"pairwise term not divisible by {x} - "
                                          f"{y}; the input is not symmetric")
     return MultiPoly(syms, euler), MultiPoly(syms, pairs)
-
-
-def apply_L_N(f: RatFunc, k: Coupling = None, n: int = 1) -> RatFunc:
-    """Finite-variable operator in exponential coordinates.
-
-    The input must be polynomial in the z variables (denominator free of
-    them); the pairwise term divides by z_i - z_j exactly, and a division
-    failure signals a non-symmetric input.  With k = u/w the image is
-    (w*E - u*P) / (w * f.den), reduced once.
-    """
-    kv = _as_value(k)
-    if any(s in f.den.symbols for s in _zvars(n)):
-        raise ValueError("coefficients must be polynomial in the z variables")
-    euler, pairs = _euler_and_pairs(f.num, n)
-    return RatFunc(euler * kv.den - pairs * kv.num, f.den * kv.den)
 
 
 def check_diagram(mu: Partition, k: Coupling = None, n: int = 1) -> CheckResult:

@@ -484,6 +484,39 @@ def test_coefficient_comparison_catches_a_wrong_ladder(monkeypatch, mutate):
     assert _coefficient_mismatches(max_order=2)
 
 
+def test_symbolic_coefficients_match_series_expansion_at_large_widths():
+    # order 8 to weight 8 takes the digit width W to about 60 bits,
+    # where a bound too tight would carry one power of n into the next
+    bad, widths = [], []
+    for family in BLOCK_FAMILIES:
+        for lam in partitions_up_to_weight(8):
+            expected = series_expand(generating_function(family, lam).gf, "z", 8)
+            if spectrum_coefficients(family, lam, 8) != list(expected):
+                bad.append((family, lam))
+            fm, pi = casimir._ladders(family, lam, "blocks", None)
+            widths.append(casimir._width(casimir._denominator(fm, pi), 8, fm, pi))
+    assert bad == []
+    assert max(widths) > 48
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 61])
+def test_digits_are_balanced_and_read_back(width):
+    half = 1 << (width - 1)
+    assert casimir._digits(0, width) == []
+    for x in {1, half - 1, half}:
+        assert casimir._digits(x, width) == ([x] if x < half else [-half, 1])
+        assert casimir._digits(-x, width) == [-x]
+    # the value at n = 2**width of a polynomial with digits in range
+    coeffs = [-half, half - 1, 0, 1 - half, 0, -1]
+    value = sum(c << (width * i) for i, c in enumerate(coeffs))
+    assert casimir._digits(value, width) == coeffs
+
+
+def test_coefficient_comparison_catches_a_width_too_narrow(monkeypatch):
+    monkeypatch.setattr(casimir, "_width", lambda *args: 3)
+    assert _coefficient_mismatches(max_order=2)
+
+
 @pytest.mark.parametrize("args", [
     ("u", (1,), "columns", None),
     ("u", (1,), "rows", None),

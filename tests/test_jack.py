@@ -13,10 +13,10 @@ from negdim.exact_algebra import (MultiPoly, RatFunc, _dense_mul, _dense_product
                                   _madd, _trim, ratfunc_equal)
 from negdim.jack import (K, P0, JackFunction, MExpr, PExpr,
                          SingularCouplingError, _monomial_matrices,
-                         _s_inverse, _s_matrix, apply_L_N, check_conjugation,
+                         _s_inverse, _s_matrix, check_conjugation,
                          check_diagram, check_p0_scalar, check_schur,
                          check_triangularity, degree_basis, jack,
-                         kostka_number, macdonald_duality, phi_N,
+                         kostka_number, macdonald_duality,
                          schur_m_expansion, verify_duality)
 from negdim.partitions import (dominance_leq, partitions_of_weight,
                                partitions_up_to_weight, transpose, weight)
@@ -900,6 +900,35 @@ def test_schur_row_shows_a_miscounted_kostka_number(monkeypatch):
     assert len(report.cases) == 11
     assert _failures(report) == [("jack/schur/2,1", "m[2,1] + (2)*m[1,1,1]",
                                   "m[2,1] + (3)*m[1,1,1]", "")]
+
+
+# -- the finite-variable oracle ------------------------------------------------
+#
+# check_diagram counts the projection square on the operator; these two
+# build its sides the long way, as RatFuncs in z_1..z_n, for the tests.
+
+
+def phi_N(x, n):
+    """Substitute each p_l by the n-variable power sum z_1^l + ... + z_n^l."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    return sum((coeff * jack_module._p_of_z(mu, n) for mu, coeff in x.terms.items()),
+               RatFunc.const(0))
+
+
+def apply_L_N(f, k=None, n=1):
+    """Finite-variable operator in exponential coordinates.
+
+    The input must be polynomial in the z variables (denominator free of
+    them); the pairwise term divides by z_i - z_j exactly, and a division
+    failure signals a non-symmetric input.  With k = u/w the image is
+    (w*E - u*P) / (w * f.den), reduced once.
+    """
+    kv = jack_module._as_value(k)
+    if any(s in f.den.symbols for s in jack_module._zvars(n)):
+        raise ValueError("coefficients must be polynomial in the z variables")
+    euler, pairs = jack_module._euler_and_pairs(f.num, n)
+    return RatFunc(euler * kv.den - pairs * kv.num, f.den * kv.den)
 
 
 def test_phi_examples():

@@ -88,3 +88,20 @@ def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
         assert _digest(key.split()) == (0, pinned[key])
         made[key] = len(calls)
     assert made == dict.fromkeys(keys, 1)
+
+
+def test_casimir_coeffs_use_no_dense_lists(pinned, monkeypatch):
+    # the coefficients run one int per power of z at both ranks: every
+    # pinned `casimir coeffs` key reproduces with the dense-list product
+    # and the one-symbol polynomial builder refused
+    def refuse(*args):
+        raise AssertionError("a dense list in a coefficient query")
+
+    assert "_dense_poly" not in vars(casimir)
+    for module in (casimir, exact_algebra):
+        monkeypatch.setattr(module, "_madd", refuse)
+    monkeypatch.setattr(exact_algebra, "_dense_poly", refuse)
+    keys = [key for key in sorted(pinned) if key.startswith("casimir coeffs ")]
+    assert len(keys) == 504
+    drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
+    assert drifted == []
