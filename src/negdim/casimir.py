@@ -300,17 +300,22 @@ def _row_origin(family: str, n: int, scale: int) -> Tuple[Scalar, Scalar, Scalar
             _coeff(2 * alpha))
 
 
+def _check_rank(lam: Partition, n: int) -> None:
+    """Refuse a rank below 1 or below the number of rows of lam."""
+    if n < 1:
+        raise ValueError("rank must be a positive integer")
+    if len(lam) > n:
+        raise ValueError(
+            f"partition {format_partition(lam)} has more than n={n} parts")
+
+
 def _row_values(family: str, lam: Partition, n: int, scale: int) -> List[Scalar]:
     """scale * m_i for each value of row_m_values, in the same order.  With
     scale = n su's shift t/n becomes the integer t, so every value of a
     block family is an int."""
     spec = group_spec(family)
     lam = check_partition(lam)
-    if n < 1:
-        raise ValueError("rank must be a positive integer")
-    if len(lam) > n:
-        raise ValueError(
-            f"partition {format_partition(lam)} has more than n={n} parts")
+    _check_rank(lam, n)
     base, alpha, twice_alpha = _row_origin(family, n, scale)
     if spec.traceless:
         t = scale * weight(lam)
@@ -493,11 +498,7 @@ def _ladders(family: str, lam: Partition, mode: str,
     if mode == "blocks":
         pi, fm = _block_factors(family, lam), _first_multiplier(family)
         if n is not None:
-            if n < 1:
-                raise ValueError("rank must be a positive integer")
-            if len(lam) > n:
-                raise ValueError(
-                    f"partition {format_partition(lam)} has more than n={n} parts")
+            _check_rank(lam, n)
             pi, fm = _ladder_at(pi, n), _ladder_at(fm, n)
     elif mode == "rows":
         if n is None:

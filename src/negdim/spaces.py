@@ -21,8 +21,10 @@ multiplying by a symbol, so no polynomial division and no gcd is needed.
 dual_space applies the appropriate map and looks the image up in the
 catalogue, matching (k, q) exactly and p up to the m <-> n relabeling of
 the two-parameter families (the quotient does not care which factor is
-called m), which renames the two symbols.  At integer sizes the fields
-are Fractions, read once per row into tables of rational coefficients.
+called m).  Each row is read once into tables of rational coefficients,
+a symbolic image likewise, and every comparison is made on those, so the
+relabeling swaps two coefficients.  At integer sizes the fields are
+Fractions.
 
 Convention notes, applied uniformly:
   * the quaternionic unitary quotient is catalogued at even size, as
@@ -41,14 +43,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
+from negdim.exact_algebra import RatFunc
 from negdim.reporting import CheckResult, VerificationReport
 
 _N = RatFunc.symbol("N")
 _M = RatFunc.symbol("m")
 _SMALL_N = RatFunc.symbol("n")
+_ZERO = Fraction(0)
 
 Triple = Tuple[RatFunc, RatFunc, RatFunc]
 
@@ -179,10 +182,9 @@ def _derived(s: SpaceSpec) -> KPQ:
 
 
 @lru_cache(maxsize=None)
-def _reference(key: str) -> KPQ:
+def _reference(s: SpaceSpec) -> KPQ:
     """The triple a catalogue row is matched by: the tabulated one where
     the catalogue fixes one, else the one derived from the multiplicities."""
-    s = _BY_KEY[key]
     return tabulated_kpq(s) or _derived(s)
 
 
@@ -228,38 +230,21 @@ def _bc_swap(x: KPQ) -> KPQ:
     return KPQ(1 / x.k, x.p / x.k, (x.q + half) / x.k - half, x.n / x.k)
 
 
-def _renamed(f: RatFunc, names: Mapping[str, str]) -> RatFunc:
-    """f with its symbols renamed one to one.  A renaming keeps the
-    quotient reduced and the denominator integer-primitive; only the sign
-    of its leading coefficient, which the term order decides, may flip."""
-    num, den = (MultiPoly(tuple(names.get(s, s) for s in p.symbols), p.terms)
-                for p in (f.num, f.den))
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    return RatFunc._raw(num, den)
-
-
-def _swap_mn(x: KPQ) -> KPQ:
-    swap = {"m": "n", "n": "m"}
-    return KPQ(*(_renamed(f, swap) for f in x))
-
-
-def _triples_equal(a: KPQ, b: KPQ) -> bool:
-    return (ratfunc_equal(a.k, b.k) and ratfunc_equal(a.p, b.p)
-            and ratfunc_equal(a.q, b.q))
-
-
 def _affine(s: SpaceSpec, name: str, f: RatFunc) -> Tuple[Fraction, ...]:
     """(c, c_1, ...) with f = c + c_1*x_1 + ... in the row's size symbols x_i,
-    the form of every catalogue field."""
+    the form of every catalogue field.  A reduced denominator free of
+    symbols is 1."""
     num, params = f.num, s.size_params
-    if (f.den != 1 or not set(num.symbols) <= set(params)
-            or any(sum(e) > 1 for e in num.terms)):
-        raise ValueError(f"{s.key}: field {name} = {f} is not affine in "
-                         f"{', '.join(params)} over denominator 1")
-    coeffs = {num.symbols[e.index(1)] if any(e) else "": c
-              for e, c in num.terms.items()}
-    return tuple(Fraction(coeffs.get(x, 0)) for x in ("",) + params)
+    out = [_ZERO] * (1 + len(params))
+    if f.den.is_const() and set(num.symbols) <= set(params):
+        for e, c in num.terms.items():
+            if sum(e) > 1:
+                break
+            out[1 + params.index(num.symbols[e.index(1)]) if any(e) else 0] = Fraction(c)
+        else:
+            return tuple(out)
+    raise ValueError(f"{s.key}: field {name} = {f} is not affine in "
+                     f"{', '.join(params)} over denominator 1")
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +253,7 @@ def _rational(s: SpaceSpec):
     reference and derived fields (k, p, q, N), and its reference (k, p, q)
     where no size symbol enters it, else None."""
     ref, der = (tuple(_affine(s, name, f) for name, f in zip("kpqN", x))
-                for x in (tabulated_kpq(s) or _derived(s), _derived(s)))
+                for x in (_reference(s), _derived(s)))
     free = any(any(f[1:]) for f in ref[:3])
     return ref, der, None if free else tuple(f[0] for f in ref[:3])
 
@@ -306,24 +291,16 @@ class SpaceMatch(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _compared_symbolically(s: SpaceSpec) -> Tuple[Dict[str, str], ...]:
-    """A row's tabulated-vs-derived discrepancies, keyed by the row itself,
-    so a replaced row is compared afresh; at sizes, those that differ there."""
-    shown = tabulated_kpq(s)
-    if shown is None:
+    """A row's tabulated-vs-derived discrepancies, decided on its rational
+    table and keyed by the row itself, so a replaced row is compared afresh;
+    at sizes, those that differ there."""
+    if s.tabulated_kpq is None:
         return ()
-    derived = _derived(s)
-    out: List[Dict[str, str]] = []
-    for name in ("k", "p", "q"):
-        a, b = getattr(derived, name), getattr(shown, name)
-        if not ratfunc_equal(a, b):
-            out.append({
-                "id": f"{s.key.lower()}-{name}-normalization",
-                "field": name,
-                "derived": str(a),
-                "tabulated": str(b),
-                "expected": "true",
-            })
-    return tuple(out)
+    ref, der, _ = _rational(s)
+    return tuple({"id": f"{s.key.lower()}-{name}-normalization", "field": name,
+                  "derived": str(a), "tabulated": str(b), "expected": "true"}
+                 for name, a, b, d, r in zip("kpq", _derived(s), _reference(s), der, ref)
+                 if d != r)
 
 
 def _candidates(s: SpaceSpec):
@@ -350,18 +327,23 @@ def _match_at_sizes(s: SpaceSpec, triple: Tuple[Fraction, ...],
 
 
 def _match_symbolic(s: SpaceSpec, image: KPQ) -> Tuple[Optional[SpaceSpec], bool]:
-    """(partner, relabeled) for a symbolic image.  The m <-> n relabeling
-    of a two-parameter candidate is tried only when the image's triple has
-    a symbol, since a constant triple cannot equal either labeling of one
-    that has."""
-    symbolic = not all(f.is_const() for f in (image.k, image.p, image.q))
+    """(partner, relabeled) for a symbolic image, read into coefficient
+    tuples like a row.  A candidate in the same symbols matches tuple by
+    tuple, a two-parameter one also with m and n swapped; any other only by
+    equal constants.  A field that is not affine matches none."""
+    try:
+        fields = tuple(_affine(s, name, f) for name, f in zip("kpq", image))
+    except ValueError:
+        return None, False
+    swapped = tuple((c, b, a) for c, a, b in fields) if len(s.size_params) == 2 else None
+    constant = None if any(any(f[1:]) for f in fields) else tuple(f[0] for f in fields)
     for cand in _candidates(s):
-        target = _reference(cand.key)
-        if _triples_equal(image, target):
+        ref, _, cand_constant = _rational(cand)
+        if cand.size_params == s.size_params:
+            if ref[:3] in (fields, swapped):
+                return cand, ref[:3] != fields
+        elif constant is not None and constant == cand_constant:
             return cand, False
-        if (symbolic and len(cand.size_params) == 2
-                and _triples_equal(image, _swap_mn(target))):
-            return cand, True
     return None, False
 
 
@@ -397,7 +379,7 @@ def dual_space(label: str, m: Optional[int] = None,
         discrepancies = tuple(d for d in discrepancies if getattr(kpq, d["field"])
                               != getattr(derived, d["field"]))
     else:
-        kpq, derived = _reference(s.key), _derived(s)
+        kpq, derived = _reference(s), _derived(s)
         image = _dual_image(s, kpq)
         partner, relabeled = _match_symbolic(s, image)
 
@@ -427,7 +409,7 @@ def verify_table() -> VerificationReport:
             holds=ok,
             inputs=(("space", source),),
             lhs=str(result.image),
-            rhs=f"{expected_partner}: {_reference(expected_partner)}",
+            rhs=f"{expected_partner}: {_reference(space(expected_partner))}",
             notes=("matched after m<->n relabeling" if result.relabeled else ""),
         ))
 

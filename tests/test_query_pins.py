@@ -3,11 +3,13 @@
 negbench/pins.json holds the sha256[:16] digest of the standard output of
 every query the benchmark can draw: `casimir coeffs`, `spaces dual`,
 `jack compute`, `casimir gf` and `dims poly`.  Each form is computed by a
-route of its own (coefficients read off the ladders, sizes evaluated as
-rationals, the Jack solve and dimension polynomials on ints and Fractions
-at a number), so every pinned key is run through the CLI here and its
-digest compared with the pin: output drift fails the tests, not only the
-benchmark's gate.  The pins are read, never written.
+route of its own (coefficients read off the ladders, a space's sizes and
+its discrepancy census on its row's rational table, the Jack solve and
+dimension polynomials on ints and Fractions at a number), so every pinned
+key is run through the CLI here and its digest compared with the pin:
+output drift fails the tests, not only the benchmark's gate.  Every key is
+run again with polynomial arithmetic refused, since no pinned form needs
+it.  The pins are read, never written.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from negdim import casimir, cli, exact_algebra
+from negdim import casimir, cli, exact_algebra, spaces
 from negdim.exact_algebra import MultiPoly
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
@@ -49,23 +51,26 @@ def test_pinned_queries_reproduce(pinned):
     assert drifted == []
 
 
-def test_pinned_queries_but_spaces_dual_do_no_polynomial_arithmetic(pinned, monkeypatch):
+def test_pinned_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
     # at a number the Jack solve and its rendering stay on ints and
-    # Fractions, a dimension polynomial is expanded on one dense list, and
-    # the Casimir coefficients and generating function are read off the
-    # ladders on rows of dense int lists: every pinned key but `spaces
-    # dual` (whose symbolic comparison multiplies once per catalogue row)
-    # reproduces with MultiPoly arithmetic and the exact division refused
+    # Fractions, a dimension polynomial is expanded on one dense list, the
+    # Casimir coefficients and generating function are read off the
+    # ladders on rows of dense int lists, and a space's fields are compared
+    # on its rational table: every pinned key reproduces with MultiPoly
+    # arithmetic and the exact division refused, each row read afresh
     def refuse(*args):
         raise AssertionError("MultiPoly arithmetic in a pinned query")
 
+    assert not {"ratfunc_equal", "MultiPoly"} & set(vars(spaces))
+    for cached in (spaces._compared_symbolically, spaces._reference,
+                   spaces._derived, spaces._rational):
+        cached.cache_clear()
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__pow__"):
         monkeypatch.setattr(MultiPoly, name, refuse)
     monkeypatch.setattr(exact_algebra, "poly_exact_div", refuse)
-    keys = [key for key in sorted(pinned) if not key.startswith("spaces dual ")]
-    assert len(keys) == 804
-    drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
+    assert len(pinned) == 966
+    drifted = [key for key in sorted(pinned) if _digest(key.split()) != (0, pinned[key])]
     assert drifted == []
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from negdim import cli, spaces
 from negdim.exact_algebra import MultiPoly, RatFunc, ratfunc_equal
-from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, _reference, a_dual,
+from negdim.spaces import (CATALOGUE, EXPECTED_PAIRS, KPQ, a_dual,
                            bc_dual, catalogue, dual_space, tabulated_kpq, space,
                            to_kpq, verify_table)
 
@@ -273,7 +273,7 @@ def _oracle_dual(label, m=None, n=None):
         k = kpq.k
         image = KPQ(1 / k, kpq.p / k, ((2 * kpq.q + 1) / k - 1) / 2, kpq.n / k)
     partner, relabeled = None, False
-    for cand in CATALOGUE:
+    for cand in spaces.CATALOGUE:
         if not cand.in_matching or (cand.root_system == "A") != (s.root_system == "A"):
             continue
         target = tabulated_kpq(cand) or to_kpq(cand)
@@ -354,25 +354,19 @@ def test_non_affine_row_is_refused_at_integer_sizes(monkeypatch):
         dual_space("CI", n=3)
 
 
-def test_swap_mn_renames_as_substitution_does():
-    m, n = RatFunc.symbol("m"), RatFunc.symbol("n")
-    swap = {"m": n, "n": m}
-    # the last field's denominator changes the sign of its leading term
-    fields = [_reference(s.key) for s in CATALOGUE]
-    fields.append(KPQ(m - 2 * n, (m + 1) / (3 * n - m), 1 / (m - n), n / (m * m + n)))
-    for x in fields:
-        assert spaces._swap_mn(x) == KPQ(*(f.substitute(swap) for f in x)), x
-
-
-def test_symbolic_relabeling_only_for_symbolic_images(monkeypatch):
-    swaps = []
-    real = spaces._swap_mn
-    monkeypatch.setattr(spaces, "_swap_mn", lambda x: swaps.append(1) or real(x))
-    for s in CATALOGUE:
-        del swaps[:]
-        dual_space(s.key)
-        # a one-parameter space has a constant triple, and so its image
-        assert bool(swaps) == (len(s.size_params) == 2), s.key
+def test_symbolic_k_image_matches_nothing(monkeypatch):
+    # a size symbol in k puts the image's k off denominator 1, so it equals
+    # no catalogue field; at sizes k is a number again.  Both routes agree
+    # with substitution, and neither raises
+    _planted(monkeypatch, "CI", tabulated_kpq=(-N / 2, const(0), const(Fraction(-1, 2))))
+    _planted(monkeypatch, "AI", mults=(N, const(0), const(0)), tabulated_kpq=None)
+    for label in ("CI", "AI"):
+        assert dual_space(label).partner is None
+        for n in (None, 1, 2, 3):
+            got = dual_space(label, n=n)
+            assert (str(got.kpq), str(got.derived), str(got.image), got.partner,
+                    got.relabeled, [d["id"] for d in got.discrepancies]) \
+                == _oracle_dual(label, n=n), (label, n)
 
 
 def test_duality_maps_stay_exact_on_integers():
