@@ -16,23 +16,29 @@ unitary series is fixed by that involution.
 
 Every factor of both products and of the prefactor is 1 - z*m; a ladder
 (below) maps each value m to its exponent, and every check is decided on
-ladders.  A ladder expands into its canonical RatFunc straight from its
-keys, on rows of dense int lists with no gcd (see _expand), and builds one
+ladders.  The data format follows the rank.  At the symbolic rank a
+ladder expands into its canonical RatFunc straight from its keys, on rows
+of dense int lists in n with no gcd (see _expand), and builds one
 MultiPoly per side at the end; each key's linear form is computed once
 (_linear).  C = prefactor * (1 - product) / z stays on those rows too,
 starting from the product's rows: one subtraction, a trial division by
 the prefactor's denominator factor, the product's denominator divided by
 what the prefactor cancels, and one MultiPoly per side of C alone (see
-_gf_from_factors).
+_gf_from_factors).  At an integer rank n every value times D = 2n is an
+int, so a ladder there is keyed by that int K (_at_rank, _row_factors)
+and each factor 1 - z*m is 1 - x*K in x = z/D: the products are flat int
+lists in x with constant term 1, C stays on one such list (_gf_at_rank),
+and x = z/D is put back once, for the printed function (_in_z).
 
 The Taylor coefficients C_p (spectrum_coefficients) are those of
 C = (F - G)/z, with F the series of the prefactor ladder and G = F times
 the series of the product ladder: truncated power series multiplied out
-factor by factor, one Python int per power of z at both ranks.  At the
-symbolic rank each int is the value at n = 2**W of a polynomial in n, with
-W wide enough (_width) that the polynomial is read back from its balanced
-base-2**W digits (Kronecker substitution).  They never expand the
-generating function, divide a series or take a gcd.
+factor by factor, one Python int per power of z at both ranks.  At an
+integer rank they run in x = z/D on the keys K themselves.  At the
+symbolic rank each int is the value at n = 2**W of a polynomial in n,
+with W wide enough (_width) that the polynomial is read back from its
+balanced base-2**W digits (Kronecker substitution).  They never expand
+the generating function, divide a series or take a gcd.
 exact_algebra.series_expand of generating_function is their test oracle.
 
 Convention notes, forced by cross-checking against the row product:
@@ -59,6 +65,7 @@ from negdim.exact_algebra import (
     Scalar,
     _coeff,
     _dense_div,
+    _dense_primitive,
     _madd,
     _trim,
     ratfunc_equal,
@@ -131,16 +138,19 @@ def group_spec(family: str) -> GroupSpec:
 # exponent, standing for prod (1 - z*m)**e.  Over Q(n) each factor has degree
 # 1 in z and constant term 1, so distinct values are distinct, non-associate
 # irreducibles: two ladders are the same function exactly when they are the
-# same map, and cancellation is adding exponents.
+# same map, and cancellation is adding exponents.  At an integer rank n the
+# key is the int K = 2n*m instead (_at_rank), with the same meaning.
 
 Key = Tuple[Scalar, Scalar, Scalar]
 Ladder = Dict[Key, int]
+# a ladder at an integer rank n, keyed by K = 2n*m
+RankLadder = Dict[int, int]
 
 
-def _mul(ladder: Ladder, key: Key, exp: int = 1) -> Ladder:
-    """ladder times (1 - z*m)**exp in place, m keyed by key; the value 0 is
-    the factor 1 and is dropped.  Returns ladder."""
-    if key != (0, 0, 0):
+def _mul(ladder, key, exp: int = 1):
+    """ladder times (1 - z*m)**exp in place, m keyed by key; the value 0,
+    keyed 0 or (0, 0, 0), is the factor 1 and is dropped.  Returns ladder."""
+    if key and key != (0, 0, 0):
         e = ladder.get(key, 0) + exp
         if e:
             ladder[key] = e
@@ -154,21 +164,14 @@ def _quotient(x: int, y: int) -> Scalar:
     return x // y if x % y == 0 else Fraction(x, y)
 
 
-def _ladder_at(ladder: Ladder, n: int) -> Ladder:
-    """The ladder with the rank set to the integer n, equal values merged."""
-    out: Ladder = {}
-    for (a, b, c), e in ladder.items():
-        m = b + c * n
-        _mul(out, (0, _coeff(m + Fraction(a, n) if a else m), 0), e)
-    return out
-
-
-def _scaled_at(ladder: Ladder, n: int) -> Ladder:
-    """_ladder_at keyed by n*m = a + b*n + c*n^2 in place of m: an int
-    wherever a, b and c are, as in every block ladder."""
-    out: Ladder = {}
-    for (a, b, c), e in ladder.items():
-        _mul(out, (0, a + (b + c * n) * n, 0), e)
+def _at_rank(ladder: Ladder, n: int) -> RankLadder:
+    """The ladder with the rank set to the integer n, keyed by
+    K = 2n*m = 2a + (2b + 2c*n)*n, equal values merged: an int for every
+    block and prefactor key, whose a, b and c are halves of ints."""
+    out: RankLadder = {}
+    for key, e in ladder.items():
+        a, b, c = _cleared(key, 2)
+        _mul(out, a + (b + c * n) * n, e)
     return out
 
 
@@ -260,6 +263,61 @@ def _expand(ladder: Ladder) -> RatFunc:
     return _ratfunc(*_rows(ladder))
 
 
+# -- expansion at an integer rank ----------------------------------------------
+#
+# At an integer rank n a ladder is keyed by K = D*m with D = 2n, and each
+# factor 1 - z*m is 1 - x*K in x = z/D: integer-primitive with constant
+# term 1, so distinct keys give distinct irreducibles.  A product of them is
+# one dense int list in x, lowest power first, multiplied in place factor by
+# factor, and x = z/D is put back once, for the printed function.
+
+
+def _line_times(line: List[int], K: int) -> None:
+    """line times 1 - x*K, in place."""
+    line.append(0)
+    for j in range(len(line) - 1, 0, -1):
+        line[j] -= K * line[j - 1]
+
+
+def _products(ladder: RankLadder) -> Tuple[List[int], List[int]]:
+    """(N, M): the products of (1 - x*K)**|e| over the keys with e > 0 and
+    with e < 0, coprime int lists in x with constant term 1."""
+    num, den = [1], [1]
+    for K, e in ladder.items():
+        line = num if e > 0 else den
+        for _ in range(abs(e)):
+            _line_times(line, K)
+    return num, den
+
+
+def _z_poly(coeffs: List[Scalar]) -> MultiPoly:
+    """The MultiPoly sum coeffs[j] * z**j."""
+    return MultiPoly._raw(("z",), {(j,): c for j, c in enumerate(coeffs) if c})
+
+
+def _in_z(num: List[int], den: List[int], D: int, shift: int = 0) -> RatFunc:
+    """The canonical RatFunc D**shift * num(x)/den(x) at x = z/D, for
+    coprime trimmed int lists num and den, num nonzero.
+
+    A list of degree d with coefficient j times D**(d - j) is D**d times
+    its value at z/D, an int list in z.  den's is made integer-primitive
+    with a positive leading coefficient, and its signed content and the
+    powers of D become num's scale."""
+    top, low = len(num) - 1, len(den) - 1
+    powers = [D ** k for k in range(max(top, low) + 1)]
+    content, den = _dense_primitive([x * powers[low - j] for j, x in enumerate(den)])
+    shift += low - top
+    p, q = (D ** shift, content) if shift >= 0 else (1, content * D ** -shift)
+    return RatFunc._raw(
+        _z_poly([_quotient(p * x * powers[top - j], q) for j, x in enumerate(num)]),
+        _z_poly(den))
+
+
+def _expand_at(ladder: RankLadder, n: int) -> RatFunc:
+    """The canonical RatFunc of a ladder at the integer rank n."""
+    return _in_z(*_products(ladder), 2 * n)
+
+
 @lru_cache(maxsize=None)
 def _first_multiplier(family: str) -> Ladder:
     # shared by every caller, which must copy it before changing it
@@ -291,13 +349,15 @@ def row_m_values(family: str, lam: Partition, n: int) -> List[Scalar]:
 @lru_cache(maxsize=None)
 def _row_origin(family: str, n: int, scale: int) -> Tuple[Scalar, Scalar, Scalar]:
     """scale times (c1*n + c0 + alpha, alpha, 2*alpha) at the rank n: the
-    base of the values before su's shift, l_0 and the mirror's offset."""
+    base of the values before su's shift, l_0 and the mirror's offset.
+    Each parameter is half an int, so they are worked out in ints, twice
+    over."""
     spec = FAMILIES[family]
-    a1, a0 = spec.alpha
-    c1, c0 = spec.shift
-    alpha = scale * (a1 * n + a0)
-    return (_coeff(scale * (c1 * n + c0) + alpha), _coeff(alpha),
-            _coeff(2 * alpha))
+    a1, a0, c1, c0 = (x.numerator * (2 // x.denominator)
+                      for x in (*spec.alpha, *spec.shift))
+    alpha = scale * (a1 * n + a0)  # twice scale*alpha
+    return (_quotient(scale * (c1 * n + c0) + alpha, 2), _quotient(alpha, 2),
+            alpha)
 
 
 def _check_rank(lam: Partition, n: int) -> None:
@@ -311,8 +371,8 @@ def _check_rank(lam: Partition, n: int) -> None:
 
 def _row_values(family: str, lam: Partition, n: int, scale: int) -> List[Scalar]:
     """scale * m_i for each value of row_m_values, in the same order.  With
-    scale = n su's shift t/n becomes the integer t, so every value of a
-    block family is an int."""
+    scale = 2n the half-integer alpha and su's shift t/n become ints, so
+    every value of every family is an int."""
     spec = group_spec(family)
     lam = check_partition(lam)
     _check_rank(lam, n)
@@ -331,19 +391,20 @@ def _row_values(family: str, lam: Partition, n: int, scale: int) -> List[Scalar]
     return values
 
 
-def _row_factors(family: str, lam: Partition, n: int, scale: int = 1) -> Ladder:
-    """The row ladder at rank n, keyed by scale*m; it telescopes on the
-    values m."""
-    ladder: Ladder = {}
-    for m in _row_values(family, lam, n, scale):
-        _mul(ladder, (0, m + scale, 0))
-        _mul(ladder, (0, m, 0), -1)
+def _row_factors(family: str, lam: Partition, n: int) -> RankLadder:
+    """The row ladder at rank n, keyed by K = 2n*m as _at_rank keys; it
+    telescopes on the values m."""
+    D = 2 * n
+    ladder: RankLadder = {}
+    for K in _row_values(family, lam, n, D):
+        _mul(ladder, K + D)
+        _mul(ladder, K, -1)
     return ladder
 
 
 def row_product(family: str, lam: Partition, n: int) -> RatFunc:
     """Product of (1 - z(m_i+1))/(1 - z m_i) over the full ladder at rank n."""
-    return _expand(_row_factors(family, lam, n))
+    return _expand_at(_row_factors(family, lam, n), n)
 
 
 def _block_factors(family: str, lam: Partition) -> Ladder:
@@ -486,28 +547,58 @@ def _gf_from_factors(fm: Ladder, pi: Ladder) -> RatFunc:
     return _ratfunc(_coeff(Fraction(p, q)), d, diff[1:], den)
 
 
-def _ladders(family: str, lam: Partition, mode: str,
-             n: Optional[int]) -> Tuple[Ladder, Ladder]:
+def _gf_at_rank(fm: RankLadder, pi: RankLadder, n: int) -> RatFunc:
+    """fm * (1 - pi) / z at the integer rank n, on flat int lists in x = z/D
+    with D = 2n, expanded in canonical form without a gcd.
+
+    With pi = N/M from _products, C = fm * (M - N) / (D*x*M), and M - N has
+    no constant term.  As in _gf_from_factors gcd(M - N, M) = 1, so fm's
+    numerator factors cancel against M by matching and its denominator
+    factors against M - N by trial division (_dense_div); fm's factors left
+    over multiply the two lists."""
+    num, den = _products(pi)
+    diff = den + [0] * (len(num) - len(den))
+    for j, x in enumerate(num):
+        diff[j] -= x
+    diff = _trim(diff)[1:]  # divided by x
+    if not diff:
+        return RatFunc.const(0)
+    for K, e in fm.items():
+        if e > 0:
+            for _ in range(min(e, -pi.get(K, 0))):
+                den, e = _dense_div(den, [1, -K]), e - 1
+                if den is None:
+                    raise ExactDivisionError("a cancelled factor must divide M")
+        else:
+            while e and (quot := _dense_div(diff, [1, -K])) is not None:
+                diff, e = quot, e + 1
+        for _ in range(abs(e)):
+            _line_times(diff if e > 0 else den, K)
+    return _in_z(diff, den, 2 * n, -1)
+
+
+def _ladders(family: str, lam: Partition, mode: str, n: Optional[int]):
     """(fm, pi): the prefactor and spectral-product ladders of a family,
-    with the rank set to n when one is given, after every argument check.
+    after every argument check: keyed by (a, b, c) at the symbolic rank,
+    and by K = 2n*m (_at_rank) when an integer rank n is given.
 
     mode "blocks" keeps the rank symbolic, or evaluates at n when one is
     given; mode "rows" needs an integer rank n >= #rows.
     """
     lam = check_partition(lam)
     if mode == "blocks":
-        pi, fm = _block_factors(family, lam), _first_multiplier(family)
+        pi = _block_factors(family, lam)
         if n is not None:
             _check_rank(lam, n)
-            pi, fm = _ladder_at(pi, n), _ladder_at(fm, n)
+            pi = _at_rank(pi, n)
     elif mode == "rows":
         if n is None:
             raise ValueError("rows mode needs an integer rank n")
         pi = _row_factors(family, lam, n)
-        fm = _ladder_at(_first_multiplier(family), n)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected blocks or rows)")
-    return fm, pi
+    fm = _first_multiplier(family)
+    return (fm, pi) if n is None else (_at_rank(fm, n), pi)
 
 
 def generating_function(family: str, lam: Partition, mode: str = "blocks",
@@ -520,7 +611,8 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
     """
     lam = check_partition(lam)
     fm, pi = _ladders(family, lam, mode, n)
-    return CasimirGF(family, lam, mode, n, _gf_from_factors(fm, pi))
+    gf = _gf_from_factors(fm, pi) if n is None else _gf_at_rank(fm, pi, n)
+    return CasimirGF(family, lam, mode, n, gf)
 
 
 def _denominator(*ladders: Ladder) -> int:
@@ -529,14 +621,15 @@ def _denominator(*ladders: Ladder) -> int:
                       for key in ladder for x in key))
 
 
-def _series(ladder: Ladder, s: List[int],
-            value: Callable[[Key], int]) -> List[int]:
+def _series(ladder, s: List[int],
+            value: Optional[Callable[[Key], int]] = None) -> List[int]:
     """The power series s_0..s_order in x, each s_k an int, times
-    prod (1 - x*v)**e over the ladder with v = value(key), truncated at
-    order = len(s) - 1; s is updated in place factor by factor."""
+    prod (1 - x*v)**e over the ladder with v = value(key), or v the key
+    itself when no value is given, truncated at order = len(s) - 1; s is
+    updated in place factor by factor."""
     order = len(s) - 1
     for key, e in ladder.items():
-        v = value(key)
+        v = value(key) if value else key
         if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
             v, steps = -v, range(order, 0, -1)
         else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
@@ -613,26 +706,32 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
 
     With F the series of fm and G = F times the series of pi, continued
     from a copy of F, C = fm*(1 - pi)/z = (F - G)/z, so
-    C_p = F_(p+1) - G_(p+1).  With d the common denominator of the keys,
-    the series run in x = z/(d*n), where every factor is 1 - x*v with
-    v = d*(a + b*n + c*n^2), so N_p, the coefficient of x^(p+1) in F - G,
-    is an integer polynomial in n and C_p = N_p / (d*n)^(p+1).  Every
-    series coefficient is one Python int: its value at n = X, with X the
-    rank at an integer rank, where C_p is that number, and X = 2**W at the
-    symbolic rank, with W from _width, where N_p is read back from its
-    balanced base-X digits (Kronecker substitution).  The only factor of
-    the denominator N_p can share is a power of n, so cancelling it gives
-    the canonical form: no gcd and no series division.
+    C_p = F_(p+1) - G_(p+1).  At an integer rank n the ladders are keyed
+    by K = D*m with D = 2n, the series run in x = z/D on the keys, and
+    C_p = N_p / D^(p+1) with N_p the int coefficient of x^(p+1) in F - G.
+    At the symbolic rank, with d the common denominator of the keys, the
+    series run in x = z/(d*n), where every factor is 1 - x*v with
+    v = d*(a + b*n + c*n^2), so N_p is an integer polynomial in n and
+    C_p = N_p / (d*n)^(p+1).  Every series coefficient is one Python int,
+    its value at n = X = 2**W, with W from _width, from which N_p is read
+    back as balanced base-X digits (Kronecker substitution).  The only
+    factor of the denominator N_p can share is a power of n, so cancelling
+    it gives the canonical form: no gcd and no series division.
     """
     fm, pi = _ladders(family, lam, mode, n)
     if order < 0:
         raise ValueError("series order must be nonnegative")
+    if n is not None:
+        f = _series(fm, [1] + [0] * (order + 1))
+        g = _series(pi, list(f))
+        coeffs, scale = [], 1
+        for p in range(order + 1):
+            scale *= 2 * n
+            coeffs.append(RatFunc.const(_quotient(f[p + 1] - g[p + 1], scale)))
+        return coeffs
     d = _denominator(fm, pi)
-    if n is None:
-        width = _width(d, order, fm, pi)
-        X = 1 << width
-    else:
-        X = n
+    width = _width(d, order, fm, pi)
+    X = 1 << width
 
     def value(key: Key) -> int:  # d*n*m at n = X
         a, b, c = _cleared(key, d)
@@ -642,15 +741,10 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
     g = _series(pi, list(f), value)
     coeffs = []
     for p in range(order + 1):
-        num = f[p + 1] - g[p + 1]  # N_p at n = X
-        scale = d ** (p + 1)
-        if n is not None:
-            coeffs.append(RatFunc.const(_quotient(num, scale * n ** (p + 1))))
-            continue
-        digits = _digits(num, width)
+        digits = _digits(f[p + 1] - g[p + 1], width)  # N_p at n = X
         # cancel the lowest power of n, at most the p+1 of the denominator
         low = min(next((k for k, x in enumerate(digits) if x), p + 1), p + 1)
-        coeffs.append(RatFunc._raw(_in_n(digits[low:], scale),
+        coeffs.append(RatFunc._raw(_in_n(digits[low:], d ** (p + 1)),
                                    _in_n([0] * (p + 1 - low) + [1])))
     return coeffs
 
@@ -749,19 +843,20 @@ def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
     """Block product specialized at several integer ranks against row
     products, compared as ladders: equal maps exactly when equal functions.
-    Both ladders are keyed by n*m, an int for every block family."""
+    Both ladders are keyed by K = 2n*m (_at_rank), an int for every
+    family."""
     lam = check_partition(lam)
     blocks = _block_factors(family, lam)
     bad = []
     witness = ""
     for n in ranks:
-        specialized = _scaled_at(blocks, n)
-        rows = _row_factors(family, lam, n, n)
+        specialized = _at_rank(blocks, n)
+        rows = _row_factors(family, lam, n)
         if specialized != rows:
             if not bad:
-                key = _first_difference(specialized, rows)
-                m = _coeff(Fraction(key[1], n))
-                witness = (f"; at n={n}, m={m} has exponent "
+                key = min(k for k in specialized.keys() | rows.keys()
+                          if specialized.get(k) != rows.get(k))
+                witness = (f"; at n={n}, m={_quotient(key, 2 * n)} has exponent "
                            f"{specialized.get(key, 0)} in blocks and "
                            f"{rows.get(key, 0)} in rows")
             bad.append(n)

@@ -401,8 +401,9 @@ def _trim(a: list) -> list:
 
 def _madd(out: list, a: list, b: list) -> None:
     """out += a*b in place; out grows to hold the product."""
-    # one flat step, as every step of the Jack solve at a number and of a
-    # Casimir generating function's rows at an integer rank
+    # one flat step, as every step of the Jack solve at a number; a Casimir
+    # generating function comes here only at the symbolic rank, with rows
+    # in n, and runs at an integer rank on one list in x without this
     if len(a) == 1 == len(b):
         if out:
             out[0] += a[0] * b[0]

@@ -251,9 +251,12 @@ def _affine(s: SpaceSpec, name: str, f: RatFunc) -> Tuple[Fraction, ...]:
 def _rational(s: SpaceSpec):
     """Row s read once into rationals: the coefficient tuples of its
     reference and derived fields (k, p, q, N), and its reference (k, p, q)
-    where no size symbol enters it, else None."""
-    ref, der = (tuple(_affine(s, name, f) for name, f in zip("kpqN", x))
-                for x in (_reference(s), _derived(s)))
+    where no size symbol enters it, else None.  N is read once: both
+    triples carry the row's rank symbol (_rank_symbol)."""
+    derived = _derived(s)
+    rank = (_affine(s, "N", derived.n),)
+    ref, der = (tuple(_affine(s, name, f) for name, f in zip("kpq", x)) + rank
+                for x in (_reference(s), derived))
     free = any(any(f[1:]) for f in ref[:3])
     return ref, der, None if free else tuple(f[0] for f in ref[:3])
 

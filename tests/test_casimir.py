@@ -377,7 +377,7 @@ def test_products_at_integer_ranks_match_generic_normal_form(family):
         for n in range(start, start + 5):
             assert row_product(family, lam, n) == _oracle_rows(family, lam, n)
             product = casimir._ladders(family, lam, "blocks", n)[1]
-            assert casimir._expand(product) == _at(symbolic, n)
+            assert casimir._expand_at(product, n) == _at(symbolic, n)
 
 
 def test_first_multiplier_matches_generic_normal_form():
@@ -395,13 +395,42 @@ def test_generating_function_matches_generic_normal_form(family):
         assert generating_function(family, lam, n=n).gf == _oracle_gf(_at(fm, n), _at(pi, n))
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_rows_mode_generating_function_matches_generic_normal_form(family):
+def _rows_mode_mismatches(family):
+    """The (lam, n) where the rows-mode generating function differs from
+    the gcd-based normal form of the prefactor and the row product built
+    from row_m_values, or fails to build."""
+    bad = []
     for lam in SMALL:
         for n in (max(len(lam), 1), len(lam) + 1, len(lam) + 3):
             expected = _oracle_gf(_at(_oracle_first_multiplier(family), n),
                                   _oracle_rows(family, lam, n))
-            assert generating_function(family, lam, mode="rows", n=n).gf == expected
+            try:
+                got = generating_function(family, lam, mode="rows", n=n).gf
+            except (ArithmeticError, TypeError) as error:
+                got = error
+            if got != expected:
+                bad.append((lam, n))
+    return bad
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rows_mode_generating_function_matches_generic_normal_form(family):
+    assert _rows_mode_mismatches(family) == []
+
+
+def test_rows_mode_comparison_catches_a_wrong_scale(monkeypatch):
+    # b's row values keyed by n*m in place of 2n*m: at an even rank every
+    # key is still an int but the function is wrong, and at an odd one
+    # the zero index keys n*(n - 1/2), which is not
+    real = casimir._row_values
+
+    def halved(family, lam, n, scale):
+        return real(family, lam, n, n if family == "b" and scale == 2 * n else scale)
+
+    monkeypatch.setattr(casimir, "_row_values", halved)
+    missed = _rows_mode_mismatches("b")
+    assert {n % 2 for _, n in missed} == {0, 1}
+    assert _rows_mode_mismatches("c") == []
 
 
 def test_unit_first_multiplier_needs_no_normal_form(monkeypatch):
@@ -454,16 +483,20 @@ def _coefficient_mismatches(max_order=5):
 
 
 def test_ladder_keys_are_canonical():
-    # a Scalar is an int when integral, in every key the queries build
+    # a Scalar is an int when integral, in every symbolic key the queries
+    # build, and every key at an integer rank is a plain int
     def canonical(x):
         return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
     ladders = [casimir._first_multiplier(family) for family in FAMILIES]
-    ladders += [casimir._ladders(family, lam, mode, n)[i]
-                for family, lam, mode, n in _coefficient_cases()
-                for i in (0, 1)]
+    at_rank = []
+    for family, lam, mode, n in _coefficient_cases():
+        for ladder in casimir._ladders(family, lam, mode, n):
+            (ladders if n is None else at_rank).append(ladder)
     assert [key for ladder in ladders for key in ladder
             if not all(map(canonical, key))] == []
+    assert {family for family, _, _, n in _coefficient_cases() if n} == set(FAMILIES)
+    assert [key for ladder in at_rank for key in ladder if type(key) is not int] == []
 
 
 def test_coefficients_match_series_expansion():
@@ -472,16 +505,28 @@ def test_coefficients_match_series_expansion():
     assert _coefficient_mismatches() == []
 
 
+def _negated_b(key):
+    """(a, -b, c) for a symbolic key; an integer-rank key K = 2n*m has no
+    b of its own, so the whole value is negated."""
+    if type(key) is int:
+        return -key
+    a, b, c = key
+    return a, -b, c
+
+
 @pytest.mark.parametrize("mutate", [
     lambda ladder: {k: (-e if i == 0 else e)
                     for i, (k, e) in enumerate(ladder.items())},
-    lambda ladder: {(a, -b, c): e for (a, b, c), e in ladder.items()},
+    lambda ladder: {_negated_b(k): e for k, e in ladder.items()},
 ], ids=["flipped-exponent", "negated-b"])
 def test_coefficient_comparison_catches_a_wrong_ladder(monkeypatch, mutate):
+    # the ladders reach _series keyed by (a, b, c) at the symbolic rank and
+    # by an int at an integer rank; both kinds of case must miss
     real = casimir._series
     monkeypatch.setattr(casimir, "_series", lambda ladder, *args:
                         real(mutate(ladder), *args))
-    assert _coefficient_mismatches(max_order=2)
+    missed = _coefficient_mismatches(max_order=2)
+    assert {n is None for _, _, _, n, _ in missed} == {True, False}
 
 
 def test_symbolic_coefficients_match_series_expansion_at_large_widths():
@@ -549,25 +594,31 @@ def test_negative_order_is_rejected():
 # -- ladders: the rows-against-blocks comparison ------------------------------
 
 
+def _values(ladder, n):
+    """An integer-rank ladder keyed by the values m = K/(2n)."""
+    return {Fraction(K, 2 * n): e for K, e in ladder.items()}
+
+
 def test_ladder_comparison_agrees_with_expanded_route():
     # every rank check of verify_consistency(6), and each block ladder
-    # against the rows of the next rank, a different function
+    # against the rows of the next rank, a different function, compared
+    # on the values since the two ranks key by different scales
     for family in BLOCK_FAMILIES:
         for lam in partitions_up_to_weight(6):
             ladder = casimir._block_factors(family, lam)
             blocks = block_product(family, lam)
             start = max(len(lam), 1)
             for n in range(start, start + 5):
-                at_n = casimir._ladder_at(ladder, n)
+                at_n = _values(casimir._at_rank(ladder, n), n)
                 expanded = _at(blocks, n)
                 for r in (n, n + 1):
-                    same = at_n == casimir._row_factors(family, lam, r)
+                    same = at_n == _values(casimir._row_factors(family, lam, r), r)
                     assert same == ratfunc_equal(expanded, row_product(family, lam, r))
                     assert same == (r == n)
 
 
 def test_rows_vs_blocks_reports_first_differing_value(monkeypatch):
-    # the check keys both ladders by n*m, so the shift is scaled with them
+    # the check keys both ladders by 2n*m, so the shift is scaled with them
     real = casimir._row_values
 
     def shifted(family, lam, n, scale):
@@ -772,7 +823,8 @@ def _oracle_ladder(ladder, n=None):
 def _expansion_cases():
     """(label, ladder, normal form): every block ladder to weight 6, every
     rectangle to 6x6 plain and mirrored, every first multiplier and the
-    planted ladders, symbolically and through _ladder_at at n = 1..6."""
+    planted ladders, symbolically, and at n = 1..6 through _at_rank for
+    those whose keys are halves of ints, as _at_rank takes them."""
     ladders = [(f"planted {ladder}", ladder) for ladder in PLANTED]
     ladders += [(f"fm {family}", casimir._first_multiplier(family))
                 for family in FAMILIES]
@@ -780,9 +832,10 @@ def _expansion_cases():
         ladders += [(f"{family} {lam}", casimir._block_factors(family, lam))
                     for lam in partitions_up_to_weight(6)]
     cases = [(label, ladder, _oracle_ladder(ladder)) for label, ladder in ladders]
-    cases += [(f"{label} at n={n}", casimir._ladder_at(ladder, n),
+    cases += [(f"{label} at n={n}", (casimir._at_rank(ladder, n), n),
                _oracle_ladder(ladder, n))
-              for label, ladder in ladders for n in range(1, 7)]
+              for label, ladder in ladders for n in range(1, 7)
+              if casimir._denominator(ladder) <= 2]
     for family in BLOCK_FAMILIES:
         for p in range(1, 7):
             for q in range(1, 7):
@@ -796,7 +849,8 @@ def _expansion_cases():
 
 def _expansion_mismatches():
     return [label for label, ladder, expected in _expansion_cases()
-            if casimir._expand(ladder) != expected]
+            if (casimir._expand_at(*ladder) if type(ladder) is tuple
+                else casimir._expand(ladder)) != expected]
 
 
 def test_expansion_matches_gcd_normal_form():
@@ -821,22 +875,40 @@ def test_expansion_comparison_catches_a_flipped_sign_rule(monkeypatch):
     assert "planted {(-3, 0, 0): 1}" not in missed
 
 
-def test_integer_rank_ladders_are_keyed_by_n_times_m():
-    # rows against blocks keys both ladders by n*m, an int for every block
-    # family, and agrees with the ladders keyed by m
-    def scaled(ladder, n):
-        return {(a, b * n, c): e for (a, b, c), e in ladder.items()}
+def _keyed_by_2n_m(factors, n):
+    """prod (1 - z*m)**e over (m, e) in factors, keyed by 2n*m in Fractions
+    with equal values merged and the value 0 dropped."""
+    out = {}
+    for m, e in factors:
+        key = 2 * n * Fraction(m)
+        out[key] = out.get(key, 0) + e
+    return {key: e for key, e in out.items() if e and key}
 
-    for family in BLOCK_FAMILIES:
+
+def test_integer_rank_ladders_are_keyed_by_2n_times_m():
+    # every ladder at an integer rank, rows, blocks and prefactor, is keyed
+    # by the plain int 2n*m, for all five families: the rows over
+    # row_m_values, the blocks and the prefactor at the value of each key
+    def at(ladder, n):
+        return _keyed_by_2n_m(((Fraction(a, n) + b + c * n, e)
+                               for (a, b, c), e in ladder.items()), n)
+
+    for family in sorted(FAMILIES):
         for lam in partitions_up_to_weight(6):
-            blocks = casimir._block_factors(family, lam)
             start = max(len(lam), 1)
             for n in range(start, start + 5):
-                at_n = casimir._scaled_at(blocks, n)
-                rows = casimir._row_factors(family, lam, n, n)
-                assert at_n == scaled(casimir._ladder_at(blocks, n), n)
-                assert rows == scaled(casimir._row_factors(family, lam, n), n)
-                assert all(type(b) is int for _, b, _ in at_n | rows)
+                ms = row_m_values(family, lam, n)
+                rows = casimir._ladders(family, lam, "rows", n)
+                assert rows[1] == _keyed_by_2n_m(
+                    [(m + 1, 1) for m in ms] + [(m, -1) for m in ms], n)
+                assert rows[0] == at(casimir._first_multiplier(family), n)
+                ladders = [*rows]
+                if family in BLOCK_FAMILIES:
+                    blocks = casimir._ladders(family, lam, "blocks", n)
+                    assert blocks[1] == at(casimir._block_factors(family, lam), n)
+                    assert blocks[0] == rows[0]
+                    ladders += blocks
+                assert all(type(K) is int for ladder in ladders for K in ladder)
 
 
 def test_rows_vs_blocks_renders_a_fractional_value(monkeypatch):

@@ -136,17 +136,18 @@ def test_factored_form_cancels_by_exponents():
     expected = ((ONE - Z * (2 + N - 3 / N)) * (ONE - Z / 2)
                 / (ONE - 2 * Z) ** 2)                # gcd-based normal form
     assert casimir._expand(ladder) == expected
-    # at n = 2 the su value is 5/2; at n = 3 it is 4 and merges with 1 + n
+    # at n = 2 the su value is 5/2; at n = 3 it is 4 and merges with 1 + n;
+    # at a rank a ladder is keyed by 2n*m
     for n in (2, 3):
-        assert casimir._expand(casimir._ladder_at(ladder, n)) == _at(expected, n)
-    assert casimir._ladder_at({(-3, 2, 1): 1, (0, 1, 1): -1}, 3) == {}
+        assert casimir._expand_at(casimir._at_rank(ladder, n), n) == _at(expected, n)
+    assert casimir._at_rank({(-3, 2, 1): 1, (0, 1, 1): -1}, 3) == {}
     # equal values cancel by exponents
     casimir._mul(ladder, (0, 2, 0), 2)
     assert ladder == {(-3, 2, 1): 1, (0, Fraction(1, 2), 0): 1}
     assert casimir._mul(ladder, (-3, 2, 1), -1) == {(0, Fraction(1, 2), 0): 1}
     # the value 0 is the factor 1 and is dropped, also when a rank makes it 0
     assert casimir._mul({}, (0, 0, 0)) == {}
-    assert casimir._ladder_at({(0, -3, 1): 1, (-6, 1, 0): -1}, 3) == {(0, -1, 0): -1}
+    assert casimir._at_rank({(0, -3, 1): 1, (-6, 1, 0): -1}, 3) == {-6: -1}
     assert casimir._expand({}) == ONE
 
 

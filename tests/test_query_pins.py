@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from negdim import casimir, cli, exact_algebra, spaces
-from negdim.exact_algebra import MultiPoly
+from negdim.exact_algebra import MultiPoly, RatFunc
 
 PINS = Path(__file__).resolve().parents[1] / "negbench" / "pins.json"
 FORMS = ("casimir coeffs ", "spaces dual ", "jack compute ", "casimir gf ", "dims poly ")
@@ -75,16 +75,22 @@ def test_pinned_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
 
 
 def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
-    # the spectral product is never built as a RatFunc: the one _ratfunc
-    # call of a `casimir gf` key is the printed generating function
+    # the spectral product is never built as a RatFunc: at both ranks the
+    # one RatFunc a `casimir gf` key builds is the printed generating
+    # function, through RatFunc._raw (rows in n) or RatFunc.__init__
     calls = []
-    real = casimir._ratfunc
+    raw, init = RatFunc._raw.__func__, RatFunc.__init__
 
-    def counted(*args):
+    def counted_raw(cls, *args):
         calls.append(args)
-        return real(*args)
+        return raw(cls, *args)
 
-    monkeypatch.setattr(casimir, "_ratfunc", counted)
+    def counted_init(self, *args, **kwargs):
+        calls.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(RatFunc, "__init__", counted_init)
     keys = [key for key in sorted(pinned) if key.startswith("casimir gf ")]
     assert len(keys) == 102
     made = {}
@@ -93,6 +99,24 @@ def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
         assert _digest(key.split()) == (0, pinned[key])
         made[key] = len(calls)
     assert made == dict.fromkeys(keys, 1)
+
+
+def test_integer_rank_casimir_keys_use_no_rows(pinned, monkeypatch):
+    # at an integer rank the ladders are keyed by ints and the generating
+    # function and coefficients run on flat int lists in x = z/(2n): every
+    # pinned `casimir gf ... --n` and `casimir coeffs ... --mode rows` key
+    # reproduces with the symbolic rank's rows machinery refused
+    def refuse(*args):
+        raise AssertionError("rows in n at an integer rank")
+
+    for name in ("_rows", "_times", "_divide", "_linear"):
+        monkeypatch.setattr(casimir, name, refuse)
+    keys = [key for key in sorted(pinned)
+            if key.startswith("casimir gf ") and " --n " in key
+            or key.startswith("casimir coeffs ") and "--mode rows" in key]
+    assert {key.split()[1] for key in keys} == {"gf", "coeffs"}
+    drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
+    assert drifted == []
 
 
 def test_casimir_coeffs_use_no_dense_lists(pinned, monkeypatch):
