@@ -16,30 +16,25 @@ unitary series is fixed by that involution.
 
 Every factor of both products and of the prefactor is 1 - z*m; a ladder
 (below) maps each value m to its exponent, and every check is decided on
-ladders.  The data format follows the rank.  At the symbolic rank a
-ladder expands into its canonical RatFunc straight from its keys, on rows
-of dense int lists in n with no gcd (see _expand), and builds one
-MultiPoly per side at the end; each key's linear form is computed once
-(_linear).  C = prefactor * (1 - product) / z stays on those rows too,
-starting from the product's rows: one subtraction, a trial division by
-the prefactor's denominator factor, the product's denominator divided by
-what the prefactor cancels, and one MultiPoly per side of C alone (see
-_gf_from_factors).  At an integer rank n every value times D = 2n is an
-int, so a ladder there is keyed by that int K (_at_rank, _row_factors)
-and each factor 1 - z*m is 1 - x*K in x = z/D: the products are flat int
-lists in x with constant term 1, C stays on one such list (_gf_at_rank),
-and x = z/D is put back once, for the printed function (_in_z).
+ladders.  Both ranks run on one engine of flat int lists (see the
+expansion section).  Each factor is 1 - x*v in x = z/D, with v = D*m an
+int: at an integer rank n, D = 2n and v the key K = 2n*m (_at_rank,
+_row_factors); at the symbolic rank, D = d*n with d the keys' common
+denominator, and v = d*(a + b*n + c*n^2) is taken at n = 2**W, with W
+wide enough (_width) that every polynomial in n the engine meets is read
+back from its balanced base-2**W digits (Kronecker substitution).  A
+ladder's product is then a flat int list in x with constant term 1
+(_expand), C = prefactor * (1 - product) / z stays on one such list, with
+a trial division from the low end and no gcd (_gf), and x = z/D is put
+back once, for the printed function (_in_z).
 
 The Taylor coefficients C_p (spectrum_coefficients) are those of
 C = (F - G)/z, with F the series of the prefactor ladder and G = F times
 the series of the product ladder: truncated power series multiplied out
-factor by factor, one Python int per power of z at both ranks.  At an
-integer rank they run in x = z/D on the keys K themselves.  At the
-symbolic rank each int is the value at n = 2**W of a polynomial in n,
-with W wide enough (_width) that the polynomial is read back from its
-balanced base-2**W digits (Kronecker substitution).  They never expand
-the generating function, divide a series or take a gcd.
-exact_algebra.series_expand of generating_function is their test oracle.
+factor by factor on the same int keys, one Python int per power of x at
+both ranks.  They never expand the generating function, divide a series
+or take a gcd.  exact_algebra.series_expand of generating_function is
+their test oracle.
 
 Convention notes, forced by cross-checking against the row product:
 
@@ -56,7 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from negdim.exact_algebra import (
     ExactDivisionError,
@@ -64,9 +59,7 @@ from negdim.exact_algebra import (
     RatFunc,
     Scalar,
     _coeff,
-    _dense_div,
-    _dense_primitive,
-    _madd,
+    _grlex,
     _trim,
     ratfunc_equal,
 )
@@ -143,7 +136,8 @@ def group_spec(family: str) -> GroupSpec:
 
 Key = Tuple[Scalar, Scalar, Scalar]
 Ladder = Dict[Key, int]
-# a ladder at an integer rank n, keyed by K = 2n*m
+# a ladder keyed by ints: K = 2n*m at an integer rank n, or the value at
+# n = 2**W of d*n*m at the symbolic rank (_keyed)
 RankLadder = Dict[int, int]
 
 
@@ -164,6 +158,13 @@ def _quotient(x: int, y: int) -> Scalar:
     return x // y if x % y == 0 else Fraction(x, y)
 
 
+def _cleared(key: Key, d: int) -> Tuple[int, int, int]:
+    """d*(a, b, c) as ints, for d a common denominator of the key."""
+    a, b, c = key
+    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
+            c.numerator * (d // c.denominator))
+
+
 def _at_rank(ladder: Ladder, n: int) -> RankLadder:
     """The ladder with the rank set to the integer n, keyed by
     K = 2n*m = 2a + (2b + 2c*n)*n, equal values merged: an int for every
@@ -177,145 +178,178 @@ def _at_rank(ladder: Ladder, n: int) -> RankLadder:
 
 # -- expansion ----------------------------------------------------------------
 #
-# Each factor is 1 - z*m = s * (alpha*n**i + z*B(n)) / n**i, with i = 1 when
-# a != 0 and 0 otherwise, s rational, alpha an integer and B a dense integer
-# list in n, lowest degree first.  alpha*n**i + z*B is 1 - z*(b + c*n), or
-# n - z*(a + b*n + c*n^2), made integer-primitive with a positive leading
-# coefficient in grlex order.  It is linear in z with coprime coefficients
-# in Z[n], so irreducible; distinct values give distinct ones, none of them
-# n.  A product of them is held as rows by power of z, each row a dense int
-# list in n, and each factor multiplies the rows in place.  The product of
-# the e > 0 factors is coprime to that of the others, which is
-# integer-primitive with positive leading coefficient (Gauss's lemma): the
-# canonical form.
-
-Rows = List[List[int]]
-
-
-@lru_cache(maxsize=None)
-def _linear(key: Key) -> Tuple[int, int, int, int, Tuple[int, ...]]:
-    """(u, v, i, alpha, B) with 1 - z*m = (u/v) * (alpha*n**i + z*B) / n**i."""
-    a, b, c = key
-    i = 1 if a else 0
-    B = [-a, -b, -c] if a else [-b, -c]
-    while B and not B[-1]:
-        B.pop()
-    u = v = 1
-    if any(type(x) is not int for x in B):
-        for x in B:
-            v = math.lcm(v, x.denominator)
-        B = [x.numerator * (v // x.denominator) for x in B]
-        u = math.gcd(v, *B)
-        B = [x // u for x in B]
-    # alpha*n**i has total degree i and z*n**j degree j + 1; on a tie grlex
-    # leads with the higher power of n, so alpha leads when i >= len(B)
-    if i < len(B) and B[-1] < 0:
-        return -u, v, i, -v // u, tuple(-x for x in B)
-    return u, v, i, v // u, tuple(B)
+# One engine serves both ranks.  Each factor 1 - z*m is 1 - x*v in x = z/D
+# with v = D*m: at an integer rank n, D = 2n and v is the int K = 2n*m; at
+# the symbolic rank, D = d*n with d the keys' common denominator, and
+# v = d*(a + b*n + c*n^2) in Z[n] is taken at n = 2**W (_keyed).  Each factor
+# is integer-primitive with constant term 1, and distinct keys give distinct
+# irreducibles.  A product of them is one int list in x, lowest power first,
+# multiplied in place factor by factor (_line_times) and divided by a factor
+# from the low end with no integer division (_line_over).  At the symbolic
+# rank every entry is the value at 2**W of an integer polynomial in n with
+# coefficients inside the digit range (_width): an entry is 0 exactly when
+# its polynomial is, and the polynomial is read back from the entry's
+# balanced digits (_digits).  x = z/D is put back once, for the printed
+# function (_in_z).
 
 
-def _times(rows: Rows, i: int, alpha: int, B: Tuple[int, ...]) -> None:
-    """rows times alpha*n**i + z*B(n), in place."""
-    rows.append([])
-    for j in range(len(rows) - 1, -1, -1):
-        out = [0] * i + [alpha * x for x in rows[j]]
-        if j:
-            _madd(out, B, rows[j - 1])
-        rows[j] = out
+def _width(order: Optional[int], *ladders) -> int:
+    """A digit width W such that every integer coefficient, in n, of the
+    x-coefficients [x^k], k <= order + 1, of a product of at most E factors
+    (1 - x*v)**(+-1) of the ladders, or of a difference of two such, lies
+    strictly inside (-2**(W-1), 2**(W-1)), so it is read back from its
+    value at n = 2**W by its balanced digits (_digits).  The ladders are
+    keyed by (A, B, C) = d*(a, b, c), d the keys' common denominator, and
+    E is the sum of |e| over them; order None is E.
+
+    Each factor value is v(n) = A + B*n + C*n^2.  Replacing every
+    coefficient of every v by its absolute value majorizes coefficientwise
+    in x and n: 1 - x*v by 1 + x*|v|, itself majorized by (1 - x*|v|)**-1,
+    and (1 - x*v)**-1 by (1 - x*|v|)**-1.  A polynomial with nonnegative
+    coefficients bounds each of them by its value at n = 1, and
+    |v|(1) = |A| + |B| + |C| <= U, the largest over the keys.  So every
+    n-coefficient of [x^k] of such a product is at most
+    [x^k] (1 - x*U)**-E = C(E+k-1, k) * U^k, which does not decrease with
+    k, and of a difference of two at most 2 * C(E+order, order+1) *
+    U^(order+1) for k <= order + 1.  That covers the numerators N_p of
+    spectrum_coefficients and, with E as the order, every entry _gf and
+    _expand compute: each is [x^k], k <= E, of N, M or (M - N)/x, times
+    and over factors of the prefactor, a trial quotient and its remainder
+    included.  W >= 2, the narrowest base with a balanced digit for 1.
+    """
+    E = sum(abs(e) for ladder in ladders for e in ladder.values())
+    U = max((abs(a) + abs(b) + abs(c) for ladder in ladders for a, b, c in ladder),
+            default=0)
+    order = E if order is None else order
+    bound = 2 * math.comb(E + order, order + 1) * U ** (order + 1)
+    return max(bound.bit_length() + 1, 2)
 
 
-def _rows(ladder: Ladder) -> Tuple[Scalar, int, Rows, Rows]:
-    """(s, d, num, den) with the ladder's product s * n**d * num/den, num
-    and den the products of the primitive alpha*n**i + z*B over the keys
-    with e > 0 and e < 0."""
-    p = q = 1
-    d = 0
-    num: Rows = [[1]]
-    den: Rows = [[1]]
-    for key, e in ladder.items():
-        u, v, i, alpha, B = _linear(key)
-        if e > 0:
-            p, q, rows = p * u ** e, q * v ** e, num
-        else:
-            p, q, rows = p * v ** -e, q * u ** -e, den
-        d -= i * e
-        for _ in range(abs(e)):
-            _times(rows, i, alpha, B)
-    return _quotient(p, q), d, num, den
+def _digits(value: int, width: int) -> List[int]:
+    """The balanced base-2**width digits of value, lowest first: value =
+    sum digits[i] * 2**(width*i), each digit in [-2**(width-1), 2**(width-1)),
+    the last one nonzero; [] for 0.  width >= 2: in base 2 the digits
+    -1 and 0 reach no positive value."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    digits = []
+    while value:
+        r = ((value + half) & mask) - half
+        digits.append(r)
+        value = (value - r) >> width
+    return digits
 
 
-def _poly(rows: Rows, shift: int = 0) -> MultiPoly:
-    """The MultiPoly n**shift * sum_j rows[j] * z**j."""
-    terms = {(k, j): x for j, row in enumerate(rows)
-             for k, x in enumerate(row, shift) if x}
-    return MultiPoly._raw(("n", "z"), terms)
+def _keyed(n: Optional[int], *ladders, order: Optional[int] = None):
+    """(ladders, scale, width): the ladders keyed by ints, and x = z/D as
+    _in_z puts it back.  At an integer rank n the ladders come keyed by
+    K = 2n*m already, D = scale = 2n and width is 0.  At the symbolic rank
+    each key (a, b, c) becomes d*n*m = A + (B + C*n)*n at n = 2**width,
+    with (A, B, C) = d*(a, b, c) and d the keys' common denominator, so
+    D = d*n and scale = d; the width is _width's at the order."""
+    if n is not None:
+        return ladders, 2 * n, 0
+    d = math.lcm(*(x.denominator for ladder in ladders for key in ladder
+                   for x in key))
+    if d > 1:  # keys are canonical: with d = 1 they are ints already
+        ladders = [{_cleared(key, d): e for key, e in ladder.items()}
+                   for ladder in ladders]
+    width = _width(order, *ladders)
+    X = 1 << width
+    return ([{a + (b + c * X) * X: e for (a, b, c), e in ladder.items()}
+             for ladder in ladders], d, width)
 
 
-def _ratfunc(s: Scalar, d: int, num: Rows, den: Rows) -> RatFunc:
-    """The canonical RatFunc s * n**d * num/den, from the rows of coprime
-    num and den, den integer-primitive with positive leading coefficient."""
-    return RatFunc._raw(_poly(num, max(d, 0))._scaled(s),
-                        _poly(den, max(-d, 0)))
-
-
-def _expand(ladder: Ladder) -> RatFunc:
-    """The canonical RatFunc of a ladder."""
-    return _ratfunc(*_rows(ladder))
-
-
-# -- expansion at an integer rank ----------------------------------------------
-#
-# At an integer rank n a ladder is keyed by K = D*m with D = 2n, and each
-# factor 1 - z*m is 1 - x*K in x = z/D: integer-primitive with constant
-# term 1, so distinct keys give distinct irreducibles.  A product of them is
-# one dense int list in x, lowest power first, multiplied in place factor by
-# factor, and x = z/D is put back once, for the printed function.
-
-
-def _line_times(line: List[int], K: int) -> None:
-    """line times 1 - x*K, in place."""
+def _line_times(line: List[int], v: int) -> None:
+    """line times 1 - x*v, in place."""
     line.append(0)
     for j in range(len(line) - 1, 0, -1):
-        line[j] -= K * line[j - 1]
+        line[j] -= v * line[j - 1]
+
+
+def _line_over(line: List[int], v: int) -> Optional[List[int]]:
+    """line / (1 - x*v) for a trimmed nonzero line, from the low end:
+    q_k = p_k + v*q_(k-1); None when the remainder p_top + v*q_(top-1) is
+    not 0.  The factor has constant term 1, so no step divides."""
+    quot = [0]
+    for x in line[:-1]:
+        quot.append(x + v * quot[-1])
+    return quot[1:] if line[-1] + v * quot[-1] == 0 else None
 
 
 def _products(ladder: RankLadder) -> Tuple[List[int], List[int]]:
-    """(N, M): the products of (1 - x*K)**|e| over the keys with e > 0 and
-    with e < 0, coprime int lists in x with constant term 1."""
+    """(N, M): the products of (1 - x*v)**|e| over the keys v with e > 0
+    and with e < 0, coprime int lists in x with constant term 1."""
     num, den = [1], [1]
-    for K, e in ladder.items():
+    for v, e in ladder.items():
         line = num if e > 0 else den
         for _ in range(abs(e)):
-            _line_times(line, K)
+            _line_times(line, v)
     return num, den
 
 
-def _z_poly(coeffs: List[Scalar]) -> MultiPoly:
-    """The MultiPoly sum coeffs[j] * z**j."""
-    return MultiPoly._raw(("z",), {(j,): c for j, c in enumerate(coeffs) if c})
+def _lowest_n_power(line: List[int], width: int) -> int:
+    """The lowest power of n in D**t * line(z/D), for a line of degree t at
+    the symbolic rank: entry j brings n**(t - j) times its polynomial,
+    whose digits start at the entry's lowest set bit over the width, each
+    digit being under 2**(width-1) in size."""
+    t = len(line) - 1
+    return min(t - j + ((x & -x).bit_length() - 1) // width
+               for j, x in enumerate(line) if x)
 
 
-def _in_z(num: List[int], den: List[int], D: int, shift: int = 0) -> RatFunc:
+def _z_terms(line: List[int], scale: int, width: int, offset: int) -> dict:
+    """The terms of D**t * line(z/D) for a line of degree t, entry j times
+    scale**(t - j): keyed (j,) by the power of z at an integer rank, and
+    (k, j) with n**(t - j) at the symbolic rank, times n**offset."""
+    t = len(line) - 1
+    if not width:
+        return {(j,): x * scale ** (t - j) for j, x in enumerate(line) if x}
+    terms = {}
+    for j, x in enumerate(line):
+        power = scale ** (t - j)
+        for k, c in enumerate(_digits(x, width), offset + t - j):
+            if c:
+                terms[k, j] = c * power
+    return terms
+
+
+def _in_z(num: List[int], den: List[int], scale: int, width: int,
+          shift: int = 0) -> RatFunc:
     """The canonical RatFunc D**shift * num(x)/den(x) at x = z/D, for
-    coprime trimmed int lists num and den, num nonzero.
+    trimmed int lists num and den coprime over Q(n), num nonzero, with D,
+    scale and width as _keyed gives them: D = scale = 2n at an integer
+    rank (width 0), and D = scale*n at the symbolic rank, where each entry
+    is the value at n = 2**width of a polynomial in n, read back from its
+    balanced digits.
 
-    A list of degree d with coefficient j times D**(d - j) is D**d times
-    its value at z/D, an int list in z.  den's is made integer-primitive
-    with a positive leading coefficient, and its signed content and the
-    powers of D become num's scale."""
-    top, low = len(num) - 1, len(den) - 1
-    powers = [D ** k for k in range(max(top, low) + 1)]
-    content, den = _dense_primitive([x * powers[low - j] for j, x in enumerate(den)])
-    shift += low - top
-    p, q = (D ** shift, content) if shift >= 0 else (1, content * D ** -shift)
-    return RatFunc._raw(
-        _z_poly([_quotient(p * x * powers[top - j], q) for j, x in enumerate(num)]),
-        _z_poly(den))
+    A list of degree t with entry j times D**(t - j) is D**t times its
+    value at z/D, a polynomial in z (and n).  The two sides then share no
+    factor but the lowest power of n on both, which is divided out; den's
+    signed content in grlex order and the powers of scale become num's
+    scale."""
+    shift += len(den) - len(num)
+    low = 0
+    if width:
+        low = min(_lowest_n_power(num, width) + shift, _lowest_n_power(den, width))
+    bottom = _z_terms(den, scale, width, -low)
+    content = math.gcd(*bottom.values())
+    if bottom[max(bottom, key=_grlex)] < 0:
+        content = -content
+    if content != 1:
+        bottom = {e: c // content for e, c in bottom.items()}
+    p, q = (scale ** shift, content) if shift >= 0 else (1, content * scale ** -shift)
+    top = _z_terms(num, scale, width, shift - low)
+    if p != 1 or q != 1:
+        top = {e: _quotient(p * c, q) for e, c in top.items()}
+    symbols = ("n", "z") if width else ("z",)
+    return RatFunc._raw(MultiPoly._raw(symbols, top), MultiPoly._raw(symbols, bottom))
 
 
-def _expand_at(ladder: RankLadder, n: int) -> RatFunc:
-    """The canonical RatFunc of a ladder at the integer rank n."""
-    return _in_z(*_products(ladder), 2 * n)
+def _expand(ladder, n: Optional[int] = None) -> RatFunc:
+    """The canonical RatFunc of a ladder: at the integer rank n, keyed by
+    K = 2n*m, when one is given, and at the symbolic rank otherwise."""
+    (ladder,), scale, width = _keyed(n, ladder)
+    return _in_z(*_products(ladder), scale, width)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +438,7 @@ def _row_factors(family: str, lam: Partition, n: int) -> RankLadder:
 
 def row_product(family: str, lam: Partition, n: int) -> RatFunc:
     """Product of (1 - z(m_i+1))/(1 - z m_i) over the full ladder at rank n."""
-    return _expand_at(_row_factors(family, lam, n), n)
+    return _expand(_row_factors(family, lam, n), n)
 
 
 def _block_factors(family: str, lam: Partition) -> Ladder:
@@ -482,80 +516,18 @@ class CasimirGF(NamedTuple):
     gf: RatFunc
 
 
-def _divide(rows: Rows, i: int, alpha: int, B: Tuple[int, ...]) -> Optional[Rows]:
-    """rows / (alpha*n**i + z*B) from the low end in z, each step an exact
-    division by alpha*n**i; None when a step is not exact or a remainder
-    is left past the top row.  The factor is integer-primitive, so the
-    quotient of int rows is int rows (Gauss's lemma) and None proves that
-    it does not divide."""
-    minus_B, lead = [-x for x in B], [0] * i + [alpha]
-    quot: Rows = [[]]
-    for row in rows:
-        r = list(row)
-        _madd(r, minus_B, quot[-1])
-        q = _dense_div(_trim(r), lead)
-        if q is None:
-            return None
-        quot.append(q)
-    return None if quot.pop() else quot[1:]
+def _gf(fm, pi, n: Optional[int] = None) -> RatFunc:
+    """fm * (1 - pi) / z, expanded in canonical form without a gcd: at the
+    integer rank n, both ladders keyed by K = 2n*m, when one is given, and
+    at the symbolic rank otherwise.
 
-
-def _gf_from_factors(fm: Ladder, pi: Ladder) -> RatFunc:
-    """fm * (1 - pi) / z, expanded in canonical form without a gcd.
-
-    With pi = N/D reduced, gcd(D - N, D) = 1.  So the factors of D cancel
-    only against the numerator factors of fm, and a denominator factor of
-    fm only against D - N.  With pi = (p/q) * n**d * num/den from _rows,
-    q*(D - N) is held as int rows and trial-divided by fm's denominator
-    factors (_divide); fm's other numerator factors multiply it.  den, the
-    rows of D, is divided exactly by the factors that fm's numerator
-    cancels and multiplied by fm's denominator factors left over.  The
-    scale is fm's over q, and the power of n fm's less that of D.  No
-    factor vanishes at z = 0, so a failure of the division by z means the
-    spectral product lost its regularity.
-    """
-    s, d, num, den = _rows(pi)
-    p, q, lower = 1, s.denominator, max(-d, 0)
-    diff = [[0] * lower + [q * x for x in row] for row in den]
-    minus_p = [0] * max(d, 0) + [-s.numerator]
-    for j, row in enumerate(num):
-        if j == len(diff):
-            diff.append([])
-        _madd(diff[j], minus_p, row)
-    if not any(map(any, diff)):
-        return RatFunc.const(0)
-    d = -lower
-    for key, e in fm.items():
-        u, v, i, alpha, B = _linear(key)
-        d -= i * e
-        if e > 0:
-            p, q = p * u ** e, q * v ** e
-            for _ in range(min(e, -pi.get(key, 0))):
-                den, e = _divide(den, i, alpha, B), e - 1
-                if den is None:
-                    raise ExactDivisionError("a cancelled factor must divide D")
-        else:
-            p, q = p * v ** -e, q * u ** -e
-            while e and (quot := _divide(diff, i, alpha, B)) is not None:
-                diff, e = quot, e + 1
-        for _ in range(abs(e)):
-            _times(diff if e > 0 else den, i, alpha, B)
-    if any(diff[0]):
-        raise ExactDivisionError(
-            "generating function is not regular at z = 0; "
-            "the z-constant term of 1 - product failed to cancel")
-    return _ratfunc(_coeff(Fraction(p, q)), d, diff[1:], den)
-
-
-def _gf_at_rank(fm: RankLadder, pi: RankLadder, n: int) -> RatFunc:
-    """fm * (1 - pi) / z at the integer rank n, on flat int lists in x = z/D
-    with D = 2n, expanded in canonical form without a gcd.
-
-    With pi = N/M from _products, C = fm * (M - N) / (D*x*M), and M - N has
-    no constant term.  As in _gf_from_factors gcd(M - N, M) = 1, so fm's
-    numerator factors cancel against M by matching and its denominator
-    factors against M - N by trial division (_dense_div); fm's factors left
-    over multiply the two lists."""
+    With the ladders keyed by ints (_keyed) and pi = N/M from _products,
+    C = fm * (M - N) / (D*x*M), and M - N has no constant term.  N/M is
+    reduced, so gcd(M - N, M) = 1: fm's numerator factors cancel only
+    against M, by matching keys, and its denominator factors only against
+    M - N, by trial division (_line_over).  fm's factors left over
+    multiply the two lists."""
+    (fm, pi), scale, width = _keyed(n, fm, pi)
     num, den = _products(pi)
     diff = den + [0] * (len(num) - len(den))
     for j, x in enumerate(num):
@@ -563,18 +535,18 @@ def _gf_at_rank(fm: RankLadder, pi: RankLadder, n: int) -> RatFunc:
     diff = _trim(diff)[1:]  # divided by x
     if not diff:
         return RatFunc.const(0)
-    for K, e in fm.items():
+    for v, e in fm.items():
         if e > 0:
-            for _ in range(min(e, -pi.get(K, 0))):
-                den, e = _dense_div(den, [1, -K]), e - 1
+            for _ in range(min(e, -pi.get(v, 0))):
+                den, e = _line_over(den, v), e - 1
                 if den is None:
                     raise ExactDivisionError("a cancelled factor must divide M")
         else:
-            while e and (quot := _dense_div(diff, [1, -K])) is not None:
+            while e and (quot := _line_over(diff, v)) is not None:
                 diff, e = quot, e + 1
         for _ in range(abs(e)):
-            _line_times(diff if e > 0 else den, K)
-    return _in_z(diff, den, 2 * n, -1)
+            _line_times(diff if e > 0 else den, v)
+    return _in_z(diff, den, scale, width, -1)
 
 
 def _ladders(family: str, lam: Partition, mode: str, n: Optional[int]):
@@ -610,26 +582,15 @@ def generating_function(family: str, lam: Partition, mode: str = "blocks",
     function of z alone.
     """
     lam = check_partition(lam)
-    fm, pi = _ladders(family, lam, mode, n)
-    gf = _gf_from_factors(fm, pi) if n is None else _gf_at_rank(fm, pi, n)
-    return CasimirGF(family, lam, mode, n, gf)
+    return CasimirGF(family, lam, mode, n, _gf(*_ladders(family, lam, mode, n), n))
 
 
-def _denominator(*ladders: Ladder) -> int:
-    """The least common denominator of the a, b and c of every key."""
-    return math.lcm(*(x.denominator for ladder in ladders
-                      for key in ladder for x in key))
-
-
-def _series(ladder, s: List[int],
-            value: Optional[Callable[[Key], int]] = None) -> List[int]:
+def _series(ladder: RankLadder, s: List[int]) -> List[int]:
     """The power series s_0..s_order in x, each s_k an int, times
-    prod (1 - x*v)**e over the ladder with v = value(key), or v the key
-    itself when no value is given, truncated at order = len(s) - 1; s is
-    updated in place factor by factor."""
+    prod (1 - x*v)**e over the ladder's keys v, truncated at
+    order = len(s) - 1; s is updated in place factor by factor."""
     order = len(s) - 1
-    for key, e in ladder.items():
-        v = value(key) if value else key
+    for v, e in ladder.items():
         if e > 0:  # times 1 - x*v: s_k -= v*s_(k-1), k descending
             v, steps = -v, range(order, 0, -1)
         else:  # over 1 - x*v: s_k += v*s_(k-1), k ascending
@@ -638,56 +599,6 @@ def _series(ladder, s: List[int],
             for k in steps:
                 s[k] += v * s[k - 1]
     return s
-
-
-def _cleared(key: Key, d: int) -> Tuple[int, int, int]:
-    """d*(a, b, c) as ints, for d a common denominator of the key."""
-    a, b, c = key
-    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
-            c.numerator * (d // c.denominator))
-
-
-def _width(d: int, order: int, *ladders: Ladder) -> int:
-    """A digit width W such that every integer coefficient, in n, of the
-    numerators N_0..N_order of spectrum_coefficients lies strictly inside
-    (-2**(W-1), 2**(W-1)), so each N_p is read back from its value at
-    n = 2**W by its balanced digits (_digits).
-
-    Each factor value is v(n) = A + B*n + C*n^2 with (A, B, C) = d*(a, b, c)
-    of its key, and E is the sum of |e| over the ladders.  Replacing every
-    coefficient of every v by its absolute value majorizes the series
-    coefficientwise in x and n: (1 - x*v)**e by (1 + x*|v|)**e, itself
-    majorized by (1 - x*|v|)**-e, and (1 - x*v)**-e by (1 - x*|v|)**-e.  A
-    polynomial with nonnegative coefficients bounds each of them by its
-    value at n = 1, and |v|(1) = |A| + |B| + |C| <= U, the largest over the
-    keys.  So every n-coefficient of F_k and of G_k, whose factors are
-    among those of the ladders, is at most [x^k] (1 - x*U)**-E =
-    C(E+k-1, k) * U^k, which does not decrease with k, and every one of
-    N_p = F_(p+1) - G_(p+1) is at most 2 * C(E+order, order+1) * U^(order+1)
-    for p <= order.  W is at least 2, the narrowest base with a balanced
-    digit for 1.
-    """
-    E = sum(abs(e) for ladder in ladders for e in ladder.values())
-    U = max((sum(map(abs, _cleared(key, d))) for ladder in ladders
-             for key in ladder), default=0)
-    bound = 2 * math.comb(E + order, order + 1) * U ** (order + 1)
-    return max(bound.bit_length() + 1, 2)
-
-
-def _digits(value: int, width: int) -> List[int]:
-    """The balanced base-2**width digits of value, lowest first: value =
-    sum digits[i] * 2**(width*i), each digit in [-2**(width-1), 2**(width-1)),
-    the last one nonzero; [] for 0.  width >= 2: in base 2 the digits
-    -1 and 0 reach no positive value."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    digits = []
-    while value:
-        r = value & mask
-        if r >= half:
-            r -= mask + 1
-        digits.append(r)
-        value = (value - r) >> width
-    return digits
 
 
 def _in_n(a: List[int], scale: int = 1) -> MultiPoly:
@@ -706,45 +617,32 @@ def spectrum_coefficients(family: str, lam: Partition, order: int,
 
     With F the series of fm and G = F times the series of pi, continued
     from a copy of F, C = fm*(1 - pi)/z = (F - G)/z, so
-    C_p = F_(p+1) - G_(p+1).  At an integer rank n the ladders are keyed
-    by K = D*m with D = 2n, the series run in x = z/D on the keys, and
-    C_p = N_p / D^(p+1) with N_p the int coefficient of x^(p+1) in F - G.
-    At the symbolic rank, with d the common denominator of the keys, the
-    series run in x = z/(d*n), where every factor is 1 - x*v with
-    v = d*(a + b*n + c*n^2), so N_p is an integer polynomial in n and
-    C_p = N_p / (d*n)^(p+1).  Every series coefficient is one Python int,
-    its value at n = X = 2**W, with W from _width, from which N_p is read
-    back as balanced base-X digits (Kronecker substitution).  The only
-    factor of the denominator N_p can share is a power of n, so cancelling
-    it gives the canonical form: no gcd and no series division.
+    C_p = F_(p+1) - G_(p+1).  The ladders are keyed by ints (_keyed), and
+    the series run in x = z/D on the keys, so C_p = N_p / D^(p+1) with N_p
+    the int coefficient of x^(p+1) in F - G.  At an integer rank n,
+    D = 2n.  At the symbolic rank D = d*n, with d the common denominator
+    of the keys, N_p is an integer polynomial in n, and its int is the
+    value at n = 2**W, with W from _width at the query's order, from which
+    N_p is read back as balanced digits (Kronecker substitution).  The
+    only factor of the denominator N_p can share is a power of n, so
+    cancelling it gives the canonical form: no gcd and no series division.
     """
     fm, pi = _ladders(family, lam, mode, n)
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if n is not None:
-        f = _series(fm, [1] + [0] * (order + 1))
-        g = _series(pi, list(f))
-        coeffs, scale = [], 1
-        for p in range(order + 1):
-            scale *= 2 * n
-            coeffs.append(RatFunc.const(_quotient(f[p + 1] - g[p + 1], scale)))
-        return coeffs
-    d = _denominator(fm, pi)
-    width = _width(d, order, fm, pi)
-    X = 1 << width
-
-    def value(key: Key) -> int:  # d*n*m at n = X
-        a, b, c = _cleared(key, d)
-        return a + (b + c * X) * X
-
-    f = _series(fm, [1] + [0] * (order + 1), value)
-    g = _series(pi, list(f), value)
-    coeffs = []
+    (fm, pi), scale, width = _keyed(n, fm, pi, order=order)
+    f = _series(fm, [1] + [0] * (order + 1))
+    g = _series(pi, list(f))
+    coeffs, power = [], 1
     for p in range(order + 1):
-        digits = _digits(f[p + 1] - g[p + 1], width)  # N_p at n = X
+        power *= scale
+        if not width:
+            coeffs.append(RatFunc.const(_quotient(f[p + 1] - g[p + 1], power)))
+            continue
+        digits = _digits(f[p + 1] - g[p + 1], width)  # N_p at n = 2**W
         # cancel the lowest power of n, at most the p+1 of the denominator
         low = min(next((k for k, x in enumerate(digits) if x), p + 1), p + 1)
-        coeffs.append(RatFunc._raw(_in_n(digits[low:], d ** (p + 1)),
+        coeffs.append(RatFunc._raw(_in_n(digits[low:], power),
                                    _in_n([0] * (p + 1 - low) + [1])))
     return coeffs
 
@@ -778,12 +676,14 @@ def _witness(lhs: Ladder, rhs: Ladder) -> str:
 
 
 def _ladder_check(check_id: str, inputs: Tuple[Tuple[str, str], ...],
-                  lhs: Ladder, rhs: Ladder) -> CheckResult:
+                  lhs: Ladder, rhs: Ladder, text: Optional[str] = None) -> CheckResult:
     """Two ladders as functions: equal exactly when equal maps.  The printed
-    sides are the ladders expanded on integer rows (_expand), once for a
-    check that holds, since equal functions have one canonical form."""
+    sides are the ladders expanded (_expand), once for a check that holds,
+    since equal functions have one canonical form; text, when given, is
+    the lhs's expansion printed already."""
     holds = lhs == rhs
-    text = str(_expand(lhs))
+    if text is None:
+        text = str(_expand(lhs))
     return CheckResult(check_id=check_id, holds=holds, inputs=inputs,
                        lhs=text, rhs=text if holds else str(_expand(rhs)),
                        notes="" if holds else _witness(lhs, rhs))
@@ -803,10 +703,10 @@ def _negation_check(name: str, left: str, right: str,
     fm, pi = _first_multiplier(left), _block_factors(left, lam)
     fm_r = _mirror(_first_multiplier(right))
     pi_r = _mirror(_block_factors(right, transpose(lam)))
-    lhs = _gf_from_factors(fm, pi)
+    lhs = _gf(fm, pi)
     holds, rhs, notes = True, lhs, ""
     if (fm, pi) != (fm_r, pi_r):
-        rhs = _gf_from_factors(fm_r, pi_r)
+        rhs = _gf(fm_r, pi_r)
         holds = ratfunc_equal(lhs, rhs)
         if not holds:
             notes = (f"product: {_witness(pi, pi_r)}" if pi != pi_r
@@ -834,10 +734,16 @@ def check_u_selfduality(lam: Partition) -> CheckResult:
 def check_su_rectangle_invariance(p: int, q: int) -> CheckResult:
     """The traceless rectangle product is fixed by {n -> -n, p <-> q, z -> -z}:
     the rhs is the mirrored (q, p) ladder."""
+    return _su_rectangle_check(p, q)
+
+
+def _su_rectangle_check(p: int, q: int, text: Optional[str] = None) -> CheckResult:
+    """check_su_rectangle_invariance, with the printed expansion of the
+    (p, q) block ladder when the caller has it."""
     return _ladder_check(
         f"casimir/su-rect/{p}x{q}", (("p", str(p)), ("q", str(q))),
         _block_factors("su", rectangle(p, q)),
-        _mirror(_block_factors("su", rectangle(q, p))))
+        _mirror(_block_factors("su", rectangle(q, p))), text)
 
 
 def check_rows_vs_blocks(family: str, lam: Partition, ranks) -> CheckResult:
@@ -922,12 +828,18 @@ def verify_consistency(max_weight: int = 6, max_rect: int = 4) -> VerificationRe
             start = max(len(lam), 1)
             report.add(check_rows_vs_blocks(family, lam,
                                             range(start, start + 5)))
+    # the rhs of rect-closed/su/pxq is the expanded su block ladder of the
+    # rectangle, which su-rect/pxq prints as its lhs
+    su_blocks = {}
     for family in BLOCK_FAMILIES:
         for p in range(1, max_rect + 1):
             for q in range(1, max_rect + 1):
-                report.add(check_rectangle_closed_form(family, p, q))
+                result = check_rectangle_closed_form(family, p, q)
+                if family == "su":
+                    su_blocks[p, q] = result.rhs
+                report.add(result)
     for p in range(1, max_rect + 1):
         for q in range(1, max_rect + 1):
-            report.add(check_su_rectangle_invariance(p, q))
+            report.add(_su_rectangle_check(p, q, su_blocks[p, q]))
     report.sort()
     return report

@@ -34,9 +34,10 @@ The universal dimension formula (linear forms in its triple) takes it.
 The same form runs on dense int lists in one symbol (_dense_cancel,
 _dense_product and the other helpers of that section), for the Jack solve
 (eigenvalue gaps, one-entry lists at a number), the Jack duality scalar
-(linear factors in k) and the one-symbol exact division, and on rows of
-dense int lists in the Casimir ladders (casimir._expand and the
-generating function's trial division, whose factors are all 1 - z*m).
+(linear factors in k) and the one-symbol exact division.  The Casimir
+ladders, whose factors are all 1 - z*m, run the same form on their own
+flat int lists in z/D (casimir._expand and casimir._gf), at the symbolic
+rank by Kronecker substitution, with none of these helpers.
 Only RatFunc(num, den) and RatFunc arithmetic reach poly_gcd and the
 general poly_exact_div, and no command does while its checks hold.
 """
@@ -377,9 +378,8 @@ class MultiPoly:
 # -- dense integer lists ---------------------------------------------------------
 #
 # An integer polynomial in one symbol is also held as the list of its
-# coefficients, lowest degree first: the rows of the Casimir ladders in n,
-# the numerators and gaps of the Jack solve in its coupling's symbol, and
-# poly_exact_div in one symbol.  These helpers are the one toolkit for all
+# coefficients, lowest degree first: the numerators and gaps of the Jack
+# solve in its coupling's symbol, and poly_exact_div in one symbol.  These helpers are the one toolkit for all
 # of them, and none calls a kernel.  A list is trimmed when its last entry
 # is nonzero; the zero polynomial is the empty list.
 
@@ -401,9 +401,7 @@ def _trim(a: list) -> list:
 
 def _madd(out: list, a: list, b: list) -> None:
     """out += a*b in place; out grows to hold the product."""
-    # one flat step, as every step of the Jack solve at a number; a Casimir
-    # generating function comes here only at the symbolic rank, with rows
-    # in n, and runs at an integer rank on one list in x without this
+    # one flat step, as every step of the Jack solve at a number
     if len(a) == 1 == len(b):
         if out:
             out[0] += a[0] * b[0]

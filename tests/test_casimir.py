@@ -1,5 +1,7 @@
 """Casimir spectrum generating functions: pinned values and dualities."""
 
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -377,7 +379,7 @@ def test_products_at_integer_ranks_match_generic_normal_form(family):
         for n in range(start, start + 5):
             assert row_product(family, lam, n) == _oracle_rows(family, lam, n)
             product = casimir._ladders(family, lam, "blocks", n)[1]
-            assert casimir._expand_at(product, n) == _at(symbolic, n)
+            assert casimir._expand(product, n) == _at(symbolic, n)
 
 
 def test_first_multiplier_matches_generic_normal_form():
@@ -468,15 +470,16 @@ def _coefficient_cases():
                 yield family, lam, "rows", n
 
 
-def _coefficient_mismatches(max_order=5):
-    """The cases where spectrum_coefficients differs from the Taylor
-    expansion of the generating function, at any order to max_order."""
+def _coefficient_mismatches(max_order=5, coefficients=spectrum_coefficients):
+    """The cases where coefficients, spectrum_coefficients or a planted
+    defect in it, differs from the Taylor expansion of the generating
+    function, at any order to max_order."""
     bad = []
     for family, lam, mode, n in _coefficient_cases():
         gf = generating_function(family, lam, mode=mode, n=n).gf
         expected = series_expand(gf, "z", max_order)
         for order in range(max_order + 1):
-            got = spectrum_coefficients(family, lam, order, mode=mode, n=n)
+            got = coefficients(family, lam, order, mode=mode, n=n)
             if got != list(expected[:order + 1]):
                 bad.append((family, lam, mode, n, order))
     return bad
@@ -514,18 +517,30 @@ def _negated_b(key):
     return a, -b, c
 
 
+def _patched(monkeypatch, name, value):
+    """spectrum_coefficients with casimir.<name> replaced by value during
+    the call only, so the generating function it is compared with, which
+    runs on the same engine, stays exact."""
+    def coefficients(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(casimir, name, value)
+            return spectrum_coefficients(*args, **kwargs)
+    return coefficients
+
+
 @pytest.mark.parametrize("mutate", [
     lambda ladder: {k: (-e if i == 0 else e)
                     for i, (k, e) in enumerate(ladder.items())},
     lambda ladder: {_negated_b(k): e for k, e in ladder.items()},
 ], ids=["flipped-exponent", "negated-b"])
 def test_coefficient_comparison_catches_a_wrong_ladder(monkeypatch, mutate):
-    # the ladders reach _series keyed by (a, b, c) at the symbolic rank and
-    # by an int at an integer rank; both kinds of case must miss
-    real = casimir._series
-    monkeypatch.setattr(casimir, "_series", lambda ladder, *args:
-                        real(mutate(ladder), *args))
-    missed = _coefficient_mismatches(max_order=2)
+    # the ladders reach _keyed by (a, b, c) at the symbolic rank and by an
+    # int at an integer rank, and are mutated there, before they become
+    # the int keys of _series; both kinds of case must miss
+    real = casimir._keyed
+    missed = _coefficient_mismatches(max_order=2, coefficients=_patched(
+        monkeypatch, "_keyed",
+        lambda n, *ladders, **kwargs: real(n, *map(mutate, ladders), **kwargs)))
     assert {n is None for _, _, _, n, _ in missed} == {True, False}
 
 
@@ -539,7 +554,7 @@ def test_symbolic_coefficients_match_series_expansion_at_large_widths():
             if spectrum_coefficients(family, lam, 8) != list(expected):
                 bad.append((family, lam))
             fm, pi = casimir._ladders(family, lam, "blocks", None)
-            widths.append(casimir._width(casimir._denominator(fm, pi), 8, fm, pi))
+            widths.append(casimir._keyed(None, fm, pi, order=8)[2])
     assert bad == []
     assert max(widths) > 48
 
@@ -558,8 +573,8 @@ def test_digits_are_balanced_and_read_back(width):
 
 
 def test_coefficient_comparison_catches_a_width_too_narrow(monkeypatch):
-    monkeypatch.setattr(casimir, "_width", lambda *args: 3)
-    assert _coefficient_mismatches(max_order=2)
+    assert _coefficient_mismatches(max_order=2, coefficients=_patched(
+        monkeypatch, "_width", lambda *args: 3))
 
 
 @pytest.mark.parametrize("args", [
@@ -794,7 +809,7 @@ def test_generating_function_matches_sympy(family):
         assert sympy.gcd(num, den).is_number, lam
 
 
-# -- ladders: the expansion on integer rows ------------------------------------
+# -- ladders: the expansion on flat int lists ----------------------------------
 
 # keys the sweeps never make: a value a/n alone, whose factor n - a*z leads
 # with n, and values with Fraction parts or no n term
@@ -819,23 +834,30 @@ def _oracle_ladder(ladder, n=None):
     return out
 
 
+def _denominator(ladder):
+    """The least common denominator of the a, b and c of every key."""
+    return math.lcm(*(x.denominator for key in ladder for x in key))
+
+
 @lru_cache(maxsize=None)
 def _expansion_cases():
-    """(label, ladder, normal form): every block ladder to weight 6, every
-    rectangle to 6x6 plain and mirrored, every first multiplier and the
-    planted ladders, symbolically, and at n = 1..6 through _at_rank for
-    those whose keys are halves of ints, as _at_rank takes them."""
+    """(label, ladder, n, normal form): every block ladder to weight 6,
+    every rectangle to 6x6 plain and mirrored, every first multiplier and
+    the planted ladders, symbolically (n None), and at n = 1..6 through
+    _at_rank for those whose keys are halves of ints, as _at_rank takes
+    them."""
     ladders = [(f"planted {ladder}", ladder) for ladder in PLANTED]
     ladders += [(f"fm {family}", casimir._first_multiplier(family))
                 for family in FAMILIES]
     for family in BLOCK_FAMILIES:
         ladders += [(f"{family} {lam}", casimir._block_factors(family, lam))
                     for lam in partitions_up_to_weight(6)]
-    cases = [(label, ladder, _oracle_ladder(ladder)) for label, ladder in ladders]
-    cases += [(f"{label} at n={n}", (casimir._at_rank(ladder, n), n),
+    cases = [(label, ladder, None, _oracle_ladder(ladder))
+             for label, ladder in ladders]
+    cases += [(f"{label} at n={n}", casimir._at_rank(ladder, n), n,
                _oracle_ladder(ladder, n))
               for label, ladder in ladders for n in range(1, 7)
-              if casimir._denominator(ladder) <= 2]
+              if _denominator(ladder) <= 2]
     for family in BLOCK_FAMILIES:
         for p in range(1, 7):
             for q in range(1, 7):
@@ -843,14 +865,13 @@ def _expansion_cases():
                 for label, ladder in ((f"{family} {p}x{q}", rect),
                                       (f"{family} {p}x{q} mirrored",
                                        casimir._mirror(rect))):
-                    cases.append((label, ladder, _oracle_ladder(ladder)))
+                    cases.append((label, ladder, None, _oracle_ladder(ladder)))
     return tuple(cases)
 
 
 def _expansion_mismatches():
-    return [label for label, ladder, expected in _expansion_cases()
-            if (casimir._expand_at(*ladder) if type(ladder) is tuple
-                else casimir._expand(ladder)) != expected]
+    return [label for label, ladder, n, expected in _expansion_cases()
+            if casimir._expand(ladder, n) != expected]
 
 
 def test_expansion_matches_gcd_normal_form():
@@ -858,21 +879,67 @@ def test_expansion_matches_gcd_normal_form():
 
 
 def test_expansion_comparison_catches_a_flipped_sign_rule(monkeypatch):
-    # the sign taken from B's top entry even where alpha*n**i leads: the
-    # factor n - 3*z of the value 3/n comes out as 3*z - n, a denominator
-    # with negative leading coefficient
-    real = casimir._linear
-
-    def from_b(key):
-        u, d, i, alpha, B = real(key)
-        if B and B[-1] < 0:
-            return -u, d, i, -alpha, [-x for x in B]
-        return u, d, i, alpha, B
-
-    monkeypatch.setattr(casimir, "_linear", from_b)
+    # the den's sign taken from its top power of z even where a power of n
+    # leads in grlex: the factor n - 3*z of the value 3/n comes out as
+    # 3*z - n, a denominator with negative leading coefficient
+    monkeypatch.setattr(casimir, "_grlex", lambda exps: exps[::-1])
     missed = _expansion_mismatches()
     assert "planted {(3, 0, 0): -1}" in missed
     assert "planted {(-3, 0, 0): 1}" not in missed
+
+
+def test_expansion_comparison_catches_a_width_too_narrow(monkeypatch):
+    # digits of 3 bits carry a coefficient of one power of n into the next
+    monkeypatch.setattr(casimir, "_width", lambda *args: 3)
+    missed = _expansion_mismatches()
+    assert any(label.startswith("planted") for label in missed)
+    assert any(label.startswith("c ") for label in missed)
+
+
+# both sides of this pair's fm * (1 - pi) / z carry a factor n until the
+# lowest common power of n is divided out: not canonical otherwise, as
+# (2*n^3*z^2 + ... - 12*n*z)/(n^3*z^2 + 6*n^2*z + 9*n)
+NOT_CANONICAL = ({(2, -2, 0): 1}, {(0, 0, Fraction(-1, 3)): -2})
+
+
+def _random_key(rng):
+    """A key with thirds and halves, canonical as the ladders keep them:
+    an int where integral."""
+    return tuple(exact_algebra._coeff(Fraction(rng.randint(-3, 3),
+                                               rng.choice((1, 2, 3))))
+                 for _ in range(3))
+
+
+@lru_cache(maxsize=None)
+def _gf_cases(count=120, seed=36):
+    """(label, fm, pi): the counterexample above, each planted ladder as
+    pi under two prefactors and as fm over the next one, and count random
+    pairs, seeded, whose keys have thirds and exponents -2 to 2 and are
+    drawn from a pool of four, so fm and pi share keys and cancel."""
+    cases = [("not canonical", *NOT_CANONICAL)]
+    for i, ladder in enumerate(PLANTED):
+        cases += [(f"fm {family} over planted {i}",
+                   casimir._first_multiplier(family), ladder)
+                  for family in ("c", "su")]
+        cases.append((f"planted {i} over {i - 1}", ladder, PLANTED[i - 1]))
+    rng = random.Random(seed)
+    for i in range(count):
+        pool = [_random_key(rng) for _ in range(4)]
+        fm, pi = ({}, {})
+        for ladder, size in ((fm, rng.randint(1, 2)), (pi, rng.randint(1, 3))):
+            for key in rng.sample(pool, size):
+                casimir._mul(ladder, key, rng.choice((-2, -1, 1, 2)))
+        cases.append((f"random {i}: {fm} {pi}", fm, pi))
+    return tuple(cases)
+
+
+def test_planted_generating_functions_match_gcd_normal_form():
+    # fm * (1 - pi) / z from the ladders against RatFunc arithmetic with a
+    # gcd, on ladders no family builds
+    bad = [label for label, fm, pi in _gf_cases()
+           if casimir._gf(fm, pi)
+           != _oracle_ladder(fm) * (ONE - _oracle_ladder(pi)) / Z]
+    assert bad == []
 
 
 def _keyed_by_2n_m(factors, n):

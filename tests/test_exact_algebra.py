@@ -139,7 +139,7 @@ def test_factored_form_cancels_by_exponents():
     # at n = 2 the su value is 5/2; at n = 3 it is 4 and merges with 1 + n;
     # at a rank a ladder is keyed by 2n*m
     for n in (2, 3):
-        assert casimir._expand_at(casimir._at_rank(ladder, n), n) == _at(expected, n)
+        assert casimir._expand(casimir._at_rank(ladder, n), n) == _at(expected, n)
     assert casimir._at_rank({(-3, 2, 1): 1, (0, 1, 1): -1}, 3) == {}
     # equal values cancel by exponents
     casimir._mul(ladder, (0, 2, 0), 2)

@@ -55,7 +55,7 @@ def test_pinned_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
     # at a number the Jack solve and its rendering stay on ints and
     # Fractions, a dimension polynomial is expanded on one dense list, the
     # Casimir coefficients and generating function are read off the
-    # ladders on rows of dense int lists, and a space's fields are compared
+    # ladders on flat int lists in x, and a space's fields are compared
     # on its rational table: every pinned key reproduces with MultiPoly
     # arithmetic and the exact division refused, each row read afresh
     def refuse(*args):
@@ -77,7 +77,7 @@ def test_pinned_queries_do_no_polynomial_arithmetic(pinned, monkeypatch):
 def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
     # the spectral product is never built as a RatFunc: at both ranks the
     # one RatFunc a `casimir gf` key builds is the printed generating
-    # function, through RatFunc._raw (rows in n) or RatFunc.__init__
+    # function, through RatFunc._raw or RatFunc.__init__
     calls = []
     raw, init = RatFunc._raw.__func__, RatFunc.__init__
 
@@ -102,14 +102,18 @@ def test_casimir_gf_builds_only_the_printed_function(pinned, monkeypatch):
 
 
 def test_integer_rank_casimir_keys_use_no_rows(pinned, monkeypatch):
-    # at an integer rank the ladders are keyed by ints and the generating
-    # function and coefficients run on flat int lists in x = z/(2n): every
-    # pinned `casimir gf ... --n` and `casimir coeffs ... --mode rows` key
-    # reproduces with the symbolic rank's rows machinery refused
+    # at an integer rank the ladders come keyed by K = 2n*m, and the
+    # generating function and coefficients run on flat int lists in
+    # x = z/(2n) with nothing to decode: every pinned `casimir gf ... --n`
+    # and `casimir coeffs ... --mode rows` key reproduces with the symbolic
+    # rank's digit width and digit decoding refused, and no helper of a
+    # rows-in-n format is left in the module
     def refuse(*args):
-        raise AssertionError("rows in n at an integer rank")
+        raise AssertionError("symbolic-rank machinery at an integer rank")
 
-    for name in ("_rows", "_times", "_divide", "_linear"):
+    assert not {"Rows", "_rows", "_times", "_divide", "_linear", "_poly",
+                "_ratfunc", "_gf_from_factors"} & set(vars(casimir))
+    for name in ("_width", "_digits"):
         monkeypatch.setattr(casimir, name, refuse)
     keys = [key for key in sorted(pinned)
             if key.startswith("casimir gf ") and " --n " in key
@@ -126,11 +130,27 @@ def test_casimir_coeffs_use_no_dense_lists(pinned, monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense list in a coefficient query")
 
-    assert "_dense_poly" not in vars(casimir)
-    for module in (casimir, exact_algebra):
-        monkeypatch.setattr(module, "_madd", refuse)
+    assert not {"_dense_poly", "_madd"} & set(vars(casimir))
+    monkeypatch.setattr(exact_algebra, "_madd", refuse)
     monkeypatch.setattr(exact_algebra, "_dense_poly", refuse)
     keys = [key for key in sorted(pinned) if key.startswith("casimir coeffs ")]
     assert len(keys) == 504
+    drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
+    assert drifted == []
+
+
+def test_casimir_keys_use_no_dense_helpers(pinned, monkeypatch):
+    # both ranks run on casimir's own flat lists in x, with no
+    # multiply-accumulate and no long division from exact_algebra: every
+    # pinned `casimir gf` and `casimir coeffs` key reproduces with both
+    # refused
+    def refuse(*args):
+        raise AssertionError("a dense-list helper in a Casimir query")
+
+    assert not {"_madd", "_dense_div", "_dense_primitive"} & set(vars(casimir))
+    for name in ("_madd", "_dense_div"):
+        monkeypatch.setattr(exact_algebra, name, refuse)
+    keys = [key for key in sorted(pinned) if key.startswith("casimir ")]
+    assert len(keys) == 606
     drifted = [key for key in keys if _digest(key.split()) != (0, pinned[key])]
     assert drifted == []
